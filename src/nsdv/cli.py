@@ -1,7 +1,10 @@
 """Command line entry points: run, verify, convergence, twin.
 
-Exit codes: 0 ok, 2 config error, 3 numerical failure, 4 monitor violation,
-5 blow-up detected.  The default output root is $NSDV_OUT_DIR or ./out;
+Exit codes: 0 ok; 2 config error (ConfigError, InputError, a missing config
+file, DomainError when the data leave a constitutive law's domain,
+DomainExitError when a flow-map particle leaves the domain); 3 numerical
+failure (NumericalFailure, HomeomorphismError); 4 monitor violation; 5 blow-up
+detected (VacuumBlowup).  The default output root is $NSDV_OUT_DIR or ./out;
 concurrent runs land in distinct directories keyed by the config hash.
 """
 
@@ -16,7 +19,15 @@ from pathlib import Path
 import numpy as np
 
 from . import io
-from .errors import ConfigError, InputError, NumericalFailure, VacuumBlowup
+from .errors import (
+    ConfigError,
+    DomainError,
+    DomainExitError,
+    HomeomorphismError,
+    InputError,
+    NumericalFailure,
+    VacuumBlowup,
+)
 from .eulerian import SolverConfig, run
 from .initdata import (
     ScenarioConfig,
@@ -162,7 +173,8 @@ def cmd_convergence(args) -> int:
     with out.open("w", encoding="ascii") as fh:
         fh.write("# n dx dt l2_error order\n")
         for r in rows:
-            fh.write(f"{r['n']} {r['dx']!r} {r['dt']!r} {r['err']!r} {r['order']!r}\n")
+            vals = (io.fmt(r[k]) for k in ("dx", "dt", "err", "order"))
+            fh.write(f"{r['n']} {' '.join(vals)}\n")
     print(f"table -> {out}")
     return EXIT_OK
 
@@ -184,11 +196,9 @@ def cmd_twin(args) -> int:
     out = _out_root(args) / f"twin-{h}-eps{args.epsilon:g}.dat"
     with out.open("w", encoding="ascii") as fh:
         fh.write("# t delta_l2 diss_accum lhs rhs\n")
-        for k in range(len(report.times)):
-            fh.write(
-                f"{report.times[k]!r} {report.delta_l2[k]!r} "
-                f"{report.diss_accum[k]!r} {report.lhs[k]!r} {report.rhs[k]!r}\n"
-            )
+        cols = (report.times, report.delta_l2, report.diss_accum, report.lhs, report.rhs)
+        for row in zip(*cols):
+            fh.write(" ".join(io.fmt(v) for v in row) + "\n")
     print(f"series -> {out}")
     return EXIT_OK if bool(np.all(report.gronwall_ok)) else EXIT_VIOLATION
 
@@ -232,19 +242,16 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except (ConfigError, FileNotFoundError, DomainError, DomainExitError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except FileNotFoundError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except VacuumBlowup as exc:
         print(f"blow-up: {exc} (t={exc.time})", file=sys.stderr)
         return EXIT_BLOWUP
-    except NumericalFailure as exc:
+    except (NumericalFailure, HomeomorphismError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

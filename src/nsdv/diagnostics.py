@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import model
-from .effective import compute_effective_fields, convective_derivative, effective_velocity
+from .effective import compute_effective_fields, effective_velocity
 from .errors import InputError
 from .model import RHO_FLOOR, FluidState, Grid1D, ModelParams
 from .stencils import ddx
@@ -60,9 +60,13 @@ def energy_dissipation_rate(state: FluidState, grid: Grid1D, p: ModelParams) -> 
 
 def bd_entropy(state: FluidState, grid: Grid1D, p: ModelParams) -> float:
     """Instantaneous part sum(rho v^2/2 + Pi_rel(rho)) dx with v effective."""
-    v = effective_velocity(state, grid, p)
-    e = 0.5 * state.rho * v**2 + model.internal_energy(state.rho, p)
-    return float(np.sum(e) * grid.dx)
+    return _bd_entropy(state.rho, effective_velocity(state, grid, p), grid, p)
+
+
+def _bd_entropy(rho, v, grid: Grid1D, p: ModelParams) -> float:
+    return 0.5 * float(np.sum(rho * v**2) * grid.dx) + float(
+        np.sum(model.internal_energy(rho, p)) * grid.dx
+    )
 
 
 def bd_dissipation_rate(state: FluidState, grid: Grid1D, p: ModelParams) -> float:
@@ -88,36 +92,54 @@ def _time_weights(times: np.ndarray) -> np.ndarray:
     return w
 
 
-def _snapshot_sums(traj):
-    """Per-snapshot integrals used by the Hoff functionals."""
+def _scan(traj) -> dict:
+    """Every per-snapshot scalar the series and monitors read, as one array
+    per name, from one compute_effective_fields call per snapshot.  No field
+    array outlives its snapshot: at fine resolution the fields of a whole
+    trajectory would dominate peak memory."""
     p, grid = traj.params, traj.grid
-    dux2, rudot2, dudot2 = [], [], []
+    dx = grid.dx
+    rows = []
     for s in traj.snapshots:
+        eff = compute_effective_fields(s, grid, p)
         mu = model.viscosity(s.rho, p)
-        du = ddx(s.u, grid)
-        udot = convective_derivative(s, grid, p)
-        dux2.append(float(np.sum(mu * du**2) * grid.dx))
-        rudot2.append(float(np.sum(s.rho * udot**2) * grid.dx))
-        dudot2.append(float(np.sum(mu * ddx(udot, grid) ** 2) * grid.dx))
-    return np.array(dux2), np.array(rudot2), np.array(dudot2)
+        rows.append(
+            {
+                "energy": energy(s, grid, p),
+                "bd": _bd_entropy(s.rho, eff.v, grid, p),
+                "y_max": float(np.max(eff.y)),
+                "slope": float(np.max(ddx(eff.v, grid))),
+                "rho_max": float(np.max(s.rho)),
+                "rho_min": float(np.min(s.rho)),
+                "inv_rho_max": float(np.max(1.0 / s.rho)),
+                "bv_v": bv_norm(eff.v, grid, grid.half_length),
+                "w1_max": float(np.max(eff.w1)),
+                # the Hoff functionals' spatial sums
+                "dux2": float(np.sum(mu * ddx(s.u, grid) ** 2) * dx),
+                "rudot2": float(np.sum(s.rho * eff.udot**2) * dx),
+                "dudot2": float(np.sum(mu * ddx(eff.udot, grid) ** 2) * dx),
+            }
+        )
+    return {name: np.array([row[name] for row in rows]) for name in rows[0]}
+
+
+def _hoff_series(times: np.ndarray, half: np.ndarray, integrand: np.ndarray) -> np.ndarray:
+    """sigma(t)/2 * half(t) + int_0^t sigma * integrand."""
+    sig = sigma(times)
+    integral = np.concatenate(([0.0], np.cumsum((_time_weights(times) * sig * integrand)[:-1])))
+    return 0.5 * sig * half + integral
 
 
 def hoff_A_series(traj) -> np.ndarray:
     """A(t) = sigma(t)/2 * sum rho^alpha (du/dx)^2 dx + int_0^t sigma sum rho udot^2."""
-    times = traj.times
-    dux2, rudot2, _ = _snapshot_sums(traj)
-    sig = sigma(times)
-    integral = np.concatenate(([0.0], np.cumsum((_time_weights(times) * sig * rudot2)[:-1])))
-    return 0.5 * sig * dux2 + integral
+    sc = _scan(traj)
+    return _hoff_series(traj.times, sc["dux2"], sc["rudot2"])
 
 
 def hoff_B_series(traj) -> np.ndarray:
     """B(t) = sigma(t)/2 * sum rho udot^2 dx + int_0^t sigma sum rho^alpha (d udot/dx)^2."""
-    times = traj.times
-    _, rudot2, dudot2 = _snapshot_sums(traj)
-    sig = sigma(times)
-    integral = np.concatenate(([0.0], np.cumsum((_time_weights(times) * sig * dudot2)[:-1])))
-    return 0.5 * sig * rudot2 + integral
+    sc = _scan(traj)
+    return _hoff_series(traj.times, sc["rudot2"], sc["dudot2"])
 
 
 def hoff_A(traj, t: float | None = None) -> float:
@@ -144,18 +166,22 @@ class YEnvelope:
 def y_comparison_ode(traj) -> YEnvelope:
     """y_env(t) = y_max(0) + C_gamma * int_0^t rho_max(s)^(2gamma-2alpha-1) ds
     with C_gamma = max(0, gamma^2/(gamma-alpha-1))."""
+    return _y_envelope(traj, _scan(traj))
+
+
+def _y_envelope(traj, sc: dict) -> YEnvelope:
     p = traj.params
     times = traj.times
     if p.log_branch:
         return YEnvelope(times=times, available=False, y_env=None, c_gamma=np.nan)
     c_gamma = max(0.0, p.gamma**2 / (p.gamma - p.alpha - 1.0))
-    y0 = float(np.max(compute_effective_fields(traj.snapshots[0], traj.grid, p).y))
-    rho_max = np.array([float(np.max(s.rho)) for s in traj.snapshots])
     expo = 2.0 * p.gamma - 2.0 * p.alpha - 1.0
     growth = np.concatenate(
-        ([0.0], np.cumsum((_time_weights(times) * rho_max**expo)[:-1]))
+        ([0.0], np.cumsum((_time_weights(times) * sc["rho_max"] ** expo)[:-1]))
     )
-    return YEnvelope(times=times, available=True, y_env=y0 + c_gamma * growth, c_gamma=c_gamma)
+    return YEnvelope(
+        times=times, available=True, y_env=sc["y_max"][0] + c_gamma * growth, c_gamma=c_gamma
+    )
 
 
 @dataclass(frozen=True)
@@ -172,19 +198,18 @@ class OleinikReport:
 
 
 def oleinik_monitor(traj) -> OleinikReport:
-    p, grid = traj.params, traj.grid
+    sc = _scan(traj)
+    return _oleinik(traj, sc, _y_envelope(traj, sc))
+
+
+def _oleinik(traj, sc: dict, env_y: YEnvelope) -> OleinikReport:
     times = traj.times
-    slope = np.array(
-        [float(np.max(ddx(compute_effective_fields(s, grid, p).v, grid))) for s in traj.snapshots]
-    )
-    env_y = y_comparison_ode(traj)
-    tol = TOL_FACTOR * grid.dx
+    slope = sc["slope"]
+    tol = TOL_FACTOR * traj.grid.dx
     if not env_y.available:
         return OleinikReport(times, slope, False, None, np.ones(len(times), bool), tol)
-    rho_max = np.array([float(np.max(s.rho)) for s in traj.snapshots])
-    rho_min = np.array([float(np.min(s.rho)) for s in traj.snapshots])
     # dv/dx = rho*(y - f2(rho)) <= rho_max*(y_env - min_x f2); f2 is increasing
-    envelope = rho_max * (env_y.y_env - model.f2(rho_min, p))
+    envelope = sc["rho_max"] * (env_y.y_env - model.f2(sc["rho_min"], traj.params))
     ok = slope <= envelope + tol
     return OleinikReport(times, slope, True, envelope, ok, tol)
 
@@ -205,14 +230,19 @@ class VacuumReport:
 def vacuum_monitor(traj) -> VacuumReport:
     """Integrates dz/dt = y_env(t) + gamma/(alpha+1-gamma) * z^(alpha+1-gamma)
     when gamma < alpha+1 and checks the measured z stays below it."""
-    p, grid = traj.params, traj.grid
+    sc = _scan(traj)
+    return _vacuum(traj, sc, _y_envelope(traj, sc))
+
+
+def _vacuum(traj, sc: dict, env_y: YEnvelope) -> VacuumReport:
+    p = traj.params
     times = traj.times
-    z = np.array([float(np.max(1.0 / s.rho)) for s in traj.snapshots])
+    z = sc["inv_rho_max"]
     blowup = z >= 1.0 / RHO_FLOOR
-    tol = TOL_FACTOR * grid.dx
+    tol = TOL_FACTOR * traj.grid.dx
     if not (p.gamma < p.alpha + 1.0 - model.BRANCH_TOL):
         return VacuumReport(times, z, False, None, np.ones(len(times), bool), blowup, tol)
-    env_y = y_comparison_ode(traj)  # power branch here, c_gamma = 0
+    # power branch here, c_gamma = 0
     coef = p.gamma / (p.alpha + 1.0 - p.gamma)
     expo = p.alpha + 1.0 - p.gamma
 
@@ -280,52 +310,31 @@ class DiagnosticSeries:
 
 
 def build_series(traj) -> DiagnosticSeries:
-    """Evaluate every functional and monitor on a finished trajectory."""
+    """Evaluate every functional and monitor on a finished trajectory, from
+    one pass over its snapshots."""
     p, grid = traj.params, traj.grid
     times = traj.times
     n_t = len(times)
     tol = TOL_FACTOR * grid.dx
 
-    e = np.empty(n_t)
-    bd = np.empty(n_t)
-    y_max = np.empty(n_t)
-    slope = np.empty(n_t)
-    inv_rho_max = np.empty(n_t)
-    rho_max = np.empty(n_t)
-    bv_v = np.empty(n_t)
-    w1_max = np.empty(n_t)
-    for k, s in enumerate(traj.snapshots):
-        eff = compute_effective_fields(s, grid, p)
-        e[k] = energy(s, grid, p)
-        bd[k] = 0.5 * float(np.sum(s.rho * eff.v**2) * grid.dx) + float(
-            np.sum(model.internal_energy(s.rho, p)) * grid.dx
-        )
-        y_max[k] = float(np.max(eff.y))
-        slope[k] = float(np.max(ddx(eff.v, grid)))
-        inv_rho_max[k] = float(np.max(1.0 / s.rho))
-        rho_max[k] = float(np.max(s.rho))
-        bv_v[k] = bv_norm(eff.v, grid, grid.half_length)
-        w1_max[k] = float(np.max(eff.w1))
-
-    a_series = hoff_A_series(traj)
-    b_series = hoff_B_series(traj)
-    env_y = y_comparison_ode(traj)
-    olk = oleinik_monitor(traj)
-    vac = vacuum_monitor(traj)
+    sc = _scan(traj)
+    env_y = _y_envelope(traj, sc)
+    olk = _oleinik(traj, sc, env_y)
+    vac = _vacuum(traj, sc, env_y)
 
     flags = {}
     avail = {}
 
-    budget_e = e[0] * (1.0 + BALANCE_REL) + tol * times
-    flags["energy"] = e + traj.energy_diss_accum > budget_e
+    budget_e = sc["energy"][0] * (1.0 + BALANCE_REL) + tol * times
+    flags["energy"] = sc["energy"] + traj.energy_diss_accum > budget_e
     avail["energy"] = True
-    budget_bd = bd[0] * (1.0 + BALANCE_REL) + tol * times
-    flags["bd"] = bd + traj.bd_diss_accum > budget_bd
+    budget_bd = sc["bd"][0] * (1.0 + BALANCE_REL) + tol * times
+    flags["bd"] = sc["bd"] + traj.bd_diss_accum > budget_bd
     avail["bd"] = True
 
     avail["y_env"] = env_y.available
     flags["y_env"] = (
-        y_max > env_y.y_env + tol if env_y.available else np.zeros(n_t, bool)
+        sc["y_max"] > env_y.y_env + tol if env_y.available else np.zeros(n_t, bool)
     )
     avail["oleinik"] = olk.available
     flags["oleinik"] = ~olk.ok if olk.available else np.zeros(n_t, bool)
@@ -334,7 +343,7 @@ def build_series(traj) -> DiagnosticSeries:
 
     w1_active = constantin_condition_holds(traj.snapshots[0], grid, p)
     avail["w1_sign"] = w1_active
-    flags["w1_sign"] = w1_max > tol if w1_active else np.zeros(n_t, bool)
+    flags["w1_sign"] = sc["w1_max"] > tol if w1_active else np.zeros(n_t, bool)
 
     flags["blowup"] = vac.blowup.copy()
     if traj.blowup is not None:
@@ -343,18 +352,18 @@ def build_series(traj) -> DiagnosticSeries:
 
     return DiagnosticSeries(
         times=times,
-        energy=e,
+        energy=sc["energy"],
         energy_diss_accum=np.asarray(traj.energy_diss_accum, dtype=float),
-        bd_entropy=bd,
+        bd_entropy=sc["bd"],
         bd_diss_accum=np.asarray(traj.bd_diss_accum, dtype=float),
-        hoff_A=a_series,
-        hoff_B=b_series,
-        y_max=y_max,
-        oleinik_slope=slope,
-        inv_rho_max=inv_rho_max,
-        rho_max=rho_max,
-        bv_norm_v=bv_v,
-        w1_max=w1_max,
+        hoff_A=_hoff_series(times, sc["dux2"], sc["rudot2"]),
+        hoff_B=_hoff_series(times, sc["rudot2"], sc["dudot2"]),
+        y_max=sc["y_max"],
+        oleinik_slope=sc["slope"],
+        inv_rho_max=sc["inv_rho_max"],
+        rho_max=sc["rho_max"],
+        bv_norm_v=sc["bv_v"],
+        w1_max=sc["w1_max"],
         violation_flags=flags,
         monitors_available=avail,
         y_env=env_y.y_env if env_y.available else None,

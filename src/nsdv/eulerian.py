@@ -252,6 +252,41 @@ def step_effective(
     return rho_new, v_new
 
 
+def drive(initial, cfg: SolverConfig, dt, step, rates=()):
+    """The cadence loop shared by every solver.
+
+    `dt(state)` proposes a step, clipped so that every multiple of
+    cfg.output_cadence and t_end are hit exactly; `step(state, t, dt)` returns
+    the next state; each `rate(state)` is integrated in time by left
+    rectangles.  Records t=0, every cadence multiple and t_end.  Returns
+    (times, states, one array of accumulated integrals per rate, and the
+    VacuumBlowup that ended the loop early or None).
+    """
+    eps = 1e-12 * max(1.0, cfg.t_end)
+    state, t, k_out, blowup = initial, 0.0, 1, None
+    acc = [0.0] * len(rates)
+    times, states, accum = [t], [state], [list(acc)]
+    while t < cfg.t_end - eps:
+        next_out = k_out * cfg.output_cadence
+        h = min(dt(state), next_out - t, cfg.t_end - t)
+        if h <= 0.0:
+            raise NumericalFailure(f"non-positive step at t={t:.6g}", time=t)
+        for i, rate in enumerate(rates):
+            acc[i] += h * rate(state)
+        try:
+            state = step(state, t, h)
+        except VacuumBlowup as exc:
+            blowup = exc
+            break
+        t += h
+        if t >= next_out - eps or t >= cfg.t_end - eps:
+            times.append(t)
+            states.append(state)
+            accum.append(list(acc))
+            k_out += 1
+    return times, states, [np.array(a) for a in zip(*accum)], blowup
+
+
 def run(
     initial: FluidState,
     cfg: SolverConfig,
@@ -277,65 +312,34 @@ def run(
     effective = cfg.formulation == "effective"
     if effective and (forcing is not None or exact_boundary is not None):
         raise InputError("manufactured sources run on the primitive formulation")
-    state = initial
-    if effective:
-        rho = initial.rho.copy()
-        v = effective_velocity(initial, grid, p)
+    v = effective_velocity(initial, grid, p) if effective else None
 
-    snapshots = [initial]
-    e_diss = [0.0]
-    bd_diss = [0.0]
-    ed = bd = 0.0
-    t = 0.0
-    k_out = 1
-    next_out = cfg.output_cadence
-    blowup = None
-    eps = 1e-12 * max(1.0, cfg.t_end)
-
-    while t < cfg.t_end - eps:
-        dt = stable_dt(state, grid, cfg, p)
-        dt = min(dt, next_out - t, cfg.t_end - t)
-        if dt <= 0.0:
-            raise NumericalFailure(f"non-positive step at t={t:.6g}", time=t)
-
-        ed += dt * diagnostics.energy_dissipation_rate(state, grid, p)
-        bd += dt * diagnostics.bd_dissipation_rate(state, grid, p)
-
+    def step(state, t, dt):
+        nonlocal v
+        if effective:
+            rho, v = step_effective(state.rho, v, t, dt, grid, cfg, p)
+            return FluidState(time=t + dt, rho=rho, u=recover_velocity(rho, v, grid, p))
         frc = forcing(t) if forcing is not None else None
         bc = exact_boundary(t + dt) if exact_boundary is not None else _FARFIELD
-        try:
-            if effective:
-                rho, v = step_effective(rho, v, t, dt, grid, cfg, p)
-                state = FluidState(
-                    time=t + dt, rho=rho, u=recover_velocity(rho, v, grid, p)
-                )
-            else:
-                state = step_primitive(state, dt, grid, cfg, p, forcing=frc, boundary=bc)
-        except VacuumBlowup as exc:
-            blowup = BlowupInfo(time=exc.time, node=exc.node)
-            break
-        t += dt
+        return step_primitive(state, dt, grid, cfg, p, forcing=frc, boundary=bc)
 
-        if t >= next_out - eps:
-            snapshots.append(state)
-            e_diss.append(ed)
-            bd_diss.append(bd)
-            k_out += 1
-            next_out = k_out * cfg.output_cadence
-
-    # final instant when t_end is not a cadence multiple
-    if blowup is None and state.time > snapshots[-1].time + eps:
-        snapshots.append(state)
-        e_diss.append(ed)
-        bd_diss.append(bd)
-
+    _, snapshots, (e_diss, bd_diss), exc = drive(
+        initial,
+        cfg,
+        lambda state: stable_dt(state, grid, cfg, p),
+        step,
+        [
+            lambda state: diagnostics.energy_dissipation_rate(state, grid, p),
+            lambda state: diagnostics.bd_dissipation_rate(state, grid, p),
+        ],
+    )
     traj = Trajectory(
         params=p,
         grid=grid,
         snapshots=snapshots,
-        energy_diss_accum=np.array(e_diss),
-        bd_diss_accum=np.array(bd_diss),
-        blowup=blowup,
+        energy_diss_accum=e_diss,
+        bd_diss_accum=bd_diss,
+        blowup=None if exc is None else BlowupInfo(time=exc.time, node=exc.node),
     )
     if build_diagnostics:
         traj.diagnostics = diagnostics.build_series(traj)

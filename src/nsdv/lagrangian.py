@@ -30,6 +30,7 @@ from .errors import (
     NumericalFailure,
     VacuumBlowup,
 )
+from .eulerian import drive
 from .model import RHO_FLOOR, FluidState, Grid1D, ModelParams
 from .stencils import ddx, solve_tridiagonal
 
@@ -275,50 +276,26 @@ def run_lagrangian(initial: FluidState, cfg, grid: Grid1D, p: ModelParams) -> La
     if initial.n != grid.n_cells:
         raise InputError("initial state does not match the grid")
     rho0 = initial.rho.copy()
-    rho_lag = initial.rho.copy()
-    u_lag = initial.u.copy()
-    jac = np.ones(grid.n_cells)
-    x = grid.coords.copy()
 
-    traj = LagrangianTrajectory(
-        params=p,
-        grid=grid,
-        rho0=rho0,
-        times=[0.0],
-        rho=[rho_lag.copy()],
-        u=[u_lag.copy()],
-        jacobian=[jac.copy()],
-        x=[x.copy()],
-    )
-    t = 0.0
-    k_out = 1
-    next_out = cfg.output_cadence
-    eps = 1e-12 * max(1.0, cfg.t_end)
-    while t < cfg.t_end - eps:
-        dt = (
-            cfg.dt_override
-            if cfg.dt_override is not None
-            else lagrangian_stable_dt(rho_lag, u_lag, jac, rho0, grid, p, cfg.cfl_number)
-        )
-        dt = min(dt, next_out - t, cfg.t_end - t)
+    def propose_dt(state):
+        if cfg.dt_override is not None:
+            return cfg.dt_override
+        rho_lag, u_lag, jac, _ = state
+        return lagrangian_stable_dt(rho_lag, u_lag, jac, rho0, grid, p, cfg.cfl_number)
+
+    def step(state, t, dt):
+        rho_lag, u_lag, jac, x = state
         rho_lag, u_lag, jac = step_lagrangian(rho_lag, u_lag, jac, dt, rho0, grid, p, time=t)
-        x = x + dt * u_lag
-        t += dt
-        if t >= next_out - eps:
-            traj.times.append(t)
-            traj.rho.append(rho_lag.copy())
-            traj.u.append(u_lag.copy())
-            traj.jacobian.append(jac.copy())
-            traj.x.append(x.copy())
-            k_out += 1
-            next_out = k_out * cfg.output_cadence
-    if t > traj.times[-1] + eps:
-        traj.times.append(t)
-        traj.rho.append(rho_lag.copy())
-        traj.u.append(u_lag.copy())
-        traj.jacobian.append(jac.copy())
-        traj.x.append(x.copy())
-    return traj
+        return rho_lag, u_lag, jac, x + dt * u_lag
+
+    start = (initial.rho.copy(), initial.u.copy(), np.ones(grid.n_cells), grid.coords.copy())
+    times, states, _, blowup = drive(start, cfg, propose_dt, step)
+    if blowup is not None:
+        raise blowup
+    rho, u, jacobian, x = (list(fields) for fields in zip(*states))
+    return LagrangianTrajectory(
+        params=p, grid=grid, rho0=rho0, times=times, rho=rho, u=u, jacobian=jacobian, x=x
+    )
 
 
 @dataclass(frozen=True)

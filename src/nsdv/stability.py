@@ -31,7 +31,7 @@ import numpy as np
 
 from . import model
 from .errors import NumericalFailure, VacuumBlowup
-from .eulerian import SolverConfig, Trajectory, stable_dt, step_primitive
+from .eulerian import SolverConfig, Trajectory, drive, stable_dt, step_primitive
 from .initdata import ScenarioConfig, build_initial
 from .lagrangian import TrajectorySampler, integrate_flow, to_lagrangian
 from .model import FluidState
@@ -61,36 +61,28 @@ class TwinReport:
 def _lockstep_pair(initial_a, initial_b, cfg: SolverConfig, grid, p):
     """Advance two primitive runs with a shared dt sequence, snapshotting both
     at the cadence."""
-    snaps_a, snaps_b = [initial_a], [initial_b]
-    a, b = initial_a, initial_b
-    t = 0.0
-    k_out = 1
-    next_out = cfg.output_cadence
-    eps = 1e-12 * max(1.0, cfg.t_end)
-    while t < cfg.t_end - eps:
-        dt = min(stable_dt(a, grid, cfg, p), stable_dt(b, grid, cfg, p))
-        dt = min(dt, next_out - t, cfg.t_end - t)
-        if dt <= 0.0:
-            raise NumericalFailure(f"non-positive lockstep dt at t={t:.6g}", time=t)
-        try:
-            a = step_primitive(a, dt, grid, cfg, p)
-        except (VacuumBlowup, NumericalFailure) as exc:
-            exc.args = (f"[twin base] {exc.args[0]}",)
-            raise
-        try:
-            b = step_primitive(b, dt, grid, cfg, p)
-        except (VacuumBlowup, NumericalFailure) as exc:
-            exc.args = (f"[twin perturbed] {exc.args[0]}",)
-            raise
-        t += dt
-        if t >= next_out - eps:
-            snaps_a.append(a)
-            snaps_b.append(b)
-            k_out += 1
-            next_out = k_out * cfg.output_cadence
-    zeros = np.zeros(len(snaps_a))
-    traj_a = Trajectory(p, grid, snaps_a, zeros, zeros.copy())
-    traj_b = Trajectory(p, grid, snaps_b, zeros.copy(), zeros.copy())
+
+    def step(pair, t, dt):
+        out = []
+        for tag, state in zip(("[twin base]", "[twin perturbed]"), pair):
+            try:
+                out.append(step_primitive(state, dt, grid, cfg, p))
+            except (VacuumBlowup, NumericalFailure) as exc:
+                exc.args = (f"{tag} {exc.args[0]}",)
+                raise
+        return tuple(out)
+
+    _, pairs, _, blowup = drive(
+        (initial_a, initial_b),
+        cfg,
+        lambda pair: min(stable_dt(pair[0], grid, cfg, p), stable_dt(pair[1], grid, cfg, p)),
+        step,
+    )
+    if blowup is not None:
+        raise blowup
+    zeros = np.zeros(len(pairs))
+    traj_a = Trajectory(p, grid, [a for a, _ in pairs], zeros, zeros.copy())
+    traj_b = Trajectory(p, grid, [b for _, b in pairs], zeros.copy(), zeros.copy())
     return traj_a, traj_b
 
 

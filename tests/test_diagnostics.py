@@ -41,6 +41,24 @@ def synthetic_traj(g, p, states, cadence=0.1):
     return Trajectory(p, g, states, zeros, zeros.copy())
 
 
+def test_build_series_evaluates_each_snapshot_once(monkeypatch):
+    import nsdv.diagnostics
+
+    cfg = regression_scenarios(n_cells=129)["smooth_bump"]
+    s, _, _ = build_initial(cfg)
+    traj = run(s, cfg.solver, cfg.grid(), cfg.model, build_diagnostics=False)
+    calls = []
+    real = nsdv.diagnostics.compute_effective_fields
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(nsdv.diagnostics, "compute_effective_fields", counting)
+    build_series(traj)
+    assert len(calls) == len(traj.snapshots)
+
+
 class TestEnergy:
     def test_equilibrium_zero(self, grid, equilibrium):
         assert energy(equilibrium, grid, mp(0.75, 2.0)) == 0.0

@@ -222,6 +222,20 @@ class TestRun:
         assert traj.times[0] == 0.0
         assert len(traj.energy_diss_accum) == len(traj.snapshots)
 
+    def test_every_solver_shares_the_cadence_contract(self):
+        # t=0, each cadence multiple, and t_end when it is not one
+        from nsdv.lagrangian import run_lagrangian
+        from nsdv.stability import twin_run_stability
+
+        sol = SolverConfig(t_end=0.13, output_cadence=0.05)
+        cfg = replace(regression_scenarios()["smooth_bump"], n_cells=129, solver=sol)
+        s, _, _ = build_initial(cfg)
+        g, p = cfg.grid(), cfg.model
+        expected = [0.0, 0.05, 0.1, 0.13]
+        np.testing.assert_allclose(run(s, sol, g, p).times, expected, atol=1e-12)
+        np.testing.assert_allclose(run_lagrangian(s, sol, g, p).times, expected, atol=1e-12)
+        np.testing.assert_allclose(twin_run_stability(cfg, 1e-6).times, expected, atol=1e-12)
+
     def test_boundary_reset_every_snapshot(self):
         cfg = regression_scenarios(n_cells=129)["rarefaction"]
         s, _, _ = build_initial(cfg)

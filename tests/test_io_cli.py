@@ -7,11 +7,12 @@ import numpy as np
 import pytest
 
 import nsdv
+import nsdv.cli
 from nsdv import io
 from nsdv.cli import main, mms_convergence
 from nsdv.diagnostics import FLAG_ORDER
 from nsdv.effective import compute_effective_fields
-from nsdv.errors import ConfigError
+from nsdv.errors import ConfigError, DomainExitError, HomeomorphismError
 from nsdv.eulerian import SolverConfig, run
 from nsdv.initdata import InitialData, ScenarioConfig, build_initial, regression_scenarios
 from nsdv.model import ModelParams
@@ -215,6 +216,37 @@ class TestCLI:
         assert code == 0
         assert "kappa=" in out
         assert list(tmp_path.glob("twin-*.dat"))
+
+    def test_dat_tables_parse_as_floats(self, tmp_path):
+        path = tmp_path / "twin.cfg"
+        io.save_config(small_cfg(), path)
+        assert main(["twin", "--config", str(path), "--out", str(tmp_path)]) == 0
+        assert main(["convergence", "--levels", "2", "--out", str(tmp_path)]) == 0
+        tables = list(tmp_path.glob("twin-*.dat")) + list(tmp_path.glob("convergence-*.dat"))
+        assert len(tables) == 2
+        for table in tables:
+            for line in table.read_text(encoding="ascii").splitlines():
+                if not line.startswith("#"):
+                    for token in line.split():
+                        float(token)
+
+    def test_negative_density_config_is_config_error(self, tmp_path, capsys):
+        text = (CONFIG_DIR / "smooth_bump.cfg").read_text(encoding="ascii")
+        path = tmp_path / "negative.cfg"
+        path.write_text(text.replace("amplitude = 0.1", "amplitude = -1.5"), encoding="ascii")
+        assert main(["run", "--config", str(path), "--out", str(tmp_path)]) == 2
+        assert "non-positive density" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "exc, code", [(DomainExitError("left"), 2), (HomeomorphismError("folded"), 3)]
+    )
+    def test_flow_map_failures_map_to_exit_codes(self, tmp_path, monkeypatch, exc, code):
+        def failing(args):
+            raise exc
+
+        monkeypatch.setattr(nsdv.cli, "cmd_twin", failing)
+        path = CONFIG_DIR / "twin_smooth_bump.cfg"
+        assert main(["twin", "--config", str(path), "--out", str(tmp_path)]) == code
 
     def test_out_dir_from_environment(self, tmp_path, monkeypatch):
         monkeypatch.setenv("NSDV_OUT_DIR", str(tmp_path / "envroot"))
