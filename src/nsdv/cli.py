@@ -170,11 +170,9 @@ def cmd_convergence(args) -> int:
     for r in rows:
         print(f"{r['n']:7d} {r['dx']:12.5e} {r['dt']:12.5e} {r['err']:14.6e} {r['order']:7.3f}")
     out = _out_root(args) / f"convergence-{args.id}.dat"
-    with out.open("w", encoding="ascii") as fh:
-        fh.write("# n dx dt l2_error order\n")
-        for r in rows:
-            vals = (io.fmt(r[k]) for k in ("dx", "dt", "err", "order"))
-            fh.write(f"{r['n']} {' '.join(vals)}\n")
+    cols = [[r[k] for r in rows] for k in ("n", "dx", "dt", "err", "order")]
+    foot = io.footer(args.id, io.build_id())
+    io.write_table(out, "# n dx dt l2_error order", cols, foot, sep=" ")
     print(f"table -> {out}")
     return EXIT_OK
 
@@ -194,11 +192,9 @@ def cmd_twin(args) -> int:
         )
     h = io.config_hash(cfg)
     out = _out_root(args) / f"twin-{h}-eps{args.epsilon:g}.dat"
-    with out.open("w", encoding="ascii") as fh:
-        fh.write("# t delta_l2 diss_accum lhs rhs\n")
-        cols = (report.times, report.delta_l2, report.diss_accum, report.lhs, report.rhs)
-        for row in zip(*cols):
-            fh.write(" ".join(io.fmt(v) for v in row) + "\n")
+    cols = (report.times, report.delta_l2, report.diss_accum, report.lhs, report.rhs)
+    foot = io.footer(h, io.build_id())
+    io.write_table(out, "# t delta_l2 diss_accum lhs rhs", cols, foot, sep=" ")
     print(f"series -> {out}")
     return EXIT_OK if bool(np.all(report.gronwall_ok)) else EXIT_VIOLATION
 

@@ -23,6 +23,7 @@ because clamping would silently violate every monitored estimate.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,10 +52,12 @@ class SolverConfig:
     def __post_init__(self):
         if not 0.0 < self.cfl_number <= 0.9:
             raise InputError(f"cfl_number must lie in (0, 0.9], got {self.cfl_number}")
-        if not self.t_end > 0.0:
-            raise InputError("t_end must be positive")
-        if not self.output_cadence > 0.0:
-            raise InputError("output_cadence must be positive")
+        if not 0.0 < self.t_end < math.inf:
+            raise InputError(f"t_end must be positive and finite: {self.t_end}")
+        if not 0.0 < self.output_cadence < math.inf:
+            raise InputError(f"output_cadence must be positive and finite: {self.output_cadence}")
+        if self.dt_override is not None and not 0.0 < self.dt_override < math.inf:
+            raise InputError(f"dt_override must be positive and finite: {self.dt_override}")
         if self.formulation not in ("primitive", "effective"):
             raise InputError(f"unknown formulation {self.formulation!r}")
         if self.diffusion_treatment not in ("explicit", "semi_implicit"):
@@ -95,8 +98,6 @@ def stable_dt(state: FluidState, grid: Grid1D, cfg: SolverConfig, p: ModelParams
     diffusion with coefficient rho**(alpha-1), the same bound.
     """
     if cfg.dt_override is not None:
-        if not cfg.dt_override > 0.0:
-            raise InputError("dt_override must be positive")
         return cfg.dt_override
     if not (np.all(np.isfinite(state.rho)) and np.all(np.isfinite(state.u))):
         raise NumericalFailure("non-finite state", time=state.time)

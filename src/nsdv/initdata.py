@@ -15,7 +15,7 @@ exercise the discretization with sources.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -59,6 +59,9 @@ class InitialData:
         for name in need:
             if getattr(self, name) is None:
                 raise ConfigError(f"{self.kind} initial data needs {name}")
+        for f in fields(self):
+            if f.name not in ("kind", *need) and getattr(self, f.name) is not None:
+                raise ConfigError(f"{self.kind} initial data does not use {f.name}")
 
 
 @dataclass(frozen=True)

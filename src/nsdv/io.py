@@ -6,7 +6,8 @@ x,rho,u,v,w1,y,udot, one file per output time plus a JSON manifest listing
 times and file names.  The diagnostics series is a single CSV.  Every output
 file ends with a footer line carrying a git-describe build id and the config
 hash, so results are traceable to the exact inputs.  Floats are written with
-shortest round-trip formatting, ASCII, LF line endings.
+shortest round-trip formatting, ASCII, LF line endings; every text table goes
+through `write_table`.
 """
 
 from __future__ import annotations
@@ -27,6 +28,11 @@ from .model import ModelParams
 DIAG_HEADER = (
     "t,energy,energy_diss_accum,bd,bd_diss_accum,A,B,y_max,"
     "oleinik_slope,inv_rho_max,rho_max,bv_v,w1_max,flags"
+)
+# DiagnosticSeries fields behind the DIAG_HEADER columns; the flags column follows them.
+DIAG_SERIES = (
+    "times", "energy", "energy_diss_accum", "bd_entropy", "bd_diss_accum", "hoff_A", "hoff_B",
+    "y_max", "oleinik_slope", "inv_rho_max", "rho_max", "bv_norm_v", "w1_max",
 )
 SNAP_HEADER = "x,rho,u,v,w1,y,udot"
 
@@ -52,8 +58,10 @@ def build_id() -> str:
     return "nsdv-0.1.0"
 
 
-def footer(config_hash: str) -> str:
-    return f"# build {build_id()} config {config_hash}"
+def footer(tag: str, build: str) -> str:
+    """Last line of every output file: the build id and the config hash (or,
+    for outputs that read no config, another identifying tag)."""
+    return f"# build {build} config {tag}"
 
 
 # ---------------------------------------------------------------- config text
@@ -92,6 +100,18 @@ def serialize_config(cfg: ScenarioConfig) -> str:
     return "\n".join(lines)
 
 
+# The keys parse_config reads, per section; any other section or key is an error.
+_KEYS = {
+    "model": ("alpha", "gamma", "half_length"),
+    "grid": ("n_cells",),
+    "solver": ("t_end", "output_cadence", "cfl_number", "formulation", "diffusion_treatment",
+               "advection_order", "dt_override"),
+    "initial": ("kind", "amplitude", "width", "jump", "steepness", "profile", "mollifier_n",
+                "mms_id"),
+    "run": ("seed",),
+}
+
+
 def _sections(text: str) -> dict:
     sections: dict[str, dict[str, str]] = {}
     current = None
@@ -101,12 +121,19 @@ def _sections(text: str) -> dict:
             continue
         if line.startswith("[") and line.endswith("]"):
             current = line[1:-1].strip()
+            if current not in _KEYS:
+                raise ConfigError(f"unknown config section [{current}]")
             sections.setdefault(current, {})
             continue
         if "=" not in line or current is None:
             raise ConfigError(f"cannot parse config line: {raw_line!r}")
         key, _, val = line.partition("=")
-        sections[current][key.strip()] = val.strip()
+        key = key.strip()
+        if key not in _KEYS[current]:
+            raise ConfigError(f"unknown config key {key!r} in [{current}]")
+        if key in sections[current]:
+            raise ConfigError(f"config key {key!r} set twice in [{current}]")
+        sections[current][key] = val.strip()
     return sections
 
 
@@ -157,11 +184,8 @@ def load_config(path) -> ScenarioConfig:
     return parse_config(Path(path).read_text(encoding="ascii"))
 
 
-def save_config(cfg: ScenarioConfig, path, with_footer: bool = False) -> None:
-    text = serialize_config(cfg)
-    if with_footer:
-        text += footer(config_hash(cfg)) + "\n"
-    Path(path).write_text(text, encoding="ascii", newline="\n")
+def save_config(cfg: ScenarioConfig, path) -> None:
+    Path(path).write_text(serialize_config(cfg), encoding="ascii", newline="\n")
 
 
 def config_hash(cfg: ScenarioConfig) -> str:
@@ -170,60 +194,40 @@ def config_hash(cfg: ScenarioConfig) -> str:
 
 # ------------------------------------------------------------------- outputs
 
-def _write_lines(path, lines) -> None:
-    Path(path).write_text("\n".join(lines) + "\n", encoding="ascii", newline="\n")
+def write_table(path, header: str, columns, footer_line: str, sep: str = ",") -> None:
+    """Write `header`, then one `sep`-joined row per index of the equal-length
+    `columns`, then `footer_line`; ASCII, LF.  Cells are printed with `str` of
+    the Python values `tolist()` yields: the shortest round-trip repr for a
+    float, the digits of an int, the text of a string."""
+    cols = [np.asarray(col).tolist() for col in columns]
+    with open(path, "w", encoding="ascii", newline="\n") as fh:
+        fh.write(header + "\n")
+        for row in zip(*cols, strict=True):
+            fh.write(sep.join(map(str, row)) + "\n")
+        fh.write(footer_line + "\n")
 
 
-def write_snapshot_csv(path, grid, state, eff, cfg_hash: str) -> None:
-    lines = [SNAP_HEADER]
+def write_snapshot_csv(path, grid, state, eff, footer_line: str) -> None:
     cols = (grid.coords, state.rho, state.u, eff.v, eff.w1, eff.y, eff.udot)
-    for row in zip(*cols):
-        lines.append(",".join(fmt(v) for v in row))
-    lines.append(footer(cfg_hash))
-    _write_lines(path, lines)
+    write_table(path, SNAP_HEADER, cols, footer_line)
 
 
-def write_diagnostics_csv(path, series: DiagnosticSeries, cfg_hash: str) -> None:
-    lines = [DIAG_HEADER]
-    for k in range(len(series.times)):
-        row = [
-            series.times[k],
-            series.energy[k],
-            series.energy_diss_accum[k],
-            series.bd_entropy[k],
-            series.bd_diss_accum[k],
-            series.hoff_A[k],
-            series.hoff_B[k],
-            series.y_max[k],
-            series.oleinik_slope[k],
-            series.inv_rho_max[k],
-            series.rho_max[k],
-            series.bv_norm_v[k],
-            series.w1_max[k],
-        ]
-        lines.append(",".join(fmt(v) for v in row) + "," + series.flag_bits(k))
-    lines.append(footer(cfg_hash))
-    _write_lines(path, lines)
+def write_diagnostics_csv(path, series: DiagnosticSeries, footer_line: str) -> None:
+    cols = [getattr(series, name) for name in DIAG_SERIES]
+    cols.append([series.flag_bits(k) for k in range(len(series.times))])
+    write_table(path, DIAG_HEADER, cols, footer_line)
 
 
-def write_manifest(path, times, files, cfg_hash: str) -> None:
+def write_manifest(path, times, files, cfg_hash: str, build: str) -> None:
     body = {
         "times": [float(t) for t in times],
         "files": list(files),
         "config_hash": cfg_hash,
-        "build_id": build_id(),
+        "build_id": build,
         "flag_order": list(FLAG_ORDER),
     }
-    text = json.dumps(body, indent=2)
-    _write_lines(path, [text, footer(cfg_hash)])
-
-
-def write_xy(path, x, y, names: str, cfg_hash: str) -> None:
-    """Two-column plot-ready data file."""
-    lines = [f"# {names}"]
-    lines += [f"{fmt(a)} {fmt(b)}" for a, b in zip(x, y)]
-    lines.append(footer(cfg_hash))
-    _write_lines(path, lines)
+    text = json.dumps(body, indent=2) + "\n" + footer(cfg_hash, build) + "\n"
+    Path(path).write_text(text, encoding="ascii", newline="\n")
 
 
 def read_csv_table(path, string_cols=("flags",)):
@@ -271,35 +275,24 @@ def emit_run_outputs(out_dir, cfg: ScenarioConfig, traj) -> Path:
     (run_dir / "snapshots").mkdir(parents=True, exist_ok=True)
     (run_dir / "plots").mkdir(parents=True, exist_ok=True)
 
-    save_config(cfg, run_dir / "config.cfg", with_footer=True)
+    build = build_id()
+    foot = footer(h, build)
+    (run_dir / "config.cfg").write_text(
+        serialize_config(cfg) + foot + "\n", encoding="ascii", newline="\n"
+    )
     files = []
     for k, snap in enumerate(traj.snapshots):
         eff = compute_effective_fields(snap, traj.grid, traj.params)
         name = f"snapshots/snap_{k:05d}.csv"
-        write_snapshot_csv(run_dir / name, traj.grid, snap, eff, h)
+        write_snapshot_csv(run_dir / name, traj.grid, snap, eff, foot)
         files.append(name)
-    write_manifest(run_dir / "manifest.json", traj.times, files, h)
+    write_manifest(run_dir / "manifest.json", traj.times, files, h, build)
 
     series = traj.diagnostics
     if series is not None:
-        write_diagnostics_csv(run_dir / "diagnostics.csv", series, h)
-        for name in (
-            "energy",
-            "bd_entropy",
-            "hoff_A",
-            "hoff_B",
-            "y_max",
-            "oleinik_slope",
-            "inv_rho_max",
-            "rho_max",
-            "bv_norm_v",
-            "w1_max",
-        ):
-            write_xy(
-                run_dir / "plots" / f"{name}.dat",
-                series.times,
-                getattr(series, name),
-                f"t {name}",
-                h,
-            )
+        write_diagnostics_csv(run_dir / "diagnostics.csv", series, foot)
+        for name in ("energy", "bd_entropy", "hoff_A", "hoff_B", "y_max", "oleinik_slope",
+                     "inv_rho_max", "rho_max", "bv_norm_v", "w1_max"):
+            cols = (series.times, getattr(series, name))
+            write_table(run_dir / "plots" / f"{name}.dat", f"# t {name}", cols, foot, sep=" ")
     return run_dir

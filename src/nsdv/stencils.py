@@ -9,9 +9,9 @@ two nodes next to each boundary where the biased 3-point stencil does not fit.
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg import lapack
 
-from .errors import ShapeError
+from .errors import NumericalFailure, ShapeError
 from .model import Grid1D
 
 
@@ -61,13 +61,16 @@ def solve_tridiagonal(lower, diag, upper, rhs) -> np.ndarray:
     """Solve the tridiagonal system with the given bands.
 
     lower[i] multiplies x[i-1] (lower[0] ignored), upper[i] multiplies x[i+1]
-    (upper[-1] ignored).  Backed by scipy's banded LAPACK solver.
+    (upper[-1] ignored).  Backed by LAPACK gtsv (partial pivoting), the
+    routine scipy's banded solver uses for one band on each side.
     """
     n = len(diag)
     if not (len(lower) == len(upper) == len(rhs) == n):
         raise ShapeError("tridiagonal bands must share one length")
-    ab = np.zeros((3, n))
-    ab[0, 1:] = upper[:-1]
-    ab[1, :] = diag
-    ab[2, :-1] = lower[1:]
-    return scipy.linalg.solve_banded((1, 1), ab, rhs)
+    bands = (lower[1:], diag, upper[:-1], rhs)
+    if not all(np.isfinite(band).all() for band in bands):
+        raise NumericalFailure("non-finite tridiagonal system")
+    *_, x, info = lapack.dgtsv(*bands)
+    if info != 0:
+        raise NumericalFailure(f"singular tridiagonal system (gtsv info {info})")
+    return x

@@ -297,3 +297,19 @@ class TestSolverConfigValidation:
             SolverConfig(t_end=1.0, output_cadence=0.1, diffusion_treatment="magic")
         with pytest.raises(InputError):
             SolverConfig(t_end=1.0, output_cadence=0.1, advection_order=3)
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("t_end", np.inf),
+            ("t_end", np.nan),
+            ("output_cadence", np.inf),
+            ("dt_override", np.inf),
+            ("dt_override", np.nan),
+            ("dt_override", 0.0),
+            ("dt_override", -1e-3),
+        ],
+    )
+    def test_non_finite_or_non_positive_times(self, name, value):
+        with pytest.raises(InputError):
+            SolverConfig(**{"t_end": 1.0, "output_cadence": 0.1, name: value})

@@ -147,6 +147,12 @@ class TestInitialDataValidation:
         with pytest.raises(ConfigError):
             InitialData(kind="from_v0", profile="vstep_down")
 
+    def test_unused_parameters(self):
+        with pytest.raises(ConfigError, match="does not use jump"):
+            InitialData(kind="smooth_bump", amplitude=0.1, width=1.0, jump=0.2)
+        with pytest.raises(ConfigError, match="does not use amplitude"):
+            InitialData(kind="equilibrium", amplitude=0.1)
+
     def test_n_cells_minimum(self):
         with pytest.raises(ConfigError):
             ScenarioConfig(

@@ -1,6 +1,8 @@
 """Config round-trip, output file formats, CLI exit codes."""
 
 import json
+import re
+import subprocess
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +19,8 @@ from nsdv.eulerian import SolverConfig, run
 from nsdv.initdata import InitialData, ScenarioConfig, build_initial, regression_scenarios
 from nsdv.model import ModelParams
 
-CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+REPO = Path(__file__).resolve().parent.parent
+CONFIG_DIR = REPO / "configs"
 
 
 def small_cfg(**solver_kw):
@@ -70,6 +73,11 @@ class TestConfigRoundTrip:
         scenarios = regression_scenarios()
         for name, cfg in scenarios.items():
             assert io.load_config(CONFIG_DIR / f"{name}.cfg") == cfg
+
+    def test_readme_example_parses(self):
+        readme = (REPO / "README.md").read_text(encoding="utf-8")
+        block = re.search(r"```ini\n(.*?)```", readme, re.S).group(1)
+        assert io.parse_config(block).initial.kind == "smooth_bump"
 
     def test_parse_errors(self):
         with pytest.raises(ConfigError):
@@ -139,6 +147,21 @@ class TestOutputs:
         # raw text minus footer is strict JSON
         raw = (d / "manifest.json").read_text().splitlines()
         json.loads("\n".join(raw[:-1]))
+
+    def test_git_describe_runs_at_most_three_times(self, tmp_path, monkeypatch):
+        cfg = small_cfg()
+        state, _, _ = build_initial(cfg)
+        traj = run(state, cfg.solver, cfg.grid(), cfg.model)
+        calls = []
+        real_run = subprocess.run
+
+        def counting_run(*args, **kwargs):
+            calls.append(args)
+            return real_run(*args, **kwargs)
+
+        monkeypatch.setattr(io.subprocess, "run", counting_run)
+        io.emit_run_outputs(tmp_path, cfg, traj)
+        assert 1 <= len(calls) <= 3
 
     def test_config_hash_distinguishes(self):
         a = small_cfg()
@@ -217,18 +240,48 @@ class TestCLI:
         assert "kappa=" in out
         assert list(tmp_path.glob("twin-*.dat"))
 
-    def test_dat_tables_parse_as_floats(self, tmp_path):
+    @pytest.fixture
+    def dat_tables(self, tmp_path):
         path = tmp_path / "twin.cfg"
         io.save_config(small_cfg(), path)
         assert main(["twin", "--config", str(path), "--out", str(tmp_path)]) == 0
         assert main(["convergence", "--levels", "2", "--out", str(tmp_path)]) == 0
         tables = list(tmp_path.glob("twin-*.dat")) + list(tmp_path.glob("convergence-*.dat"))
         assert len(tables) == 2
-        for table in tables:
+        return tables
+
+    def test_dat_tables_parse_as_floats(self, dat_tables):
+        for table in dat_tables:
             for line in table.read_text(encoding="ascii").splitlines():
                 if not line.startswith("#"):
                     for token in line.split():
                         float(token)
+
+    def test_dat_tables_end_with_footer(self, dat_tables):
+        twin, convergence = dat_tables
+        tags = {twin: io.config_hash(small_cfg()), convergence: "manufactured-1"}
+        for table, tag in tags.items():
+            last = table.read_text(encoding="ascii").splitlines()[-1]
+            assert re.fullmatch(rf"# build \S+ config {tag}", last), table
+
+    @pytest.mark.parametrize(
+        "old, new, message",
+        [
+            ("cfl_number = 0.4", "cfl_numbr = 0.4", "unknown config key 'cfl_numbr'"),
+            ("[run]", "[runs]", "unknown config section [runs]"),
+            ("t_end = 1.0", "t_end = inf", "t_end must be positive and finite"),
+            ("cfl_number = 0.4", "cfl_number = 0.4\ncfl_number = 0.2", "set twice"),
+        ],
+        ids=["key-typo", "unknown-section", "infinite-t_end", "duplicate-key"],
+    )
+    def test_rejected_config_exits_2(self, tmp_path, capsys, old, new, message):
+        text = (CONFIG_DIR / "equilibrium.cfg").read_text(encoding="ascii")
+        assert old in text
+        path = tmp_path / "rejected.cfg"
+        path.write_text(text.replace(old, new), encoding="ascii")
+        assert main(["verify", "--config", str(path), "--out", str(tmp_path)]) == 2
+        assert message in capsys.readouterr().err
+        assert not list(tmp_path.glob("run-*"))
 
     def test_negative_density_config_is_config_error(self, tmp_path, capsys):
         text = (CONFIG_DIR / "smooth_bump.cfg").read_text(encoding="ascii")
@@ -260,3 +313,16 @@ def test_mms_convergence_monotone():
     rows = mms_convergence("manufactured-1", 2, base_n=65, t_end=0.25)
     assert rows[1]["err"] < rows[0]["err"]
     assert rows[1]["order"] >= 1.0
+
+
+def test_write_table_matches_per_cell_repr(tmp_path):
+    floats = [-0.0, 5e-324, 0.1, 1 / 3, 1e16, float("nan"), float("inf")]
+    rows = [(floats, 129, "0100000"), ([-v for v in floats], 257, "0000001")]
+    cols = [np.array([r[0][j] for r in rows]) for j in range(len(floats))]
+    cols += [[r[1] for r in rows], [r[2] for r in rows]]
+    path = tmp_path / "table.csv"
+    io.write_table(path, "h", cols, "# build b config c")
+    # reference: the per-cell path the writers used before write_table
+    body = [",".join([*(io.fmt(v) for v in f), str(n), flags]) for f, n, flags in rows]
+    expected = "\n".join(["h", *body, "# build b config c"]) + "\n"
+    assert path.read_bytes() == expected.encode("ascii")

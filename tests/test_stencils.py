@@ -2,8 +2,9 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
-from nsdv.errors import ShapeError
+from nsdv.errors import NumericalFailure, ShapeError
 from nsdv.model import Grid1D
 from nsdv.stencils import ddx, ddx_upwind, solve_tridiagonal
 
@@ -83,3 +84,28 @@ def test_tridiagonal_matches_dense():
 def test_tridiagonal_shape_check():
     with pytest.raises(ShapeError):
         solve_tridiagonal(np.ones(3), np.ones(4), np.ones(4), np.ones(4))
+
+
+@pytest.mark.parametrize("n", [3, 129, 16385])
+def test_tridiagonal_bitwise_equal_to_solve_banded(n):
+    rng = np.random.default_rng(n)
+    lower = rng.uniform(-1, 0, n)
+    upper = rng.uniform(-1, 0, n)
+    diag = 2.0 + rng.uniform(0, 1, n)
+    rhs = rng.standard_normal(n)
+    ab = np.zeros((3, n))
+    ab[0, 1:] = upper[:-1]
+    ab[1, :] = diag
+    ab[2, :-1] = lower[1:]
+    reference = scipy.linalg.solve_banded((1, 1), ab, rhs)
+    np.testing.assert_array_equal(solve_tridiagonal(lower, diag, upper, rhs), reference)
+
+
+@pytest.mark.parametrize(
+    "diag, rhs",
+    [(np.full(4, 4.0), np.array([1.0, np.nan, 0.0, 0.0])), (np.zeros(4), np.ones(4))],
+    ids=["nan-rhs", "singular"],
+)
+def test_tridiagonal_failures_are_numerical(diag, rhs):
+    with pytest.raises(NumericalFailure):
+        solve_tridiagonal(np.zeros(4), diag, np.zeros(4), rhs)
