@@ -60,26 +60,31 @@ def _load_scenario(args) -> ScenarioConfig:
     return cfg
 
 
-def _run_scenario(cfg: ScenarioConfig):
-    initial, _, _ = build_initial(cfg)
-    grid = cfg.grid()
-    forcing = boundary = None
-    if cfg.initial.kind == "manufactured":
-        mms_id, p = cfg.initial.mms_id, cfg.model
+def _run_with_outputs(args):
+    """Load the scenario, integrate it with its snapshots streamed to the run
+    directory's writer, and write the rest of that directory.  Returns
+    (trajectory, run directory)."""
+    cfg = _load_scenario(args)
+    with io.RunWriter(_out_root(args), cfg) as writer:
+        initial, _, _ = build_initial(cfg)
+        grid = cfg.grid()
+        forcing = boundary = None
+        if cfg.initial.kind == "manufactured":
+            mms_id, p = cfg.initial.mms_id, cfg.model
 
-        def forcing(t):
-            return manufactured_source(mms_id, t, grid, p)
+            def forcing(t):
+                return manufactured_source(mms_id, t, grid, p)
 
-        def boundary(t):
-            return manufactured_boundary(mms_id, t, grid, p)
+            def boundary(t):
+                return manufactured_boundary(mms_id, t, grid, p)
 
-    return run(initial, cfg.solver, grid, cfg.model, forcing=forcing, exact_boundary=boundary)
+        traj = run(initial, cfg.solver, grid, cfg.model, forcing=forcing,
+                   exact_boundary=boundary, on_snapshot=writer.record)
+        return traj, writer.finish(traj)
 
 
 def cmd_run(args) -> int:
-    cfg = _load_scenario(args)
-    traj = _run_scenario(cfg)
-    run_dir = io.emit_run_outputs(_out_root(args), cfg, traj)
+    traj, run_dir = _run_with_outputs(args)
     print(f"run: {len(traj.snapshots)} snapshots -> {run_dir}")
     if traj.blowup is not None:
         print(f"blow-up detected at t={traj.blowup.time:.6g} (node {traj.blowup.node})")
@@ -88,9 +93,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    cfg = _load_scenario(args)
-    traj = _run_scenario(cfg)
-    run_dir = io.emit_run_outputs(_out_root(args), cfg, traj)
+    traj, run_dir = _run_with_outputs(args)
     series = traj.diagnostics
     status = EXIT_OK
     for name in sorted(series.violation_flags):

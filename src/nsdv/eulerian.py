@@ -253,20 +253,30 @@ def step_effective(
     return rho_new, v_new
 
 
-def drive(initial, cfg: SolverConfig, dt, step, rates=()):
+def drive(initial, cfg: SolverConfig, dt, step, rates=(), record=None):
     """The cadence loop shared by every solver.
 
     `dt(state)` proposes a step, clipped so that every multiple of
     cfg.output_cadence and t_end are hit exactly; `step(state, t, dt)` returns
     the next state; each `rate(state)` is integrated in time by left
-    rectangles.  Records t=0, every cadence multiple and t_end.  Returns
-    (times, states, one array of accumulated integrals per rate, and the
-    VacuumBlowup that ended the loop early or None).
+    rectangles.  Records t=0, every cadence multiple and t_end, and hands each
+    recorded state to `record(state)`, when given, as soon as it is recorded.
+    Returns (times, states, one array of accumulated integrals per rate, and
+    the VacuumBlowup that ended the loop early or None).
     """
     eps = 1e-12 * max(1.0, cfg.t_end)
     state, t, k_out, blowup = initial, 0.0, 1, None
     acc = [0.0] * len(rates)
-    times, states, accum = [t], [state], [list(acc)]
+    times, states, accum = [], [], []
+
+    def keep():
+        times.append(t)
+        states.append(state)
+        accum.append(list(acc))
+        if record is not None:
+            record(state)
+
+    keep()
     while t < cfg.t_end - eps:
         next_out = k_out * cfg.output_cadence
         h = min(dt(state), next_out - t, cfg.t_end - t)
@@ -281,9 +291,7 @@ def drive(initial, cfg: SolverConfig, dt, step, rates=()):
             break
         t += h
         if t >= next_out - eps or t >= cfg.t_end - eps:
-            times.append(t)
-            states.append(state)
-            accum.append(list(acc))
+            keep()
             k_out += 1
     return times, states, [np.array(a) for a in zip(*accum)], blowup
 
@@ -296,12 +304,15 @@ def run(
     forcing=None,
     exact_boundary=None,
     build_diagnostics: bool = True,
+    on_snapshot=None,
 ) -> Trajectory:
     """Integrate to t_end, recording snapshots and dissipation at the cadence.
 
     `forcing(t) -> (g_rho, g_mom)` adds manufactured sources; `exact_boundary(t)
     -> ((rhoL, uL), (rhoR, uR))` overrides the far-field Dirichlet values (both
-    used by the manufactured-solution studies).  A VacuumBlowup ends the run
+    used by the manufactured-solution studies).  `on_snapshot(state)`, when
+    given, receives each snapshot as soon as it is recorded (the CLI streams
+    them to its output writer while stepping goes on).  A VacuumBlowup ends the run
     early and is recorded on the returned partial trajectory; other failures
     propagate.
     """
@@ -333,6 +344,7 @@ def run(
             lambda state: diagnostics.energy_dissipation_rate(state, grid, p),
             lambda state: diagnostics.bd_dissipation_rate(state, grid, p),
         ],
+        on_snapshot,
     )
     traj = Trajectory(
         params=p,

@@ -7,14 +7,22 @@ times and file names.  The diagnostics series is a single CSV.  Every output
 file ends with a footer line carrying a git-describe build id and the config
 hash, so results are traceable to the exact inputs.  Floats are written with
 shortest round-trip formatting, ASCII, LF line endings; every text table goes
-through `write_table`.
+through `write_table`.  A run directory is written by `RunWriter`, whose one
+worker process writes the snapshot CSVs while the solver steps.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import os
+import queue
+import shutil
+import signal
 import subprocess
+import tempfile
+import threading
+import traceback
 from pathlib import Path
 
 import numpy as np
@@ -35,6 +43,8 @@ DIAG_SERIES = (
     "y_max", "oleinik_slope", "inv_rho_max", "rho_max", "bv_norm_v", "w1_max",
 )
 SNAP_HEADER = "x,rho,u,v,w1,y,udot"
+# Snapshot k of a run, relative to its run directory.
+SNAP_NAME = "snapshots/snap_{:05d}.csv"
 
 
 def fmt(x) -> str:
@@ -265,34 +275,189 @@ def read_manifest(path):
     return json.loads(text)
 
 
-def emit_run_outputs(out_dir, cfg: ScenarioConfig, traj) -> Path:
-    """Write snapshots, diagnostics, manifest and plot data under
-    out_dir/run-<hash>/; returns that directory."""
+# Pending states are references to arrays the trajectory keeps anyway; the
+# sender thread pickles one at a time.  The bound makes a writer that falls
+# behind hold up stepping rather than let the backlog grow.
+_PENDING_SNAPSHOTS = 4
+# How long a put into the full pending queue waits before it checks on the worker.
+_POLL_S = 1.0
+
+
+def _write_snapshots(directory, grid, params, footer_line, snapshots, result) -> None:
+    """Body of the writer's worker process: write the k-th state received on
+    `snapshots` to directory/SNAP_NAME.format(k), with its effective fields,
+    until None arrives; then send None on `result`, or (exception, traceback
+    text) after the first failure.  Returns at once when `snapshots` reaches
+    end of file: the parent process is gone."""
     from .effective import compute_effective_fields
 
-    h = config_hash(cfg)
-    run_dir = Path(out_dir) / f"run-{h}"
-    (run_dir / "snapshots").mkdir(parents=True, exist_ok=True)
-    (run_dir / "plots").mkdir(parents=True, exist_ok=True)
+    # Ctrl-C reaches the parent as well, and the parent stops this process.
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    try:
+        k = 0
+        while (state := snapshots.recv()) is not None:
+            eff = compute_effective_fields(state, grid, params)
+            write_snapshot_csv(directory / SNAP_NAME.format(k), grid, state, eff, footer_line)
+            k += 1
+    except EOFError:
+        return
+    except Exception as exc:
+        result.send((exc, traceback.format_exc()))
+    else:
+        result.send(None)
 
-    build = build_id()
-    foot = footer(h, build)
-    (run_dir / "config.cfg").write_text(
-        serialize_config(cfg) + foot + "\n", encoding="ascii", newline="\n"
-    )
-    files = []
-    for k, snap in enumerate(traj.snapshots):
-        eff = compute_effective_fields(snap, traj.grid, traj.params)
-        name = f"snapshots/snap_{k:05d}.csv"
-        write_snapshot_csv(run_dir / name, traj.grid, snap, eff, foot)
-        files.append(name)
-    write_manifest(run_dir / "manifest.json", traj.times, files, h, build)
 
-    series = traj.diagnostics
-    if series is not None:
-        write_diagnostics_csv(run_dir / "diagnostics.csv", series, foot)
-        for name in ("energy", "bd_entropy", "hoff_A", "hoff_B", "y_max", "oleinik_slope",
-                     "inv_rho_max", "rho_max", "bv_norm_v", "w1_max"):
-            cols = (series.times, getattr(series, name))
-            write_table(run_dir / "plots" / f"{name}.dat", f"# t {name}", cols, foot, sep=" ")
-    return run_dir
+def _forward(pending, conn) -> None:
+    """Sender thread: send the items of `pending` on `conn` up to and
+    including None.  Ends early once the worker is gone (the send fails), which
+    `RunWriter` then reports."""
+    try:
+        while True:
+            item = pending.get()
+            conn.send(item)
+            if item is None:
+                return
+    except OSError:
+        pass
+
+
+class RunWriter:
+    """Writes one run directory, out_dir/run-<config hash>/.
+
+    Use it as a context manager.  `record(state)` hands each snapshot to one
+    worker process, which computes its effective fields and writes its CSV
+    while the caller goes on stepping; `finish(traj)` writes config.cfg,
+    manifest.json, diagnostics.csv and plots/*.dat here, waits for the
+    worker and moves the files into the run directory.  Until then they sit
+    in a staging directory beside it, which leaving the block without
+    `finish` (an exception) removes after stopping the worker: a failed
+    command leaves the run directory as it was, or absent.  A failure of the
+    worker is re-raised here, by `record` or `finish`.
+    """
+
+    def __init__(self, out_dir, cfg: ScenarioConfig):
+        self._cfg = cfg
+        self._hash = config_hash(cfg)
+        self.run_dir = Path(out_dir) / f"run-{self._hash}"
+        self._count = 0
+        self._done = False
+
+    def __enter__(self) -> "RunWriter":
+        import multiprocessing
+
+        out_dir = self.run_dir.parent
+        out_dir.mkdir(parents=True, exist_ok=True)
+        self._stage = Path(tempfile.mkdtemp(prefix=f".{self.run_dir.name}-", dir=out_dir))
+        (self._stage / "snapshots").mkdir()
+        (self._stage / "plots").mkdir()
+        self._build = build_id()
+        self._footer = footer(self._hash, self._build)
+        # spawn: the worker starts from a fresh import, never from a fork of
+        # this process and its threads
+        ctx = multiprocessing.get_context("spawn")
+        snapshots, self._conn = ctx.Pipe(duplex=False)
+        self._result, result_end = ctx.Pipe(duplex=False)
+        self._worker = ctx.Process(
+            target=_write_snapshots,
+            args=(self._stage, self._cfg.grid(), self._cfg.model, self._footer,
+                  snapshots, result_end),
+            name="nsdv-snapshot-writer",
+            daemon=True,
+        )
+        self._worker.start()
+        # Only the worker holds these ends now, so each process sees end of
+        # file, or a failed send, once the other is gone.
+        snapshots.close()
+        result_end.close()
+        # A send blocks until the worker reads, which it does only between
+        # snapshots; the sender thread keeps that wait out of `record`.
+        self._pending = queue.Queue(maxsize=_PENDING_SNAPSHOTS)
+        self._sender = threading.Thread(
+            target=_forward, args=(self._pending, self._conn), daemon=True
+        )
+        self._sender.start()
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        if not self._done:
+            self._worker.terminate()
+            self._worker.join()
+            try:  # wake the sender if it waits for work; its next send fails
+                self._pending.put_nowait(None)
+            except queue.Full:  # it is sending, and that send fails
+                pass
+        self._sender.join()
+        self._conn.close()
+        self._result.close()
+        shutil.rmtree(self._stage, ignore_errors=True)
+
+    def record(self, state) -> None:
+        """Queue one snapshot; it becomes SNAP_NAME.format(k) for the k-th call."""
+        self._put(state)
+        self._count += 1
+
+    def finish(self, traj) -> Path:
+        """Write the rest of the run directory, wait for the snapshot CSVs,
+        move every file into place and return the run directory."""
+        if self._count != len(traj.snapshots):
+            raise ValueError(
+                f"{self._count} snapshots recorded, the trajectory has {len(traj.snapshots)}"
+            )
+        self._put(None)
+        stage, foot = self._stage, self._footer
+        (stage / "config.cfg").write_text(
+            serialize_config(self._cfg) + foot + "\n", encoding="ascii", newline="\n"
+        )
+        files = [SNAP_NAME.format(k) for k in range(self._count)]
+        write_manifest(stage / "manifest.json", traj.times, files, self._hash, self._build)
+        series = traj.diagnostics
+        if series is not None:
+            write_diagnostics_csv(stage / "diagnostics.csv", series, foot)
+            for name in ("energy", "bd_entropy", "hoff_A", "hoff_B", "y_max", "oleinik_slope",
+                         "inv_rho_max", "rho_max", "bv_norm_v", "w1_max"):
+                cols = (series.times, getattr(series, name))
+                write_table(stage / "plots" / f"{name}.dat", f"# t {name}", cols, foot, sep=" ")
+        self._await_worker()
+        self._worker.join()
+        self._done = True
+        # file by file, so that a rerun overwrites the files it writes again
+        for sub in ("snapshots", "plots"):
+            (self.run_dir / sub).mkdir(parents=True, exist_ok=True)
+        for path in stage.rglob("*"):
+            if path.is_file():
+                os.replace(path, self.run_dir / path.relative_to(stage))
+        return self.run_dir
+
+    def _put(self, item) -> None:
+        while True:
+            if self._result.poll():  # the worker failed or is gone
+                self._await_worker()
+            try:
+                self._pending.put(item, timeout=_POLL_S)
+                return
+            except queue.Full:
+                pass
+
+    def _await_worker(self) -> None:
+        """Block for the worker's outcome: return if it wrote every snapshot,
+        else re-raise its exception, or raise RuntimeError if it died without
+        one."""
+        try:
+            outcome = self._result.recv()
+        except EOFError:
+            self._worker.join()
+            raise RuntimeError(
+                f"snapshot writer process exited with code {self._worker.exitcode}"
+            ) from None
+        if outcome is not None:
+            exc, text = outcome
+            raise exc from RuntimeError(f"in the snapshot writer process:\n{text}")
+
+
+def emit_run_outputs(out_dir, cfg: ScenarioConfig, traj) -> Path:
+    """Write snapshots, diagnostics, manifest and plot data of a finished
+    trajectory under out_dir/run-<hash>/; returns that directory."""
+    with RunWriter(out_dir, cfg) as writer:
+        for snap in traj.snapshots:
+            writer.record(snap)
+        return writer.finish(traj)

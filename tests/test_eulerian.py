@@ -236,6 +236,28 @@ class TestRun:
         np.testing.assert_allclose(run_lagrangian(s, sol, g, p).times, expected, atol=1e-12)
         np.testing.assert_allclose(twin_run_stability(cfg, 1e-6).times, expected, atol=1e-12)
 
+    def test_drive_hands_each_recorded_state_to_record(self, monkeypatch):
+        # same setup as the cadence contract: t=0, 0.05, 0.1 and t_end 0.13
+        sol = SolverConfig(t_end=0.13, output_cadence=0.05)
+        cfg = replace(regression_scenarios()["smooth_bump"], n_cells=129, solver=sol)
+        s, _, _ = build_initial(cfg)
+        stepped = [s]
+        real_step = nsdv.eulerian.step_primitive
+
+        def counting_step(*args, **kwargs):
+            stepped.append(real_step(*args, **kwargs))
+            return stepped[-1]
+
+        monkeypatch.setattr(nsdv.eulerian, "step_primitive", counting_step)
+        seen = []
+        # each state is handed over right after the step that made it, before the next step
+        traj = run(s, sol, cfg.grid(), cfg.model,
+                   on_snapshot=lambda state: seen.append((state, stepped[-1])))
+        assert len(seen) == len(traj.snapshots) == 4
+        for (state, latest), snap in zip(seen, traj.snapshots):
+            assert state is snap and latest is snap
+        np.testing.assert_allclose([st.time for st, _ in seen], [0.0, 0.05, 0.1, 0.13], atol=1e-12)
+
     def test_boundary_reset_every_snapshot(self):
         cfg = regression_scenarios(n_cells=129)["rarefaction"]
         s, _, _ = build_initial(cfg)

@@ -1,8 +1,11 @@
 """Config round-trip, output file formats, CLI exit codes."""
 
 import json
+import multiprocessing
 import re
 import subprocess
+import threading
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -163,6 +166,17 @@ class TestOutputs:
         io.emit_run_outputs(tmp_path, cfg, traj)
         assert 1 <= len(calls) <= 3
 
+    def test_snapshot_worker_failure_is_raised(self, tmp_path):
+        # states on 129 nodes against a config on 257: the worker process fails
+        cfg = small_cfg()
+        state, _, _ = build_initial(cfg)
+        traj = run(state, cfg.solver, cfg.grid(), cfg.model)
+        with pytest.raises(ValueError) as info:
+            io.emit_run_outputs(tmp_path, replace(cfg, n_cells=257), traj)
+        assert "snapshot writer process" in str(info.value.__cause__)
+        assert not list(tmp_path.iterdir())  # staging removed, no run directory
+        assert not multiprocessing.active_children()
+
     def test_config_hash_distinguishes(self):
         a = small_cfg()
         b = small_cfg(cfl_number=0.3)
@@ -220,6 +234,61 @@ class TestCLI:
         path = tmp_path / "unstable.cfg"
         io.save_config(cfg, path)
         assert main(["run", "--config", str(path), "--out", str(tmp_path)]) == 3
+
+    def test_verify_tree_matches_emit_run_outputs(self, tmp_path):
+        cfg = small_cfg()
+        path = tmp_path / "small.cfg"
+        io.save_config(cfg, path)
+        assert main(["verify", "--config", str(path), "--out", str(tmp_path / "cli")]) == 0
+        state, _, _ = build_initial(cfg)
+        traj = run(state, cfg.solver, cfg.grid(), cfg.model)
+        io.emit_run_outputs(tmp_path / "emit", cfg, traj)
+
+        def tree(root):
+            return {p.relative_to(root): p.read_bytes()
+                    for p in sorted(root.rglob("*")) if p.is_file()}
+
+        streamed, emitted = tree(tmp_path / "cli"), tree(tmp_path / "emit")
+        assert len(streamed) == 3 + len(traj.snapshots) + 10
+        assert streamed == emitted
+
+    @pytest.mark.parametrize("failure", ["unstable-dt-exit-3", "negative-density-exit-2"])
+    def test_failed_run_leaves_no_run_directory(self, tmp_path, failure):
+        if failure == "unstable-dt-exit-3":
+            cfg = small_cfg(t_end=2.0, output_cadence=1.0, diffusion_treatment="explicit",
+                            dt_override=float(nsdv.Grid1D(129, 10.0).dx))
+            code = 3
+        else:
+            cfg = replace(small_cfg(), initial=InitialData(kind="smooth_bump", amplitude=-1.5,
+                                                           width=1.0))
+            code = 2
+        path = tmp_path / "failing.cfg"
+        io.save_config(cfg, path)
+        out = tmp_path / "out"
+        out.mkdir()
+        assert main(["run", "--config", str(path), "--out", str(out)]) == code
+        assert not list(out.iterdir())  # no run directory, no staging directory
+        assert not multiprocessing.active_children()
+
+    def test_snapshot_writer_failure_surfaces(self, tmp_path):
+        path = CONFIG_DIR / "equilibrium.cfg"
+        blocked = tmp_path / f"run-{io.config_hash(io.load_config(path))}" / "snapshots"
+        (blocked / "snap_00001.csv").mkdir(parents=True)
+        outcome = []
+
+        def command():
+            try:
+                outcome.append(main(["run", "--config", str(path), "--out", str(tmp_path)]))
+            except Exception as exc:  # raising counts as surfacing, like a non-zero exit
+                outcome.append(exc)
+
+        thread = threading.Thread(target=command, daemon=True)
+        thread.start()
+        thread.join(timeout=120)
+        assert not thread.is_alive(), "command hung on a failed snapshot writer"
+        (result,) = outcome
+        assert isinstance(result, IsADirectoryError) or result not in (0, None), result
+        assert not multiprocessing.active_children()
 
     def test_convergence_command(self, tmp_path, capsys):
         code = main(["convergence", "--id", "manufactured-1", "--levels", "2",
