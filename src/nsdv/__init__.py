@@ -8,11 +8,6 @@ from .diagnostics import (
     build_series,
     bv_norm,
     energy,
-    hoff_A,
-    hoff_B,
-    oleinik_monitor,
-    vacuum_monitor,
-    y_comparison_ode,
 )
 from .effective import (
     EffectiveFields,

@@ -84,12 +84,15 @@ def bv_norm(v, grid: Grid1D, half_width: float) -> float:
     return float(np.sum(np.abs(np.diff(np.asarray(v)[mask]))))
 
 
-def _time_weights(times: np.ndarray) -> np.ndarray:
-    """Left-rectangle weights: dt of the interval to the right of each node,
-    zero for the last node (monotone accumulation matches one-sided bounds)."""
-    w = np.zeros_like(times)
-    w[:-1] = np.diff(times)
-    return w
+def left_integral(times: np.ndarray, *factors: np.ndarray) -> np.ndarray:
+    """Cumulative left-rectangle quadrature of the product of `factors`
+    sampled at `times`: entry k is sum over j < k of
+    (times[j+1] - times[j]) * prod(f[j] for f in factors).  Monotone
+    accumulation matches one-sided bounds."""
+    terms = np.diff(times)
+    for f in factors:
+        terms = terms * f[:-1]
+    return np.concatenate(([0.0], np.cumsum(terms)))
 
 
 def _scan(traj) -> dict:
@@ -124,134 +127,37 @@ def _scan(traj) -> dict:
 
 
 def _hoff_series(times: np.ndarray, half: np.ndarray, integrand: np.ndarray) -> np.ndarray:
-    """sigma(t)/2 * half(t) + int_0^t sigma * integrand."""
+    """sigma(t)/2 * half(t) + int_0^t sigma * integrand: A(t) with half the
+    sum mu (du/dx)^2 and integrand sum rho udot^2, B(t) with half the sum
+    rho udot^2 and integrand sum mu (d udot/dx)^2."""
     sig = sigma(times)
-    integral = np.concatenate(([0.0], np.cumsum((_time_weights(times) * sig * integrand)[:-1])))
-    return 0.5 * sig * half + integral
+    return 0.5 * sig * half + left_integral(times, sig, integrand)
 
 
-def hoff_A_series(traj) -> np.ndarray:
-    """A(t) = sigma(t)/2 * sum rho^alpha (du/dx)^2 dx + int_0^t sigma sum rho udot^2."""
-    sc = _scan(traj)
-    return _hoff_series(traj.times, sc["dux2"], sc["rudot2"])
-
-
-def hoff_B_series(traj) -> np.ndarray:
-    """B(t) = sigma(t)/2 * sum rho udot^2 dx + int_0^t sigma sum rho^alpha (d udot/dx)^2."""
-    sc = _scan(traj)
-    return _hoff_series(traj.times, sc["rudot2"], sc["dudot2"])
-
-
-def hoff_A(traj, t: float | None = None) -> float:
-    series = hoff_A_series(traj)
-    return float(series[-1] if t is None else series[np.searchsorted(traj.times, t)])
-
-
-def hoff_B(traj, t: float | None = None) -> float:
-    series = hoff_B_series(traj)
-    return float(series[-1] if t is None else series[np.searchsorted(traj.times, t)])
-
-
-@dataclass(frozen=True)
-class YEnvelope:
-    """Comparison-ODE envelope for max_x y; withheld on the log branch, where
-    the comparison constant is not computable."""
-
-    times: np.ndarray
-    available: bool
-    y_env: np.ndarray | None
-    c_gamma: float
-
-
-def y_comparison_ode(traj) -> YEnvelope:
+def _y_envelope(p: ModelParams, times: np.ndarray, sc: dict) -> np.ndarray | None:
     """y_env(t) = y_max(0) + C_gamma * int_0^t rho_max(s)^(2gamma-2alpha-1) ds
-    with C_gamma = max(0, gamma^2/(gamma-alpha-1))."""
-    return _y_envelope(traj, _scan(traj))
-
-
-def _y_envelope(traj, sc: dict) -> YEnvelope:
-    p = traj.params
-    times = traj.times
+    with C_gamma = max(0, gamma^2/(gamma-alpha-1)); None on the log branch,
+    where the comparison constant is not computable."""
     if p.log_branch:
-        return YEnvelope(times=times, available=False, y_env=None, c_gamma=np.nan)
+        return None
     c_gamma = max(0.0, p.gamma**2 / (p.gamma - p.alpha - 1.0))
     expo = 2.0 * p.gamma - 2.0 * p.alpha - 1.0
-    growth = np.concatenate(
-        ([0.0], np.cumsum((_time_weights(times) * sc["rho_max"] ** expo)[:-1]))
-    )
-    return YEnvelope(
-        times=times, available=True, y_env=sc["y_max"][0] + c_gamma * growth, c_gamma=c_gamma
-    )
+    return sc["y_max"][0] + c_gamma * left_integral(times, sc["rho_max"] ** expo)
 
 
-@dataclass(frozen=True)
-class OleinikReport:
-    """One-sided slope monitor: max_x dv/dx against the envelope implied by the
-    y comparison.  Only the max side is ever constrained."""
-
-    times: np.ndarray
-    slope_max: np.ndarray
-    available: bool
-    envelope: np.ndarray | None
-    ok: np.ndarray
-    tolerance: float
-
-
-def oleinik_monitor(traj) -> OleinikReport:
-    sc = _scan(traj)
-    return _oleinik(traj, sc, _y_envelope(traj, sc))
-
-
-def _oleinik(traj, sc: dict, env_y: YEnvelope) -> OleinikReport:
-    times = traj.times
-    slope = sc["slope"]
-    tol = TOL_FACTOR * traj.grid.dx
-    if not env_y.available:
-        return OleinikReport(times, slope, False, None, np.ones(len(times), bool), tol)
-    # dv/dx = rho*(y - f2(rho)) <= rho_max*(y_env - min_x f2); f2 is increasing
-    envelope = sc["rho_max"] * (env_y.y_env - model.f2(sc["rho_min"], traj.params))
-    ok = slope <= envelope + tol
-    return OleinikReport(times, slope, True, envelope, ok, tol)
-
-
-@dataclass(frozen=True)
-class VacuumReport:
-    """z(t) = max 1/rho against its comparison ODE (gamma < alpha+1 only)."""
-
-    times: np.ndarray
-    z: np.ndarray
-    available: bool
-    z_env: np.ndarray | None
-    ok: np.ndarray
-    blowup: np.ndarray
-    tolerance: float
-
-
-def vacuum_monitor(traj) -> VacuumReport:
+def _vacuum_envelope(p: ModelParams, times: np.ndarray, z0: float, y_env: np.ndarray):
     """Integrates dz/dt = y_env(t) + gamma/(alpha+1-gamma) * z^(alpha+1-gamma)
-    when gamma < alpha+1 and checks the measured z stays below it."""
-    sc = _scan(traj)
-    return _vacuum(traj, sc, _y_envelope(traj, sc))
-
-
-def _vacuum(traj, sc: dict, env_y: YEnvelope) -> VacuumReport:
-    p = traj.params
-    times = traj.times
-    z = sc["inv_rho_max"]
-    blowup = z >= 1.0 / RHO_FLOOR
-    tol = TOL_FACTOR * traj.grid.dx
-    if not (p.gamma < p.alpha + 1.0 - model.BRANCH_TOL):
-        return VacuumReport(times, z, False, None, np.ones(len(times), bool), blowup, tol)
-    # power branch here, c_gamma = 0
+    from z0, the comparison ODE for z = max 1/rho when gamma < alpha+1 (the
+    power branch, c_gamma = 0)."""
     coef = p.gamma / (p.alpha + 1.0 - p.gamma)
     expo = p.alpha + 1.0 - p.gamma
 
     def rate(t, zz):
-        c = float(np.interp(t, times, env_y.y_env))
+        c = float(np.interp(t, times, y_env))
         return c + coef * zz**expo
 
-    z_env = np.empty_like(z)
-    z_env[0] = z[0]
+    z_env = np.empty_like(times)
+    z_env[0] = z0
     substeps = 8
     for k in range(len(times) - 1):
         zz, t = z_env[k], times[k]
@@ -261,8 +167,7 @@ def _vacuum(traj, sc: dict, env_y: YEnvelope) -> VacuumReport:
             zz = zz + h * rate(t + 0.5 * h, zmid)
             t += h
         z_env[k + 1] = zz
-    ok = z <= z_env + tol
-    return VacuumReport(times, z, True, z_env, ok, blowup, tol)
+    return z_env
 
 
 def constantin_condition_holds(state0: FluidState, grid: Grid1D, p: ModelParams) -> bool:
@@ -318,9 +223,8 @@ def build_series(traj) -> DiagnosticSeries:
     tol = TOL_FACTOR * grid.dx
 
     sc = _scan(traj)
-    env_y = _y_envelope(traj, sc)
-    olk = _oleinik(traj, sc, env_y)
-    vac = _vacuum(traj, sc, env_y)
+    y_env = _y_envelope(p, times, sc)
+    z = sc["inv_rho_max"]
 
     flags = {}
     avail = {}
@@ -332,20 +236,27 @@ def build_series(traj) -> DiagnosticSeries:
     flags["bd"] = sc["bd"] + traj.bd_diss_accum > budget_bd
     avail["bd"] = True
 
-    avail["y_env"] = env_y.available
-    flags["y_env"] = (
-        sc["y_max"] > env_y.y_env + tol if env_y.available else np.zeros(n_t, bool)
-    )
-    avail["oleinik"] = olk.available
-    flags["oleinik"] = ~olk.ok if olk.available else np.zeros(n_t, bool)
-    avail["vacuum"] = vac.available
-    flags["vacuum"] = ~vac.ok if vac.available else np.zeros(n_t, bool)
+    # The Oleinik envelope derives from the y envelope; only the max side of
+    # the slope is ever constrained.
+    avail["y_env"] = avail["oleinik"] = y_env is not None
+    if y_env is not None:
+        flags["y_env"] = sc["y_max"] > y_env + tol
+        # dv/dx = rho*(y - f2(rho)) <= rho_max*(y_env - min_x f2); f2 is increasing
+        oleinik_env = sc["rho_max"] * (y_env - model.f2(sc["rho_min"], p))
+        flags["oleinik"] = ~(sc["slope"] <= oleinik_env + tol)
+    else:
+        flags["y_env"] = np.zeros(n_t, bool)
+        flags["oleinik"] = np.zeros(n_t, bool)
+
+    avail["vacuum"] = p.gamma < p.alpha + 1.0 - model.BRANCH_TOL
+    z_env = _vacuum_envelope(p, times, z[0], y_env) if avail["vacuum"] else None
+    flags["vacuum"] = ~(z <= z_env + tol) if avail["vacuum"] else np.zeros(n_t, bool)
 
     w1_active = constantin_condition_holds(traj.snapshots[0], grid, p)
     avail["w1_sign"] = w1_active
     flags["w1_sign"] = sc["w1_max"] > tol if w1_active else np.zeros(n_t, bool)
 
-    flags["blowup"] = vac.blowup.copy()
+    flags["blowup"] = z >= 1.0 / RHO_FLOOR
     if traj.blowup is not None:
         flags["blowup"][-1] = True
     avail["blowup"] = True
@@ -360,13 +271,13 @@ def build_series(traj) -> DiagnosticSeries:
         hoff_B=_hoff_series(times, sc["rudot2"], sc["dudot2"]),
         y_max=sc["y_max"],
         oleinik_slope=sc["slope"],
-        inv_rho_max=sc["inv_rho_max"],
+        inv_rho_max=z,
         rho_max=sc["rho_max"],
         bv_norm_v=sc["bv_v"],
         w1_max=sc["w1_max"],
         violation_flags=flags,
         monitors_available=avail,
-        y_env=env_y.y_env if env_y.available else None,
-        z_env=vac.z_env if vac.available else None,
+        y_env=y_env,
+        z_env=z_env,
         tolerance=tol,
     )

@@ -8,7 +8,7 @@ file ends with a footer line carrying a git-describe build id and the config
 hash, so results are traceable to the exact inputs.  Floats are written with
 shortest round-trip formatting, ASCII, LF line endings; every text table goes
 through `write_table`.  A run directory is written by `RunWriter`, whose one
-worker process writes the snapshot CSVs while the solver steps.
+child process writes the snapshot CSVs while the solver steps.
 """
 
 from __future__ import annotations
@@ -16,22 +16,22 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import queue
+import pickle
 import shutil
-import signal
 import subprocess
+import sys
 import tempfile
-import threading
 import traceback
 from pathlib import Path
 
 import numpy as np
 
 from .diagnostics import FLAG_ORDER, DiagnosticSeries
+from .effective import compute_effective_fields
 from .errors import ConfigError
 from .eulerian import SolverConfig
 from .initdata import InitialData, ScenarioConfig
-from .model import ModelParams
+from .model import FluidState, ModelParams
 
 DIAG_HEADER = (
     "t,energy,energy_diss_accum,bd,bd_diss_accum,A,B,y_max,"
@@ -110,15 +110,23 @@ def serialize_config(cfg: ScenarioConfig) -> str:
     return "\n".join(lines)
 
 
+# Converters of the keys a config may leave out; an absent key keeps its
+# dataclass default.
+_OPTIONAL = {
+    "solver": {"cfl_number": float, "formulation": str, "diffusion_treatment": str,
+               "advection_order": int, "dt_override": float},
+    "initial": {"amplitude": float, "width": float, "jump": float, "steepness": float,
+                "profile": str, "mollifier_n": int, "mms_id": str},
+    "run": {"seed": int},
+}
+
 # The keys parse_config reads, per section; any other section or key is an error.
 _KEYS = {
     "model": ("alpha", "gamma", "half_length"),
     "grid": ("n_cells",),
-    "solver": ("t_end", "output_cadence", "cfl_number", "formulation", "diffusion_treatment",
-               "advection_order", "dt_override"),
-    "initial": ("kind", "amplitude", "width", "jump", "steepness", "profile", "mollifier_n",
-                "mms_id"),
-    "run": ("seed",),
+    "solver": ("t_end", "output_cadence", *_OPTIONAL["solver"]),
+    "initial": ("kind", *_OPTIONAL["initial"]),
+    "run": tuple(_OPTIONAL["run"]),
 }
 
 
@@ -147,6 +155,12 @@ def _sections(text: str) -> dict:
     return sections
 
 
+def _present(sec: dict, name: str) -> dict:
+    """The optional keys section `name` sets, converted."""
+    values = sec.get(name, {})
+    return {key: conv(values[key]) for key, conv in _OPTIONAL[name].items() if key in values}
+
+
 def parse_config(text: str) -> ScenarioConfig:
     sec = _sections(text)
     try:
@@ -161,33 +175,16 @@ def parse_config(text: str) -> ScenarioConfig:
         solver = SolverConfig(
             t_end=float(s["t_end"]),
             output_cadence=float(s["output_cadence"]),
-            cfl_number=float(s.get("cfl_number", 0.4)),
-            formulation=s.get("formulation", "primitive"),
-            diffusion_treatment=s.get("diffusion_treatment", "semi_implicit"),
-            advection_order=int(s.get("advection_order", 2)),
-            dt_override=float(s["dt_override"]) if "dt_override" in s else None,
+            **_present(sec, "solver"),
         )
-        i = sec["initial"]
-
-        def opt_float(name):
-            return float(i[name]) if name in i else None
-
-        initial = InitialData(
-            kind=i["kind"],
-            amplitude=opt_float("amplitude"),
-            width=opt_float("width"),
-            jump=opt_float("jump"),
-            steepness=opt_float("steepness"),
-            profile=i.get("profile"),
-            mollifier_n=int(i["mollifier_n"]) if "mollifier_n" in i else None,
-            mms_id=i.get("mms_id"),
-        )
-        seed = int(sec.get("run", {}).get("seed", 0))
+        initial = InitialData(kind=sec["initial"]["kind"], **_present(sec, "initial"))
+        run_keys = _present(sec, "run")
     except KeyError as exc:
         raise ConfigError(f"missing config key {exc}") from None
     except ValueError as exc:
         raise ConfigError(f"bad config value: {exc}") from None
-    return ScenarioConfig(model=model, n_cells=n_cells, solver=solver, initial=initial, seed=seed)
+    return ScenarioConfig(model=model, n_cells=n_cells, solver=solver, initial=initial,
+                          **run_keys)
 
 
 def load_config(path) -> ScenarioConfig:
@@ -275,64 +272,60 @@ def read_manifest(path):
     return json.loads(text)
 
 
-# Pending states are references to arrays the trajectory keeps anyway; the
-# sender thread pickles one at a time.  The bound makes a writer that falls
-# behind hold up stepping rather than let the backlog grow.
-_PENDING_SNAPSHOTS = 4
-# How long a put into the full pending queue waits before it checks on the worker.
-_POLL_S = 1.0
+# The writer's child process: ignore Ctrl-C (it reaches the whole process
+# group, and the parent stops the child), import the same nsdv as the parent
+# from the package root in argv[1], and write snapshots.
+_CHILD = (
+    "import signal, sys; signal.signal(signal.SIGINT, signal.SIG_IGN); "
+    "sys.path.insert(0, sys.argv[1]); "
+    "from nsdv.io import _write_snapshots; _write_snapshots(sys.stdin.buffer, sys.stdout.buffer)"
+)
 
 
-def _write_snapshots(directory, grid, params, footer_line, snapshots, result) -> None:
-    """Body of the writer's worker process: write the k-th state received on
-    `snapshots` to directory/SNAP_NAME.format(k), with its effective fields,
-    until None arrives; then send None on `result`, or (exception, traceback
-    text) after the first failure.  Returns at once when `snapshots` reaches
-    end of file: the parent process is gone."""
-    from .effective import compute_effective_fields
+def _state_file(directory, k) -> Path:
+    return Path(directory) / f".state_{k}.npy"
 
-    # Ctrl-C reaches the parent as well, and the parent stops this process.
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
+
+def _write_snapshots(requests, report) -> None:
+    """Body of the writer's child process.  Reads pickled messages from
+    `requests`: first (directory, cfg, footer line), then (k, time) for each
+    state the parent saved as _state_file(directory, k), until None.  Writes
+    state k to directory/SNAP_NAME.format(k), with its effective fields, and
+    deletes its state file.  Then pickles None to `report`, or (exception,
+    traceback text) after the first failure.  Returns at once when `requests`
+    reaches end of file: the parent process is gone."""
     try:
-        k = 0
-        while (state := snapshots.recv()) is not None:
-            eff = compute_effective_fields(state, grid, params)
+        directory, cfg, footer_line = pickle.load(requests)
+        grid = cfg.grid()
+        while (request := pickle.load(requests)) is not None:
+            k, time = request
+            path = _state_file(directory, k)
+            with open(path, "rb") as fh:
+                state = FluidState(time=time, rho=np.load(fh), u=np.load(fh))
+            eff = compute_effective_fields(state, grid, cfg.model)
             write_snapshot_csv(directory / SNAP_NAME.format(k), grid, state, eff, footer_line)
-            k += 1
+            path.unlink()
     except EOFError:
         return
     except Exception as exc:
-        result.send((exc, traceback.format_exc()))
+        pickle.dump((exc, traceback.format_exc()), report)
     else:
-        result.send(None)
-
-
-def _forward(pending, conn) -> None:
-    """Sender thread: send the items of `pending` on `conn` up to and
-    including None.  Ends early once the worker is gone (the send fails), which
-    `RunWriter` then reports."""
-    try:
-        while True:
-            item = pending.get()
-            conn.send(item)
-            if item is None:
-                return
-    except OSError:
-        pass
+        pickle.dump(None, report)
+    report.flush()
 
 
 class RunWriter:
     """Writes one run directory, out_dir/run-<config hash>/.
 
-    Use it as a context manager.  `record(state)` hands each snapshot to one
-    worker process, which computes its effective fields and writes its CSV
-    while the caller goes on stepping; `finish(traj)` writes config.cfg,
-    manifest.json, diagnostics.csv and plots/*.dat here, waits for the
-    worker and moves the files into the run directory.  Until then they sit
-    in a staging directory beside it, which leaving the block without
-    `finish` (an exception) removes after stopping the worker: a failed
-    command leaves the run directory as it was, or absent.  A failure of the
-    worker is re-raised here, by `record` or `finish`.
+    Use it as a context manager.  `record(state)` saves each snapshot's state
+    and hands it to one child process, which computes its effective fields
+    and writes its CSV while the caller goes on stepping; `finish(traj)`
+    writes config.cfg, manifest.json, diagnostics.csv and plots/*.dat here,
+    waits for the child and moves the files into the run directory.  Until
+    then they sit in a staging directory beside it, which leaving the block
+    without `finish` (an exception) removes after stopping the child: a
+    failed command leaves the run directory as it was, or absent.  A failure
+    of the child is re-raised here, by `record` or `finish`.
     """
 
     def __init__(self, out_dir, cfg: ScenarioConfig):
@@ -340,11 +333,8 @@ class RunWriter:
         self._hash = config_hash(cfg)
         self.run_dir = Path(out_dir) / f"run-{self._hash}"
         self._count = 0
-        self._done = False
 
     def __enter__(self) -> "RunWriter":
-        import multiprocessing
-
         out_dir = self.run_dir.parent
         out_dir.mkdir(parents=True, exist_ok=True)
         self._stage = Path(tempfile.mkdtemp(prefix=f".{self.run_dir.name}-", dir=out_dir))
@@ -352,48 +342,30 @@ class RunWriter:
         (self._stage / "plots").mkdir()
         self._build = build_id()
         self._footer = footer(self._hash, self._build)
-        # spawn: the worker starts from a fresh import, never from a fork of
-        # this process and its threads
-        ctx = multiprocessing.get_context("spawn")
-        snapshots, self._conn = ctx.Pipe(duplex=False)
-        self._result, result_end = ctx.Pipe(duplex=False)
-        self._worker = ctx.Process(
-            target=_write_snapshots,
-            args=(self._stage, self._cfg.grid(), self._cfg.model, self._footer,
-                  snapshots, result_end),
-            name="nsdv-snapshot-writer",
-            daemon=True,
+        package_root = str(Path(__file__).resolve().parent.parent)
+        # Unbuffered pipes: every message is one write of a few hundred bytes
+        # at most, which the pipe takes whole without waiting on the child.
+        self._child = subprocess.Popen(
+            [sys.executable, "-c", _CHILD, package_root],
+            stdin=subprocess.PIPE, stdout=subprocess.PIPE, bufsize=0,
         )
-        self._worker.start()
-        # Only the worker holds these ends now, so each process sees end of
-        # file, or a failed send, once the other is gone.
-        snapshots.close()
-        result_end.close()
-        # A send blocks until the worker reads, which it does only between
-        # snapshots; the sender thread keeps that wait out of `record`.
-        self._pending = queue.Queue(maxsize=_PENDING_SNAPSHOTS)
-        self._sender = threading.Thread(
-            target=_forward, args=(self._pending, self._conn), daemon=True
-        )
-        self._sender.start()
+        self._send((self._stage, self._cfg, self._footer))
         return self
 
     def __exit__(self, *exc_info) -> None:
-        if not self._done:
-            self._worker.terminate()
-            self._worker.join()
-            try:  # wake the sender if it waits for work; its next send fails
-                self._pending.put_nowait(None)
-            except queue.Full:  # it is sending, and that send fails
-                pass
-        self._sender.join()
-        self._conn.close()
-        self._result.close()
+        self._child.kill()  # a no-op once `finish` or a failure has reaped it
+        self._child.wait()
+        self._child.stdin.close()
+        self._child.stdout.close()
         shutil.rmtree(self._stage, ignore_errors=True)
 
     def record(self, state) -> None:
-        """Queue one snapshot; it becomes SNAP_NAME.format(k) for the k-th call."""
-        self._put(state)
+        """Save one snapshot for the child; it becomes SNAP_NAME.format(k)
+        for the k-th call."""
+        with open(_state_file(self._stage, self._count), "wb") as fh:
+            np.save(fh, state.rho)
+            np.save(fh, state.u)
+        self._send((self._count, state.time))
         self._count += 1
 
     def finish(self, traj) -> Path:
@@ -403,7 +375,7 @@ class RunWriter:
             raise ValueError(
                 f"{self._count} snapshots recorded, the trajectory has {len(traj.snapshots)}"
             )
-        self._put(None)
+        self._send(None)
         stage, foot = self._stage, self._footer
         (stage / "config.cfg").write_text(
             serialize_config(self._cfg) + foot + "\n", encoding="ascii", newline="\n"
@@ -417,9 +389,7 @@ class RunWriter:
                          "inv_rho_max", "rho_max", "bv_norm_v", "w1_max"):
                 cols = (series.times, getattr(series, name))
                 write_table(stage / "plots" / f"{name}.dat", f"# t {name}", cols, foot, sep=" ")
-        self._await_worker()
-        self._worker.join()
-        self._done = True
+        self._await_child()
         # file by file, so that a rerun overwrites the files it writes again
         for sub in ("snapshots", "plots"):
             (self.run_dir / sub).mkdir(parents=True, exist_ok=True)
@@ -428,27 +398,26 @@ class RunWriter:
                 os.replace(path, self.run_dir / path.relative_to(stage))
         return self.run_dir
 
-    def _put(self, item) -> None:
-        while True:
-            if self._result.poll():  # the worker failed or is gone
-                self._await_worker()
+    def _send(self, message) -> None:
+        """Pickle `message` to the child; if the child has exited, raise its
+        failure instead."""
+        if self._child.poll() is None:
             try:
-                self._pending.put(item, timeout=_POLL_S)
+                self._child.stdin.write(pickle.dumps(message))
                 return
-            except queue.Full:
+            except BrokenPipeError:
                 pass
+        self._await_child()
 
-    def _await_worker(self) -> None:
-        """Block for the worker's outcome: return if it wrote every snapshot,
-        else re-raise its exception, or raise RuntimeError if it died without
-        one."""
-        try:
-            outcome = self._result.recv()
-        except EOFError:
-            self._worker.join()
-            raise RuntimeError(
-                f"snapshot writer process exited with code {self._worker.exitcode}"
-            ) from None
+    def _await_child(self) -> None:
+        """Read the child's report to end of file and wait for it: return if
+        it wrote every snapshot, else re-raise its exception, or raise
+        RuntimeError if it exited without a report."""
+        report = self._child.stdout.read()
+        code = self._child.wait()
+        if not report:
+            raise RuntimeError(f"snapshot writer process exited with code {code}")
+        outcome = pickle.loads(report)
         if outcome is not None:
             exc, text = outcome
             raise exc from RuntimeError(f"in the snapshot writer process:\n{text}")

@@ -30,6 +30,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import model
+from .diagnostics import left_integral
 from .errors import NumericalFailure, VacuumBlowup
 from .eulerian import SolverConfig, Trajectory, drive, stable_dt, step_primitive
 from .initdata import ScenarioConfig, build_initial
@@ -139,10 +140,8 @@ def twin_run_stability(
         g2 = (w1 - w2) * ddx(u2, grid)
         g_cs[k] = np.sqrt(np.sum((g1 + g2) ** 2) * dx) * np.sqrt(ddelta_sq[k])
 
-    wts = np.zeros(n_t)
-    wts[:-1] = np.diff(times)
-    diss_accum = np.concatenate(([0.0], np.cumsum((wts * ddelta_sq)[:-1])))
-    cs_accum = np.concatenate(([0.0], np.cumsum((wts * g_cs)[:-1])))
+    diss_accum = left_integral(times, ddelta_sq)
+    cs_accum = left_integral(times, g_cs)
 
     with np.errstate(divide="ignore", invalid="ignore"):
         K = np.where(times * diss_accum > 0.0, cs_accum / (times * diss_accum), 0.0)

@@ -11,14 +11,7 @@ from nsdv.diagnostics import (
     bv_norm,
     constantin_condition_holds,
     energy,
-    hoff_A,
-    hoff_A_series,
-    hoff_B,
-    hoff_B_series,
-    oleinik_monitor,
     sigma,
-    vacuum_monitor,
-    y_comparison_ode,
 )
 from nsdv.errors import InputError
 from nsdv.eulerian import SolverConfig, Trajectory, run
@@ -108,9 +101,9 @@ class TestHoff:
     def test_zero_at_time_zero_any_data(self, grid):
         p = mp(0.75, 2.0)
         s = smooth_state(grid, rho_amp=0.2, u_amp=0.3)
-        traj = synthetic_traj(grid, p, [s])
-        assert hoff_A_series(traj)[0] == 0.0
-        assert hoff_B_series(traj)[0] == 0.0
+        series = build_series(synthetic_traj(grid, p, [s]))
+        assert series.hoff_A[0] == 0.0
+        assert series.hoff_B[0] == 0.0
 
     def test_equilibrium_identically_zero(self, grid):
         p = mp(0.75, 2.0)
@@ -118,10 +111,10 @@ class TestHoff:
             FluidState(time=t, rho=np.ones(grid.n_cells), u=np.zeros(grid.n_cells))
             for t in np.linspace(0, 2, 5)
         ]
-        traj = synthetic_traj(grid, p, snaps)
-        assert np.all(hoff_A_series(traj) == 0.0)
-        assert np.all(hoff_B_series(traj) == 0.0)
-        assert hoff_A(traj) == 0.0 and hoff_B(traj) == 0.0
+        series = build_series(synthetic_traj(grid, p, snaps))
+        assert np.all(series.hoff_A == 0.0)
+        assert np.all(series.hoff_B == 0.0)
+        assert series.hoff_A[-1] == 0.0 and series.hoff_B[-1] == 0.0
 
     def test_refinement_stability(self):
         base = regression_scenarios()["smooth_bump"]
@@ -132,7 +125,8 @@ class TestHoff:
             cfg = replace(base, n_cells=n)
             s, _, _ = build_initial(cfg)
             traj = run(s, cfg.solver, cfg.grid(), cfg.model, build_diagnostics=False)
-            sups[n] = (np.max(hoff_A_series(traj)), np.max(hoff_B_series(traj)))
+            series = build_series(traj)
+            sups[n] = (np.max(series.hoff_A), np.max(series.hoff_B))
         assert abs(sups[513][0] - sups[1025][0]) <= 0.05 * sups[1025][0]
         assert abs(sups[513][1] - sups[1025][1]) <= 0.10 * sups[1025][1]
 
@@ -146,9 +140,9 @@ class TestYEnvelope:
             for t in np.linspace(0, 1, 6)
         ]
         traj = synthetic_traj(grid, p, snaps)
-        env = y_comparison_ode(traj)
-        assert env.available and env.c_gamma == pytest.approx(9.0)
-        np.testing.assert_allclose(env.y_env, f2(1.0, p) + 9.0 * traj.times, rtol=1e-12)
+        series = build_series(traj)
+        assert series.monitors_available["y_env"]
+        np.testing.assert_allclose(series.y_env, f2(1.0, p) + 9.0 * traj.times, rtol=1e-12)
 
     def test_gamma_below_line_constant_envelope(self, grid):
         p = mp(0.75, 1.0)  # c_gamma = max(0, .) = 0
@@ -156,17 +150,15 @@ class TestYEnvelope:
             FluidState(time=t, rho=np.ones(grid.n_cells), u=np.zeros(grid.n_cells))
             for t in np.linspace(0, 1, 6)
         ]
-        env = y_comparison_ode(synthetic_traj(grid, p, snaps))
-        assert env.c_gamma == 0.0
-        assert np.all(env.y_env == env.y_env[0])
+        series = build_series(synthetic_traj(grid, p, snaps))
+        assert np.all(series.y_env == series.y_env[0])
 
     def test_log_branch_withheld(self, grid):
         p = mp(1.0, 2.0)
         snaps = [FluidState(time=0.0, rho=np.ones(grid.n_cells), u=np.zeros(grid.n_cells))]
-        env = y_comparison_ode(synthetic_traj(grid, p, snaps))
-        assert not env.available and env.y_env is None
-        olk = oleinik_monitor(synthetic_traj(grid, p, snaps))
-        assert not olk.available and olk.envelope is None
+        series = build_series(synthetic_traj(grid, p, snaps))
+        assert not series.monitors_available["y_env"] and series.y_env is None
+        assert not series.monitors_available["oleinik"]
 
 
 class TestOleinik:
@@ -176,9 +168,9 @@ class TestOleinik:
             FluidState(time=t, rho=np.ones(grid.n_cells), u=np.zeros(grid.n_cells))
             for t in np.linspace(0, 1, 4)
         ]
-        rep = oleinik_monitor(synthetic_traj(grid, p, snaps))
-        assert np.all(rep.slope_max == 0.0)
-        assert np.all(rep.ok)
+        series = build_series(synthetic_traj(grid, p, snaps))
+        assert np.all(series.oleinik_slope == 0.0)
+        assert np.all(~series.violation_flags["oleinik"])
 
     def test_one_sidedness(self):
         # steepening scenario: min slope grows strongly negative, the monitor
@@ -187,8 +179,8 @@ class TestOleinik:
         s, _, _ = build_initial(cfg)
         g, p = cfg.grid(), cfg.model
         traj = run(s, cfg.solver, g, p, build_diagnostics=False)
-        rep = oleinik_monitor(traj)
-        assert np.all(rep.ok)
+        series = build_series(traj)
+        assert np.all(~series.violation_flags["oleinik"])
         from nsdv.effective import effective_velocity
 
         min_slope = min(
@@ -204,26 +196,27 @@ class TestVacuum:
             FluidState(time=t, rho=np.ones(grid.n_cells), u=np.zeros(grid.n_cells))
             for t in np.linspace(0, 1, 4)
         ]
-        rep = vacuum_monitor(synthetic_traj(grid, p, snaps))
-        assert rep.available
-        assert np.all(rep.z == 1.0)
-        assert np.all(rep.ok) and not np.any(rep.blowup)
+        series = build_series(synthetic_traj(grid, p, snaps))
+        assert series.monitors_available["vacuum"]
+        assert np.all(series.inv_rho_max == 1.0)
+        assert np.all(~series.violation_flags["vacuum"])
+        assert not np.any(series.violation_flags["blowup"])
 
     def test_unavailable_above_line(self, grid):
         p = mp(0.75, 2.0)  # gamma > alpha + 1
         snaps = [FluidState(time=0.0, rho=np.ones(grid.n_cells), u=np.zeros(grid.n_cells))]
-        rep = vacuum_monitor(synthetic_traj(grid, p, snaps))
-        assert not rep.available and rep.z_env is None
+        series = build_series(synthetic_traj(grid, p, snaps))
+        assert not series.monitors_available["vacuum"] and series.z_env is None
 
     def test_rarefaction_below_comparison(self):
         cfg = regression_scenarios(n_cells=257)["rarefaction"]
         s, _, _ = build_initial(cfg)
         traj = run(s, cfg.solver, cfg.grid(), cfg.model, build_diagnostics=False)
-        rep = vacuum_monitor(traj)
-        assert rep.available
-        assert np.all(rep.ok)
-        assert rep.z[-1] > 1.0  # density genuinely dips
-        assert np.all(rep.z <= rep.z_env + rep.tolerance)
+        series = build_series(traj)
+        assert series.monitors_available["vacuum"]
+        assert np.all(~series.violation_flags["vacuum"])
+        assert series.inv_rho_max[-1] > 1.0  # density genuinely dips
+        assert np.all(series.inv_rho_max <= series.z_env + series.tolerance)
 
 
 class TestBV:

@@ -1,9 +1,10 @@
 """Config round-trip, output file formats, CLI exit codes."""
 
 import json
-import multiprocessing
+import os
 import re
 import subprocess
+import sys
 import threading
 from dataclasses import replace
 from pathlib import Path
@@ -24,6 +25,26 @@ from nsdv.model import ModelParams
 
 REPO = Path(__file__).resolve().parent.parent
 CONFIG_DIR = REPO / "configs"
+
+
+@pytest.fixture
+def started(monkeypatch):
+    """Every process started through subprocess.Popen during the test."""
+    processes = []
+    real_popen = subprocess.Popen
+
+    def recording_popen(*args, **kwargs):
+        processes.append(real_popen(*args, **kwargs))
+        return processes[-1]
+
+    monkeypatch.setattr(io.subprocess, "Popen", recording_popen)
+    return processes
+
+
+def assert_writers_reaped(processes):
+    writers = [p for p in processes if p.args[0] == sys.executable]
+    assert writers, "no snapshot writer process was started"
+    assert all(p.returncode is not None for p in writers)
 
 
 def small_cfg(**solver_kw):
@@ -166,8 +187,8 @@ class TestOutputs:
         io.emit_run_outputs(tmp_path, cfg, traj)
         assert 1 <= len(calls) <= 3
 
-    def test_snapshot_worker_failure_is_raised(self, tmp_path):
-        # states on 129 nodes against a config on 257: the worker process fails
+    def test_snapshot_worker_failure_is_raised(self, tmp_path, started):
+        # states on 129 nodes against a config on 257: the writer process fails
         cfg = small_cfg()
         state, _, _ = build_initial(cfg)
         traj = run(state, cfg.solver, cfg.grid(), cfg.model)
@@ -175,7 +196,7 @@ class TestOutputs:
             io.emit_run_outputs(tmp_path, replace(cfg, n_cells=257), traj)
         assert "snapshot writer process" in str(info.value.__cause__)
         assert not list(tmp_path.iterdir())  # staging removed, no run directory
-        assert not multiprocessing.active_children()
+        assert_writers_reaped(started)
 
     def test_config_hash_distinguishes(self):
         a = small_cfg()
@@ -253,7 +274,7 @@ class TestCLI:
         assert streamed == emitted
 
     @pytest.mark.parametrize("failure", ["unstable-dt-exit-3", "negative-density-exit-2"])
-    def test_failed_run_leaves_no_run_directory(self, tmp_path, failure):
+    def test_failed_run_leaves_no_run_directory(self, tmp_path, failure, started):
         if failure == "unstable-dt-exit-3":
             cfg = small_cfg(t_end=2.0, output_cadence=1.0, diffusion_treatment="explicit",
                             dt_override=float(nsdv.Grid1D(129, 10.0).dx))
@@ -268,9 +289,9 @@ class TestCLI:
         out.mkdir()
         assert main(["run", "--config", str(path), "--out", str(out)]) == code
         assert not list(out.iterdir())  # no run directory, no staging directory
-        assert not multiprocessing.active_children()
+        assert_writers_reaped(started)
 
-    def test_snapshot_writer_failure_surfaces(self, tmp_path):
+    def test_snapshot_writer_failure_surfaces(self, tmp_path, started):
         path = CONFIG_DIR / "equilibrium.cfg"
         blocked = tmp_path / f"run-{io.config_hash(io.load_config(path))}" / "snapshots"
         (blocked / "snap_00001.csv").mkdir(parents=True)
@@ -288,7 +309,27 @@ class TestCLI:
         assert not thread.is_alive(), "command hung on a failed snapshot writer"
         (result,) = outcome
         assert isinstance(result, IsADirectoryError) or result not in (0, None), result
-        assert not multiprocessing.active_children()
+        assert_writers_reaped(started)
+
+    @pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="needs /proc")
+    def test_no_process_outlives_the_command(self, tmp_path):
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))}
+        command = subprocess.Popen(
+            [sys.executable, "-m", "nsdv.cli", "verify", "--config",
+             str(CONFIG_DIR / "equilibrium.cfg"), "--cadence", "0.25", "--out", str(tmp_path)],
+            env=env, stdout=subprocess.DEVNULL, start_new_session=True,
+        )
+        assert command.wait(timeout=120) == 0
+        left = []
+        for stat in Path("/proc").glob("[0-9]*/stat"):
+            try:
+                fields = stat.read_text().rsplit(")", 1)[1].split()
+            except (OSError, IndexError):  # the process is gone
+                continue
+            if int(fields[3]) == command.pid:  # its session id
+                left.append(stat.parent.name)
+        assert not left, f"processes left in the command's session: {left}"
 
     def test_convergence_command(self, tmp_path, capsys):
         code = main(["convergence", "--id", "manufactured-1", "--levels", "2",
