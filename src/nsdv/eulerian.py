@@ -120,11 +120,15 @@ def _upwind_interface(q: np.ndarray, u_ifc: np.ndarray, order: int) -> np.ndarra
     return np.where(u_ifc >= 0.0, left, right)
 
 
-def _check_new_state(rho_new, u_new, t_new):
+def _check_finite(field, t_new):
+    if not np.all(np.isfinite(field)):
+        raise NumericalFailure(f"non-finite fields at t={t_new:.6g}", time=t_new)
+
+
+def _check_density(rho_new, t_new):
     # Non-finite fields or negative density are scheme breakdown; only a
     # finite density in (0, RHO_FLOOR] is a physical vacuum approach.
-    if not (np.all(np.isfinite(rho_new)) and np.all(np.isfinite(u_new))):
-        raise NumericalFailure(f"non-finite fields at t={t_new:.6g}", time=t_new)
+    _check_finite(rho_new, t_new)
     if np.any(rho_new <= 0.0):
         raise NumericalFailure(
             f"negative density at t={t_new:.6g} (unstable step)", time=t_new
@@ -178,7 +182,7 @@ def step_primitive(
 
     (rho_bl, u_bl), (rho_br, u_br) = boundary
     rho_new[0], rho_new[-1] = rho_bl, rho_br
-    _check_new_state(rho_new, np.zeros(1), t_new)
+    _check_density(rho_new, t_new)
 
     mu = model.viscosity(rho, p)  # frozen coefficients
     mu_ifc = 0.5 * (mu[:-1] + mu[1:])
@@ -201,7 +205,7 @@ def step_primitive(
         u_new = solve_tridiagonal(lower, diag, upper, rhs)
 
     u_new[0], u_new[-1] = u_bl, u_br
-    _check_new_state(rho_new, u_new, t_new)
+    _check_finite(u_new, t_new)
     return FluidState(time=t_new, rho=rho_new, u=u_new)
 
 
@@ -243,13 +247,12 @@ def step_effective(
     rho_new = rho.copy()
     rho_new[1:-1] += (dt / dx) * (-(f_adv[1:] - f_adv[:-1]) + (f_diff[1:] - f_diff[:-1]))
     rho_new[0] = rho_new[-1] = p.farfield_density
-    _check_new_state(rho_new, np.zeros(1), t_new)
+    _check_density(rho_new, t_new)
 
     v_star = v - dt * u * ddx_upwind(v, u, grid)
     v_new = damp_effective_velocity(v_star, u, rho, dt, p)
     v_new[0] = v_new[-1] = p.farfield_velocity
-
-    _check_new_state(rho_new, v_new, t_new)
+    _check_finite(v_new, t_new)
     return rho_new, v_new
 
 

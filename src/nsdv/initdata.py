@@ -16,6 +16,7 @@ exercise the discretization with sources.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from functools import lru_cache
 
 import numpy as np
 
@@ -156,13 +157,29 @@ def _mms(mms_id: str) -> MMSProfile:
         raise InputError(f"unknown manufactured-solution id {mms_id!r}") from None
 
 
+_ENDS = [0, -1]  # the two boundary nodes
+
+
+@lru_cache(maxsize=8)
+def _mms_factors(p_half_length: float, n_cells: int, half_length: float):
+    """The x-only factors cos(kx), sin(kx), k = pi/p_half_length, on the nodes
+    of Grid1D(n_cells, half_length); computed once per grid and read-only,
+    since every call for that grid shares them."""
+    x = Grid1D(n_cells, half_length).coords
+    k = np.pi / p_half_length
+    c, s = np.cos(k * x), np.sin(k * x)
+    c.flags.writeable = s.flags.writeable = False
+    return c, s
+
+
+def _exact_fields(prof: MMSProfile, decay, c, s):
+    return 1.0 + prof.a * decay * c, prof.b * decay * s
+
+
 def manufactured_exact(mms_id: str, t: float, grid: Grid1D, p: ModelParams):
     prof = _mms(mms_id)
-    k = np.pi / p.half_length
-    decay = np.exp(-t)
-    rho = 1.0 + prof.a * decay * np.cos(k * grid.coords)
-    u = prof.b * decay * np.sin(k * grid.coords)
-    return rho, u
+    c, s = _mms_factors(p.half_length, grid.n_cells, grid.half_length)
+    return _exact_fields(prof, np.exp(-t), c, s)
 
 
 def manufactured_source(mms_id: str, t: float, grid: Grid1D, p: ModelParams):
@@ -170,12 +187,10 @@ def manufactured_source(mms_id: str, t: float, grid: Grid1D, p: ModelParams):
     add it as a source and the exact fields solve the forced system."""
     prof = _mms(mms_id)
     k = np.pi / p.half_length
-    x = grid.coords
+    c, s = _mms_factors(p.half_length, grid.n_cells, grid.half_length)
     decay = np.exp(-t)
-    c, s = np.cos(k * x), np.sin(k * x)
 
-    rho = 1.0 + prof.a * decay * c
-    u = prof.b * decay * s
+    rho, u = _exact_fields(prof, decay, c, s)
     rho_t = -prof.a * decay * c
     rho_x = -prof.a * k * decay * s
     u_t = -prof.b * decay * s
@@ -198,8 +213,11 @@ def manufactured_source(mms_id: str, t: float, grid: Grid1D, p: ModelParams):
 
 
 def manufactured_boundary(mms_id: str, t: float, grid: Grid1D, p: ModelParams):
-    rho, u = manufactured_exact(mms_id, t, grid, p)
-    return (float(rho[0]), float(u[0])), (float(rho[-1]), float(u[-1]))
+    """The exact (rho, u) at the two end nodes, evaluated there only."""
+    prof = _mms(mms_id)
+    c, s = _mms_factors(p.half_length, grid.n_cells, grid.half_length)
+    rho, u = _exact_fields(prof, np.exp(-t), c[_ENDS], s[_ENDS])
+    return (float(rho[0]), float(u[0])), (float(rho[1]), float(u[1]))
 
 
 def build_initial(cfg: ScenarioConfig):

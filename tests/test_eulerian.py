@@ -161,6 +161,33 @@ class TestFailures:
             step_primitive(s, 0.09, g, cfg, p)
         assert err.value.node is not None and err.value.time == pytest.approx(0.09)
 
+    @staticmethod
+    def drain_node_50(dt):
+        # (rho, v) near vacuum with v diverging only at node 50: one effective
+        # step takes rho[50] to (1 - dt/dx) * 1.5e-10 and leaves every other
+        # node above the floor
+        g = Grid1D(101, 1.0)
+        p = mp(0.75, 2.0, L=1.0)
+        rho = np.full(101, 1.5e-10)
+        rho[0] = rho[-1] = 1.0
+        v = np.zeros(101)
+        v[49], v[51] = -1.0, 1.0
+        cfg = SolverConfig(
+            t_end=1.0, output_cadence=1.0, formulation="effective", advection_order=1
+        )
+        return step_effective(rho, v, 0.0, dt * g.dx, g, cfg, p)
+
+    def test_vacuum_floor_step_effective(self):
+        with pytest.raises(VacuumBlowup) as err:
+            self.drain_node_50(0.45)
+        assert err.value.node == 50
+        assert err.value.time == pytest.approx(0.45 * 0.02)
+
+    def test_overshooting_step_effective_is_negative_density(self):
+        with pytest.raises(NumericalFailure, match="negative density") as err:
+            self.drain_node_50(2.0)
+        assert err.value.time == pytest.approx(2.0 * 0.02)
+
     def test_run_records_partial_trajectory_on_blowup(self):
         from nsdv.initdata import InitialData, ScenarioConfig
 

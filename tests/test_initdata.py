@@ -11,12 +11,14 @@ from nsdv.initdata import (
     InitialData,
     ScenarioConfig,
     build_initial,
+    manufactured_boundary,
     manufactured_exact,
     manufactured_source,
     mollify,
     regression_scenarios,
     validate_config,
 )
+from nsdv import initdata
 from nsdv.model import Grid1D, ModelParams, phi
 from nsdv.stencils import ddx
 
@@ -209,6 +211,42 @@ class TestManufactured:
         inner = slice(8, -8)
         assert np.max(np.abs(g_rho[inner] - g_rho_fd[inner])) <= 1e-8
         assert np.max(np.abs(g_mom[inner] - g_mom_fd[inner])) <= 1e-8
+
+    def test_boundary_is_exact_end_values(self):
+        p = mp(L=np.pi)
+        for g in (Grid1D(65, np.pi), Grid1D(257, 2.0)):
+            for t in (0.0, 0.125, 0.3, 50.0):
+                rho, u = manufactured_exact("manufactured-1", t, g, p)
+                left, right = manufactured_boundary("manufactured-1", t, g, p)
+                assert left == (rho[0], u[0]) and right == (rho[-1], u[-1])
+
+    def test_calls_alternating_between_grids_match_cold_calls(self):
+        # one grid per cache-key component: n_cells, grid half_length and the
+        # model's half_length (which sets k); A differs from each in one only
+        cases = {
+            "A": (Grid1D(65, np.pi), mp(L=np.pi)),
+            "n_cells": (Grid1D(129, np.pi), mp(L=np.pi)),
+            "grid_L": (Grid1D(65, 2.0), mp(L=np.pi)),
+            "model_L": (Grid1D(65, np.pi), mp(L=2.0)),
+        }
+
+        def evaluate(name, t):
+            g, p = cases[name]
+            return (
+                *manufactured_exact("manufactured-1", t, g, p),
+                *manufactured_source("manufactured-1", t, g, p),
+            )
+
+        cold = {}
+        for name, (g, p) in cases.items():
+            initdata._mms_factors.cache_clear()
+            cold[name] = evaluate(name, 0.3)
+            kx, decay = np.pi / p.half_length * g.coords, np.exp(-0.3)
+            np.testing.assert_array_equal(cold[name][0], 1.0 + 0.1 * decay * np.cos(kx))
+            np.testing.assert_array_equal(cold[name][1], 0.1 * decay * np.sin(kx))
+        for name in ("A", "n_cells", "A", "grid_L", "A", "model_L", "A", "grid_L", "n_cells"):
+            for got, want in zip(evaluate(name, 0.3), cold[name]):
+                np.testing.assert_array_equal(got, want)
 
     def test_unknown_id_rejected(self):
         g = Grid1D(65, np.pi)

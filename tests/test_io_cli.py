@@ -18,7 +18,7 @@ from nsdv import io
 from nsdv.cli import main, mms_convergence
 from nsdv.diagnostics import FLAG_ORDER
 from nsdv.effective import compute_effective_fields
-from nsdv.errors import ConfigError, DomainExitError, HomeomorphismError
+from nsdv.errors import ConfigError, DomainExitError, HomeomorphismError, VacuumBlowup
 from nsdv.eulerian import SolverConfig, run
 from nsdv.initdata import InitialData, ScenarioConfig, build_initial, regression_scenarios
 from nsdv.model import ModelParams
@@ -423,6 +423,65 @@ def test_mms_convergence_monotone():
     rows = mms_convergence("manufactured-1", 2, base_n=65, t_end=0.25)
     assert rows[1]["err"] < rows[0]["err"]
     assert rows[1]["order"] >= 1.0
+
+
+def test_mms_convergence_matches_run_reference():
+    # reference: each level integrated through run() with its forcing and
+    # exact boundary, as the study did before it called drive() itself
+    from nsdv.initdata import manufactured_boundary, manufactured_exact, manufactured_source
+    from nsdv.model import FluidState, Grid1D
+
+    rows = mms_convergence("manufactured-1", 2, base_n=65, t_end=0.25)
+    p = ModelParams(alpha=0.75, gamma=2.0, half_length=np.pi)
+    ref = []
+    for n in (65, 129):
+        grid = Grid1D(n, np.pi)
+        dt = 0.25 * grid.dx**2
+        cfg = SolverConfig(t_end=0.25, output_cadence=0.25, dt_override=dt)
+        initial = FluidState(0.0, *manufactured_exact("manufactured-1", 0.0, grid, p))
+        traj = run(
+            initial, cfg, grid, p,
+            forcing=lambda t: manufactured_source("manufactured-1", t, grid, p),
+            exact_boundary=lambda t: manufactured_boundary("manufactured-1", t, grid, p),
+            build_diagnostics=False,
+        )
+        final = traj.snapshots[-1]
+        rho_ex, u_ex = manufactured_exact("manufactured-1", final.time, grid, p)
+        err = float(
+            np.sqrt(np.sum((final.rho - rho_ex) ** 2) * grid.dx)
+            + np.sqrt(np.sum((final.u - u_ex) ** 2) * grid.dx)
+        )
+        order = np.log2(ref[-1][3] / err) if ref else float("nan")
+        ref.append([n, grid.dx, dt, err, order])
+    keys = ("n", "dx", "dt", "err", "order")
+    np.testing.assert_array_equal([[r[k] for k in keys] for r in rows], ref)
+
+
+def blow_up_at(monkeypatch, n_cells):
+    """Make every step on the n_cells level of the study end in a VacuumBlowup."""
+    real = nsdv.cli.manufactured_source
+
+    def source(mms_id, t, grid, p):
+        if grid.n_cells == n_cells and t > 0.1:
+            raise VacuumBlowup(f"planted at t={t:.6g}", time=t, node=7)
+        return real(mms_id, t, grid, p)
+
+    monkeypatch.setattr(nsdv.cli, "manufactured_source", source)
+
+
+def test_mms_convergence_raises_blowup(monkeypatch):
+    blow_up_at(monkeypatch, 65)
+    with pytest.raises(VacuumBlowup) as err:
+        mms_convergence("manufactured-1", 2, base_n=65, t_end=0.25)
+    assert err.value.node == 7 and 0.1 < err.value.time < 0.25
+
+
+def test_convergence_blowup_exits_5(monkeypatch, tmp_path, capsys):
+    blow_up_at(monkeypatch, 257)  # the last of the two default levels
+    code = main(["convergence", "--levels", "2", "--out", str(tmp_path)])
+    assert code == 5
+    assert "blow-up: planted" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
 
 
 def test_write_table_matches_per_cell_repr(tmp_path):
