@@ -20,8 +20,16 @@ from nsdv.diagnostics import FLAG_ORDER
 from nsdv.effective import compute_effective_fields
 from nsdv.errors import ConfigError, DomainExitError, HomeomorphismError, VacuumBlowup
 from nsdv.eulerian import SolverConfig, run
-from nsdv.initdata import InitialData, ScenarioConfig, build_initial, regression_scenarios
-from nsdv.model import ModelParams
+from nsdv.initdata import (
+    InitialData,
+    ScenarioConfig,
+    build_initial,
+    manufactured_boundary,
+    manufactured_exact,
+    manufactured_source,
+    regression_scenarios,
+)
+from nsdv.model import FluidState, Grid1D, ModelParams
 
 REPO = Path(__file__).resolve().parent.parent
 CONFIG_DIR = REPO / "configs"
@@ -428,9 +436,6 @@ def test_mms_convergence_monotone():
 def test_mms_convergence_matches_run_reference():
     # reference: each level integrated through run() with its forcing and
     # exact boundary, as the study did before it called drive() itself
-    from nsdv.initdata import manufactured_boundary, manufactured_exact, manufactured_source
-    from nsdv.model import FluidState, Grid1D
-
     rows = mms_convergence("manufactured-1", 2, base_n=65, t_end=0.25)
     p = ModelParams(alpha=0.75, gamma=2.0, half_length=np.pi)
     ref = []
