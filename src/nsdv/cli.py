@@ -19,6 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import io
+from .diagnostics import build_series
 from .errors import (
     ConfigError,
     DomainError,
@@ -62,8 +63,8 @@ def _load_scenario(args) -> ScenarioConfig:
 
 def _run_with_outputs(args):
     """Load the scenario, integrate it with its snapshots streamed to the run
-    directory's writer, and write the rest of that directory.  Returns
-    (trajectory, run directory)."""
+    directory's writer, evaluate its diagnostics and write the rest of that
+    directory.  Returns (trajectory, diagnostic series, run directory)."""
     cfg = _load_scenario(args)
     with io.RunWriter(_out_root(args), cfg) as writer:
         initial, _, _ = build_initial(cfg)
@@ -80,11 +81,12 @@ def _run_with_outputs(args):
 
         traj = run(initial, cfg.solver, grid, cfg.model, forcing=forcing,
                    exact_boundary=boundary, on_snapshot=writer.record)
-        return traj, writer.finish(traj)
+        series = build_series(traj)
+        return traj, series, writer.finish(traj, series)
 
 
 def cmd_run(args) -> int:
-    traj, run_dir = _run_with_outputs(args)
+    traj, _, run_dir = _run_with_outputs(args)
     print(f"run: {len(traj.snapshots)} snapshots -> {run_dir}")
     if traj.blowup is not None:
         print(f"blow-up detected at t={traj.blowup.time:.6g} (node {traj.blowup.node})")
@@ -93,8 +95,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    traj, run_dir = _run_with_outputs(args)
-    series = traj.diagnostics
+    traj, series, run_dir = _run_with_outputs(args)
     status = EXIT_OK
     for name in sorted(series.violation_flags):
         if not series.monitors_available.get(name, True):
@@ -127,8 +128,9 @@ def mms_convergence(
 ):
     """Manufactured-solution convergence study: dt proportional to dx^2 with
     semi-implicit diffusion, L2 errors of (rho, u) against the exact fields.
-    Returns a list of row dicts (n, dx, dt, err, order).  A VacuumBlowup at
-    any level is raised."""
+    Returns a list of row dicts (n, dx, dt, err, order); the order is NaN on
+    the first level and wherever an error is zero.  A VacuumBlowup at any
+    level is raised."""
     p = ModelParams(alpha=alpha, gamma=gamma, half_length=half_length)
     rows = []
     for lvl in range(levels):
@@ -166,7 +168,8 @@ def mms_convergence(
             np.sqrt(np.sum((final.rho - rho_ex) ** 2) * grid.dx)
             + np.sqrt(np.sum((final.u - u_ex) ** 2) * grid.dx)
         )
-        order = np.log2(rows[-1]["err"] / err) if rows else float("nan")
+        prev = rows[-1]["err"] if rows else 0.0
+        order = np.log2(prev / err) if prev > 0.0 and err > 0.0 else float("nan")
         rows.append({"n": n, "dx": grid.dx, "dt": dt, "err": err, "order": order})
     return rows
 

@@ -45,7 +45,7 @@ def effective_velocity(state: FluidState, grid: Grid1D, p: ModelParams) -> np.nd
 def effective_flux(state: FluidState, grid: Grid1D, p: ModelParams) -> np.ndarray:
     """w1 = rho**alpha * ddx(u) - P(rho) + P(1)."""
     mu = model.viscosity(state.rho, p)
-    p_far = model.pressure(p.farfield_density, p)
+    p_far = model.pressure(model.FARFIELD[0], p)
     return mu * ddx(state.u, grid) - model.pressure(state.rho, p) + p_far
 
 

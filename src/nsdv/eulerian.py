@@ -31,11 +31,8 @@ import numpy as np
 from . import diagnostics, model
 from .effective import effective_velocity
 from .errors import InputError, NumericalFailure, VacuumBlowup
-from .model import RHO_FLOOR, FluidState, Grid1D, ModelParams
+from .model import FARFIELD, RHO_FLOOR, FluidState, Grid1D, ModelParams
 from .stencils import ddx, ddx_upwind, solve_tridiagonal
-
-_FARFIELD = ((1.0, 0.0), (1.0, 0.0))
-
 
 @dataclass(frozen=True)
 class SolverConfig:
@@ -81,7 +78,6 @@ class Trajectory:
     snapshots: list[FluidState]
     energy_diss_accum: np.ndarray
     bd_diss_accum: np.ndarray
-    diagnostics: "diagnostics.DiagnosticSeries | None" = None
     blowup: BlowupInfo | None = None
 
     @property
@@ -150,7 +146,7 @@ def step_primitive(
     cfg: SolverConfig,
     p: ModelParams,
     forcing=None,
-    boundary=_FARFIELD,
+    boundary=(FARFIELD, FARFIELD),
 ) -> FluidState:
     """One conservative update of (rho, rho*u).
 
@@ -246,12 +242,12 @@ def step_effective(
 
     rho_new = rho.copy()
     rho_new[1:-1] += (dt / dx) * (-(f_adv[1:] - f_adv[:-1]) + (f_diff[1:] - f_diff[:-1]))
-    rho_new[0] = rho_new[-1] = p.farfield_density
+    rho_new[0] = rho_new[-1] = FARFIELD[0]
     _check_density(rho_new, t_new)
 
     v_star = v - dt * u * ddx_upwind(v, u, grid)
     v_new = damp_effective_velocity(v_star, u, rho, dt, p)
-    v_new[0] = v_new[-1] = p.farfield_velocity
+    v_new[0] = v_new[-1] = FARFIELD[1]
     _check_finite(v_new, t_new)
     return rho_new, v_new
 
@@ -306,7 +302,6 @@ def run(
     p: ModelParams,
     forcing=None,
     exact_boundary=None,
-    build_diagnostics: bool = True,
     on_snapshot=None,
 ) -> Trajectory:
     """Integrate to t_end, recording snapshots and dissipation at the cadence.
@@ -335,7 +330,7 @@ def run(
             rho, v = step_effective(state.rho, v, t, dt, grid, cfg, p)
             return FluidState(time=t + dt, rho=rho, u=recover_velocity(rho, v, grid, p))
         frc = forcing(t) if forcing is not None else None
-        bc = exact_boundary(t + dt) if exact_boundary is not None else _FARFIELD
+        bc = exact_boundary(t + dt) if exact_boundary is not None else (FARFIELD, FARFIELD)
         return step_primitive(state, dt, grid, cfg, p, forcing=frc, boundary=bc)
 
     _, snapshots, (e_diss, bd_diss), exc = drive(
@@ -349,7 +344,7 @@ def run(
         ],
         on_snapshot,
     )
-    traj = Trajectory(
+    return Trajectory(
         params=p,
         grid=grid,
         snapshots=snapshots,
@@ -357,6 +352,3 @@ def run(
         bd_diss_accum=bd_diss,
         blowup=None if exc is None else BlowupInfo(time=exc.time, node=exc.node),
     )
-    if build_diagnostics:
-        traj.diagnostics = diagnostics.build_series(traj)
-    return traj

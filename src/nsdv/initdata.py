@@ -71,7 +71,6 @@ class ScenarioConfig:
     n_cells: int
     solver: SolverConfig
     initial: InitialData
-    seed: int = 0
 
     def __post_init__(self):
         if self.n_cells < 3:
@@ -257,8 +256,8 @@ def build_initial(cfg: ScenarioConfig):
         rho, u = manufactured_exact(init.mms_id, 0.0, grid, p)
 
     if not manufactured:
-        rho[0] = rho[-1] = p.farfield_density
-        u[0] = u[-1] = p.farfield_velocity
+        rho[0] = rho[-1] = model.FARFIELD[0]
+        u[0] = u[-1] = model.FARFIELD[1]
 
     state = FluidState(time=0.0, rho=rho, u=u)
     if init.kind != "from_v0":

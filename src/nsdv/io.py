@@ -13,6 +13,7 @@ child process writes the snapshot CSVs while the solver steps.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -26,22 +27,31 @@ from pathlib import Path
 
 import numpy as np
 
-from .diagnostics import FLAG_ORDER, DiagnosticSeries
+from .diagnostics import FLAG_ORDER, DiagnosticSeries, build_series
 from .effective import compute_effective_fields
 from .errors import ConfigError
 from .eulerian import SolverConfig
 from .initdata import InitialData, ScenarioConfig
 from .model import FluidState, ModelParams
 
-DIAG_HEADER = (
-    "t,energy,energy_diss_accum,bd,bd_diss_accum,A,B,y_max,"
-    "oleinik_slope,inv_rho_max,rho_max,bv_v,w1_max,flags"
+# The diagnostics.csv columns before `flags`: header name, DiagnosticSeries
+# field, and whether plots/<field>.dat holds that series against t.
+DIAG_COLUMNS = (
+    ("t", "times", False),
+    ("energy", "energy", True),
+    ("energy_diss_accum", "energy_diss_accum", False),
+    ("bd", "bd_entropy", True),
+    ("bd_diss_accum", "bd_diss_accum", False),
+    ("A", "hoff_A", True),
+    ("B", "hoff_B", True),
+    ("y_max", "y_max", True),
+    ("oleinik_slope", "oleinik_slope", True),
+    ("inv_rho_max", "inv_rho_max", True),
+    ("rho_max", "rho_max", True),
+    ("bv_v", "bv_norm_v", True),
+    ("w1_max", "w1_max", True),
 )
-# DiagnosticSeries fields behind the DIAG_HEADER columns; the flags column follows them.
-DIAG_SERIES = (
-    "times", "energy", "energy_diss_accum", "bd_entropy", "bd_diss_accum", "hoff_A", "hoff_B",
-    "y_max", "oleinik_slope", "inv_rho_max", "rho_max", "bv_norm_v", "w1_max",
-)
+DIAG_HEADER = ",".join([name for name, _, _ in DIAG_COLUMNS] + ["flags"])
 SNAP_HEADER = "x,rho,u,v,w1,y,udot"
 # Snapshot k of a run, relative to its run directory.
 SNAP_NAME = "snapshots/snap_{:05d}.csv"
@@ -76,58 +86,37 @@ def footer(tag: str, build: str) -> str:
 
 # ---------------------------------------------------------------- config text
 
+# The config file format, declared once: its sections in file order, each
+# with the dataclass it builds and its keys in file order with their types.
+# [model], [solver] and [initial] build the ScenarioConfig field of their
+# name; the [grid] keys are ScenarioConfig fields themselves (cls None).  A
+# key is required when its field has no default, and a None value is not
+# written.  Any other section or key is an error.
+_FORMAT = {
+    "model": (ModelParams, {"alpha": float, "gamma": float, "half_length": float}),
+    "grid": (None, {"n_cells": int}),
+    "solver": (SolverConfig, {
+        "cfl_number": float, "t_end": float, "formulation": str, "diffusion_treatment": str,
+        "output_cadence": float, "advection_order": int, "dt_override": float,
+    }),
+    "initial": (InitialData, {
+        "kind": str, "amplitude": float, "width": float, "jump": float, "steepness": float,
+        "profile": str, "mollifier_n": int, "mms_id": str,
+    }),
+}
+
+
 def serialize_config(cfg: ScenarioConfig) -> str:
-    lines = ["[model]"]
-    m = cfg.model
-    lines += [f"alpha = {fmt(m.alpha)}", f"gamma = {fmt(m.gamma)}", f"half_length = {fmt(m.half_length)}"]
-    lines += ["", "[grid]", f"n_cells = {cfg.n_cells}"]
-    s = cfg.solver
-    lines += [
-        "",
-        "[solver]",
-        f"cfl_number = {fmt(s.cfl_number)}",
-        f"t_end = {fmt(s.t_end)}",
-        f"formulation = {s.formulation}",
-        f"diffusion_treatment = {s.diffusion_treatment}",
-        f"output_cadence = {fmt(s.output_cadence)}",
-        f"advection_order = {s.advection_order}",
-    ]
-    if s.dt_override is not None:
-        lines.append(f"dt_override = {fmt(s.dt_override)}")
-    i = cfg.initial
-    lines += ["", "[initial]", f"kind = {i.kind}"]
-    for name in ("amplitude", "width", "jump", "steepness"):
-        val = getattr(i, name)
-        if val is not None:
-            lines.append(f"{name} = {fmt(val)}")
-    if i.profile is not None:
-        lines.append(f"profile = {i.profile}")
-    if i.mollifier_n is not None:
-        lines.append(f"mollifier_n = {i.mollifier_n}")
-    if i.mms_id is not None:
-        lines.append(f"mms_id = {i.mms_id}")
-    lines += ["", "[run]", f"seed = {cfg.seed}", ""]
-    return "\n".join(lines)
-
-
-# Converters of the keys a config may leave out; an absent key keeps its
-# dataclass default.
-_OPTIONAL = {
-    "solver": {"cfl_number": float, "formulation": str, "diffusion_treatment": str,
-               "advection_order": int, "dt_override": float},
-    "initial": {"amplitude": float, "width": float, "jump": float, "steepness": float,
-                "profile": str, "mollifier_n": int, "mms_id": str},
-    "run": {"seed": int},
-}
-
-# The keys parse_config reads, per section; any other section or key is an error.
-_KEYS = {
-    "model": ("alpha", "gamma", "half_length"),
-    "grid": ("n_cells",),
-    "solver": ("t_end", "output_cadence", *_OPTIONAL["solver"]),
-    "initial": ("kind", *_OPTIONAL["initial"]),
-    "run": tuple(_OPTIONAL["run"]),
-}
+    blocks = []
+    for name, (cls, keys) in _FORMAT.items():
+        obj = cfg if cls is None else getattr(cfg, name)
+        lines = [f"[{name}]"]
+        for key, conv in keys.items():
+            val = getattr(obj, key)
+            if val is not None:
+                lines.append(f"{key} = {fmt(val) if conv is float else val}")
+        blocks.append("\n".join(lines) + "\n")
+    return "\n".join(blocks)
 
 
 def _sections(text: str) -> dict:
@@ -139,7 +128,7 @@ def _sections(text: str) -> dict:
             continue
         if line.startswith("[") and line.endswith("]"):
             current = line[1:-1].strip()
-            if current not in _KEYS:
+            if current not in _FORMAT:
                 raise ConfigError(f"unknown config section [{current}]")
             sections.setdefault(current, {})
             continue
@@ -147,7 +136,7 @@ def _sections(text: str) -> dict:
             raise ConfigError(f"cannot parse config line: {raw_line!r}")
         key, _, val = line.partition("=")
         key = key.strip()
-        if key not in _KEYS[current]:
+        if key not in _FORMAT[current][1]:
             raise ConfigError(f"unknown config key {key!r} in [{current}]")
         if key in sections[current]:
             raise ConfigError(f"config key {key!r} set twice in [{current}]")
@@ -155,36 +144,26 @@ def _sections(text: str) -> dict:
     return sections
 
 
-def _present(sec: dict, name: str) -> dict:
-    """The optional keys section `name` sets, converted."""
-    values = sec.get(name, {})
-    return {key: conv(values[key]) for key, conv in _OPTIONAL[name].items() if key in values}
-
-
 def parse_config(text: str) -> ScenarioConfig:
     sec = _sections(text)
+    fields = {}
     try:
-        m = sec["model"]
-        model = ModelParams(
-            alpha=float(m["alpha"]),
-            gamma=float(m["gamma"]),
-            half_length=float(m["half_length"]),
-        )
-        n_cells = int(sec["grid"]["n_cells"])
-        s = sec["solver"]
-        solver = SolverConfig(
-            t_end=float(s["t_end"]),
-            output_cadence=float(s["output_cadence"]),
-            **_present(sec, "solver"),
-        )
-        initial = InitialData(kind=sec["initial"]["kind"], **_present(sec, "initial"))
-        run_keys = _present(sec, "run")
+        for name, (cls, keys) in _FORMAT.items():
+            values = sec.get(name, {})
+            required = {f.name for f in dataclasses.fields(cls or ScenarioConfig)
+                        if f.default is dataclasses.MISSING}
+            # indexing a required key that is not set raises KeyError
+            kw = {key: conv(values[key]) for key, conv in keys.items()
+                  if key in values or key in required}
+            if cls is None:
+                fields.update(kw)
+            else:
+                fields[name] = cls(**kw)
     except KeyError as exc:
         raise ConfigError(f"missing config key {exc}") from None
     except ValueError as exc:
         raise ConfigError(f"bad config value: {exc}") from None
-    return ScenarioConfig(model=model, n_cells=n_cells, solver=solver, initial=initial,
-                          **run_keys)
+    return ScenarioConfig(**fields)
 
 
 def load_config(path) -> ScenarioConfig:
@@ -219,10 +198,16 @@ def write_snapshot_csv(path, grid, state, eff, footer_line: str) -> None:
     write_table(path, SNAP_HEADER, cols, footer_line)
 
 
-def write_diagnostics_csv(path, series: DiagnosticSeries, footer_line: str) -> None:
-    cols = [getattr(series, name) for name in DIAG_SERIES]
+def write_diagnostics(directory, series: DiagnosticSeries, footer_line: str) -> None:
+    """diagnostics.csv and plots/*.dat of `series` in `directory`."""
+    cols = [getattr(series, field) for _, field, _ in DIAG_COLUMNS]
     cols.append([series.flag_bits(k) for k in range(len(series.times))])
-    write_table(path, DIAG_HEADER, cols, footer_line)
+    write_table(directory / "diagnostics.csv", DIAG_HEADER, cols, footer_line)
+    for _, field, plotted in DIAG_COLUMNS:
+        if plotted:
+            cols = (series.times, getattr(series, field))
+            write_table(directory / "plots" / f"{field}.dat", f"# t {field}", cols, footer_line,
+                        sep=" ")
 
 
 def write_manifest(path, times, files, cfg_hash: str, build: str) -> None:
@@ -237,10 +222,10 @@ def write_manifest(path, times, files, cfg_hash: str, build: str) -> None:
     Path(path).write_text(text, encoding="ascii", newline="\n")
 
 
-def read_csv_table(path, string_cols=("flags",)):
+def read_csv_table(path):
     """Read one of our CSV outputs back: (header fields, list of row lists).
-    Footer and comment lines are skipped; columns named in `string_cols` keep
-    their text (the flag bitstring would otherwise lose its leading zeros)."""
+    Footer and comment lines are skipped; a `flags` column keeps its text
+    (the bitstring would otherwise lose its leading zeros)."""
     header = None
     rows = []
     keep_str = set()
@@ -249,7 +234,7 @@ def read_csv_table(path, string_cols=("flags",)):
             continue
         if header is None:
             header = line.split(",")
-            keep_str = {i for i, name in enumerate(header) if name in string_cols}
+            keep_str = {i for i, name in enumerate(header) if name == "flags"}
             continue
         cells = []
         for i, cell in enumerate(line.split(",")):
@@ -292,8 +277,10 @@ def _write_snapshots(requests, report) -> None:
     state the parent saved as _state_file(directory, k), until None.  Writes
     state k to directory/SNAP_NAME.format(k), with its effective fields, and
     deletes its state file.  Then pickles None to `report`, or (exception,
-    traceback text) after the first failure.  Returns at once when `requests`
-    reaches end of file: the parent process is gone."""
+    traceback text) after the first failure.  When `requests` reaches end of
+    file the parent process is gone: removes its staging directory, the
+    parent of `directory`, and returns."""
+    directory = None
     try:
         directory, cfg, footer_line = pickle.load(requests)
         grid = cfg.grid()
@@ -306,6 +293,8 @@ def _write_snapshots(requests, report) -> None:
             write_snapshot_csv(directory / SNAP_NAME.format(k), grid, state, eff, footer_line)
             path.unlink()
     except EOFError:
+        if directory is not None:
+            shutil.rmtree(directory.parent, ignore_errors=True)
         return
     except Exception as exc:
         pickle.dump((exc, traceback.format_exc()), report)
@@ -319,13 +308,14 @@ class RunWriter:
 
     Use it as a context manager.  `record(state)` saves each snapshot's state
     and hands it to one child process, which computes its effective fields
-    and writes its CSV while the caller goes on stepping; `finish(traj)`
-    writes config.cfg, manifest.json, diagnostics.csv and plots/*.dat here,
-    waits for the child and moves the files into the run directory.  Until
-    then they sit in a staging directory beside it, which leaving the block
-    without `finish` (an exception) removes after stopping the child: a
-    failed command leaves the run directory as it was, or absent.  A failure
-    of the child is re-raised here, by `record` or `finish`.
+    and writes its CSV while the caller goes on stepping; `finish(traj,
+    series)` writes config.cfg, manifest.json, diagnostics.csv and
+    plots/*.dat here, waits for the child and puts the new tree in place of
+    the run directory as a whole.  Until then the tree grows in a staging
+    directory beside it, which leaving the block removes, after stopping the
+    child if `finish` was not reached (an exception): a failed command
+    leaves the run directory as it was, or absent.  A failure of the child
+    is re-raised here, by `record` or `finish`.
     """
 
     def __init__(self, out_dir, cfg: ScenarioConfig):
@@ -337,9 +327,12 @@ class RunWriter:
     def __enter__(self) -> "RunWriter":
         out_dir = self.run_dir.parent
         out_dir.mkdir(parents=True, exist_ok=True)
+        # mkdtemp makes the stage private; the tree inside it gets the usual
+        # permissions, and becomes the run directory
         self._stage = Path(tempfile.mkdtemp(prefix=f".{self.run_dir.name}-", dir=out_dir))
-        (self._stage / "snapshots").mkdir()
-        (self._stage / "plots").mkdir()
+        self._tree = self._stage / "run"
+        (self._tree / "snapshots").mkdir(parents=True)
+        (self._tree / "plots").mkdir()
         self._build = build_id()
         self._footer = footer(self._hash, self._build)
         package_root = str(Path(__file__).resolve().parent.parent)
@@ -349,7 +342,7 @@ class RunWriter:
             [sys.executable, "-c", _CHILD, package_root],
             stdin=subprocess.PIPE, stdout=subprocess.PIPE, bufsize=0,
         )
-        self._send((self._stage, self._cfg, self._footer))
+        self._send((self._tree, self._cfg, self._footer))
         return self
 
     def __exit__(self, *exc_info) -> None:
@@ -362,40 +355,43 @@ class RunWriter:
     def record(self, state) -> None:
         """Save one snapshot for the child; it becomes SNAP_NAME.format(k)
         for the k-th call."""
-        with open(_state_file(self._stage, self._count), "wb") as fh:
+        with open(_state_file(self._tree, self._count), "wb") as fh:
             np.save(fh, state.rho)
             np.save(fh, state.u)
         self._send((self._count, state.time))
         self._count += 1
 
-    def finish(self, traj) -> Path:
-        """Write the rest of the run directory, wait for the snapshot CSVs,
-        move every file into place and return the run directory."""
+    def finish(self, traj, series: DiagnosticSeries) -> Path:
+        """Write the rest of the run directory, with `series` the diagnostics
+        of `traj`, wait for the snapshot CSVs, swap the new tree in and
+        return the run directory."""
         if self._count != len(traj.snapshots):
             raise ValueError(
                 f"{self._count} snapshots recorded, the trajectory has {len(traj.snapshots)}"
             )
         self._send(None)
-        stage, foot = self._stage, self._footer
-        (stage / "config.cfg").write_text(
+        tree, foot = self._tree, self._footer
+        (tree / "config.cfg").write_text(
             serialize_config(self._cfg) + foot + "\n", encoding="ascii", newline="\n"
         )
         files = [SNAP_NAME.format(k) for k in range(self._count)]
-        write_manifest(stage / "manifest.json", traj.times, files, self._hash, self._build)
-        series = traj.diagnostics
-        if series is not None:
-            write_diagnostics_csv(stage / "diagnostics.csv", series, foot)
-            for name in ("energy", "bd_entropy", "hoff_A", "hoff_B", "y_max", "oleinik_slope",
-                         "inv_rho_max", "rho_max", "bv_norm_v", "w1_max"):
-                cols = (series.times, getattr(series, name))
-                write_table(stage / "plots" / f"{name}.dat", f"# t {name}", cols, foot, sep=" ")
+        write_manifest(tree / "manifest.json", traj.times, files, self._hash, self._build)
+        write_diagnostics(tree, series, foot)
         self._await_child()
-        # file by file, so that a rerun overwrites the files it writes again
-        for sub in ("snapshots", "plots"):
-            (self.run_dir / sub).mkdir(parents=True, exist_ok=True)
-        for path in stage.rglob("*"):
-            if path.is_file():
-                os.replace(path, self.run_dir / path.relative_to(stage))
+        # Whole directories only, so the run directory is never part old and
+        # part new: the old one moves into the stage, which leaving the block
+        # removes, and the new tree into its place.
+        old = self._stage / "old"
+        try:
+            os.replace(self.run_dir, old)
+        except FileNotFoundError:
+            pass
+        try:
+            os.replace(tree, self.run_dir)
+        except OSError:
+            if old.exists():
+                os.replace(old, self.run_dir)
+            raise
         return self.run_dir
 
     def _send(self, message) -> None:
@@ -429,4 +425,4 @@ def emit_run_outputs(out_dir, cfg: ScenarioConfig, traj) -> Path:
     with RunWriter(out_dir, cfg) as writer:
         for snap in traj.snapshots:
             writer.record(snap)
-        return writer.finish(traj)
+        return writer.finish(traj, build_series(traj))

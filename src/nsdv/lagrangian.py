@@ -96,47 +96,31 @@ class TrajectorySampler:
 
 
 def integrate_flow(
-    sampler,
-    grid: Grid1D,
-    record_times=None,
-    substeps: int = 4,
-    enforce_domain: bool = True,
-    dudx=None,
+    sampler, grid: Grid1D, substeps: int = 4, enforce_domain: bool = True
 ) -> FlowMap:
-    """Per-particle midpoint RK2 along the sampled velocity.
+    """Per-particle midpoint RK2 along the sampled velocity, recorded at the
+    sampler's snapshot times.
 
-    `sampler(t, x)` returns velocities; `dudx(t, x)` feeds the exponential
-    Jacobian identity (finite-differenced from the sampler when absent).
-    `record_times` defaults to the sampler's snapshot times.  Particles
-    leaving [-L, L] raise DomainExitError unless `enforce_domain` is False
-    (far-field u = 0 makes an exit a configuration problem, not physics).
+    `sampler(t, x)` returns velocities; `sampler.dudx(t, x)` feeds the
+    exponential Jacobian identity.  Particles leaving [-L, L] raise
+    DomainExitError unless `enforce_domain` is False (far-field u = 0 makes
+    an exit a configuration problem, not physics).
     """
-    if record_times is None:
-        record_times = np.asarray(sampler.times)
-    record_times = np.asarray(record_times, dtype=float)
-    if dudx is None:
-        if hasattr(sampler, "dudx"):
-            dudx = sampler.dudx
-        else:
-            delta = 0.5 * grid.dx
-
-            def dudx(t, x, _d=delta):
-                return (sampler(t, x + _d) - sampler(t, x - _d)) / (2.0 * _d)
-
+    times = np.asarray(sampler.times, dtype=float)
     x = grid.coords.copy()
     jac = np.ones_like(x)
     xs = [x.copy()]
     js = [jac.copy()]
     limit = grid.half_length * (1.0 + 1e-9) + grid.dx
 
-    for k in range(len(record_times) - 1):
-        t0, t1 = record_times[k], record_times[k + 1]
+    for k in range(len(times) - 1):
+        t0, t1 = times[k], times[k + 1]
         h = (t1 - t0) / substeps
         t = t0
         for _ in range(substeps):
             x_mid = x + 0.5 * h * sampler(t, x)
             x = x + h * sampler(t + 0.5 * h, x_mid)
-            jac = jac * np.exp(h * dudx(t + 0.5 * h, x_mid))
+            jac = jac * np.exp(h * sampler.dudx(t + 0.5 * h, x_mid))
             t += h
             if enforce_domain and np.any(np.abs(x) > limit):
                 i = int(np.argmax(np.abs(x)))
@@ -146,9 +130,7 @@ def integrate_flow(
         xs.append(x.copy())
         js.append(jac.copy())
 
-    return FlowMap(
-        times=record_times, x_map=np.array(xs), jacobian=np.array(js), grid=grid
-    )
+    return FlowMap(times=times, x_map=np.array(xs), jacobian=np.array(js), grid=grid)
 
 
 def _check_monotone(xk: np.ndarray, t: float):
@@ -308,7 +290,7 @@ class DecayReport:
     v_final: np.ndarray
 
 
-def v_lagrangian_decay(traj, v0, flow: FlowMap | None = None) -> DecayReport:
+def v_lagrangian_decay(traj, v0) -> DecayReport:
     """Integrate dv/dt + f1(rho_lag) (v - u_lag) = 0 along trajectories with
     the exponential integrating factor, reporting max |v|/(1+|v0|).
 
@@ -316,8 +298,7 @@ def v_lagrangian_decay(traj, v0, flow: FlowMap | None = None) -> DecayReport:
     flow map, frozen on each cadence interval.
     """
     grid, p = traj.grid, traj.params
-    if flow is None:
-        flow = integrate_flow(TrajectorySampler(traj), grid)
+    flow = integrate_flow(TrajectorySampler(traj), grid)
     times = traj.times
     v = np.asarray(v0, dtype=float).copy()
     denom = 1.0 + np.abs(v0)

@@ -27,21 +27,18 @@ BRANCH_TOL = 1e-12
 CONDITIONING_TOL = 1e-6
 # Density at or below this is reported as blow-up, never clamped.
 RHO_FLOOR = 1e-10
+# The far-field state (rho, u), pinned: the estimates the diagnostics check
+# all assume rho - 1 and u are square integrable.
+FARFIELD = (1.0, 0.0)
 
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Exponents and domain geometry; fixes every constitutive law.
-
-    The far-field state is pinned to (rho, u) = (1, 0): the estimates the
-    diagnostics check all assume rho - 1 and u are square integrable.
-    """
+    """Exponents and domain geometry; fixes every constitutive law."""
 
     alpha: float
     gamma: float
     half_length: float
-    farfield_density: float = 1.0
-    farfield_velocity: float = 0.0
 
     def __post_init__(self):
         if not self.alpha > 0.5:
@@ -52,8 +49,6 @@ class ModelParams:
             )
         if not self.half_length > 0:
             raise InputError(f"half_length must be positive, got {self.half_length}")
-        if self.farfield_density != 1.0 or self.farfield_velocity != 0.0:
-            raise InputError("far-field state is fixed at (rho, u) = (1, 0)")
         gap = self.gamma - self.alpha - 1.0
         if BRANCH_TOL < abs(gap) < CONDITIONING_TOL:
             warnings.warn(

@@ -93,19 +93,18 @@ def default_perturbation(grid) -> np.ndarray:
     return bump
 
 
-def twin_run_stability(
-    scenario: ScenarioConfig, epsilon: float, perturbation=None
-) -> TwinReport:
-    """Run the twin experiment at perturbation size `epsilon` (of u0 only)."""
+def twin_run_stability(scenario: ScenarioConfig, epsilon: float) -> TwinReport:
+    """Run the twin experiment at perturbation size `epsilon` (of u0 only),
+    along default_perturbation."""
     p = scenario.model
     grid = scenario.grid()
     cfg = scenario.solver
     if cfg.formulation != "primitive":
         cfg = replace(cfg, formulation="primitive")
     base, _, _ = build_initial(scenario)
-    if perturbation is None:
-        perturbation = default_perturbation(grid)
-    pert = FluidState(time=0.0, rho=base.rho.copy(), u=base.u + epsilon * perturbation)
+    pert = FluidState(
+        time=0.0, rho=base.rho.copy(), u=base.u + epsilon * default_perturbation(grid)
+    )
 
     traj1, traj2 = _lockstep_pair(base, pert, cfg, grid, p)
     flow1 = integrate_flow(TrajectorySampler(traj1), grid)

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from dataclasses import replace
 
+from nsdv.diagnostics import build_series
 from nsdv.eulerian import SolverConfig, run, stable_dt, step_effective, step_primitive
 from nsdv.initdata import build_initial, regression_scenarios
 from nsdv.lagrangian import (
@@ -120,7 +121,7 @@ def test_criterion_04_energy_and_bd_balances(scenario_runs):
     worst = {}
     ok = True
     for name, (cfg, traj) in scenario_runs.items():
-        d = traj.diagnostics
+        d = build_series(traj)
         ok &= not np.any(d.violation_flags["energy"])
         ok &= not np.any(d.violation_flags["bd"])
         gap_e = float(np.max(d.energy + d.energy_diss_accum - d.energy[0] * 1.001 - d.tolerance * d.times))
@@ -140,7 +141,7 @@ def test_criterion_05_effective_pressure_envelope(scenario_runs):
     ok = True
     details = []
     for name, (cfg, traj) in scenario_runs.items():
-        d = traj.diagnostics
+        d = build_series(traj)
         assert d.monitors_available["y_env"], name  # all scenarios off the log branch
         ok &= not np.any(d.violation_flags["y_env"])
         gap = float(np.max(d.y_max - d.y_env))
@@ -154,7 +155,7 @@ def test_criterion_05_effective_pressure_envelope(scenario_runs):
 def test_criterion_06_oleinik_persistence(scenario_runs):
     ok = True
     for name, (cfg, traj) in scenario_runs.items():
-        d = traj.diagnostics
+        d = build_series(traj)
         ok &= d.monitors_available["oleinik"]
         ok &= not np.any(d.violation_flags["oleinik"])
     report(6, ok, "one-sided slope of v below the derived envelope on all scenarios")
@@ -165,7 +166,7 @@ def test_criterion_07_vacuum_bound(scenario_runs):
     details = []
     n_active = 0
     for name, (cfg, traj) in scenario_runs.items():
-        d = traj.diagnostics
+        d = build_series(traj)
         ok &= not np.any(d.violation_flags["blowup"]) and traj.blowup is None
         ok &= min(float(np.min(s.rho)) for s in traj.snapshots) > 0.5
         if d.monitors_available["vacuum"]:
@@ -186,7 +187,7 @@ def test_criterion_08_lagrangian_mass_identity():
         cfg = replace(base, n_cells=n, solver=SolverConfig(t_end=0.5, output_cadence=0.05))
         state, _, _ = build_initial(cfg)
         g = cfg.grid()
-        traj = run(state, cfg.solver, g, p, build_diagnostics=False)
+        traj = run(state, cfg.solver, g, p)
         flow = integrate_flow(TrajectorySampler(traj), g)
         ok &= bool(all(np.all(j > 0.0) for j in flow.jacobian))
         err = max(
@@ -208,9 +209,9 @@ def test_criterion_09_cross_formulation_agreement():
         cfg = replace(base, n_cells=n, solver=SolverConfig(t_end=0.5, output_cadence=0.25))
         state, _, _ = build_initial(cfg)
         g = cfg.grid()
-        fp = run(state, cfg.solver, g, p, build_diagnostics=False).snapshots[-1]
+        fp = run(state, cfg.solver, g, p).snapshots[-1]
         fe = run(
-            state, replace(cfg.solver, formulation="effective"), g, p, build_diagnostics=False
+            state, replace(cfg.solver, formulation="effective"), g, p
         ).snapshots[-1]
         lag = run_lagrangian(state, cfg.solver, g, p)
         fl = lag.eulerian_state(len(lag.times) - 1)
@@ -274,7 +275,7 @@ def test_criterion_11_twin_run_stability():
 
 def test_criterion_12_constantin_sign_persistence(scenario_runs):
     cfg, traj = scenario_runs["constantin"]
-    d = traj.diagnostics
+    d = build_series(traj)
     assert cfg.model.alpha == 1.5 and cfg.model.gamma == 2.0
     ok = d.monitors_available["w1_sign"] and not np.any(d.violation_flags["w1_sign"])
     w1_worst = float(np.max(d.w1_max))

@@ -39,7 +39,7 @@ def test_build_series_evaluates_each_snapshot_once(monkeypatch):
 
     cfg = regression_scenarios(n_cells=129)["smooth_bump"]
     s, _, _ = build_initial(cfg)
-    traj = run(s, cfg.solver, cfg.grid(), cfg.model, build_diagnostics=False)
+    traj = run(s, cfg.solver, cfg.grid(), cfg.model)
     calls = []
     real = nsdv.diagnostics.compute_effective_fields
 
@@ -71,7 +71,7 @@ class TestEnergy:
         for name, cfg in regression_scenarios(n_cells=257).items():
             s, _, _ = build_initial(cfg)
             traj = run(s, cfg.solver, cfg.grid(), cfg.model)
-            d = traj.diagnostics
+            d = build_series(traj)
             assert not np.any(d.violation_flags["energy"]), name
             assert not np.any(d.violation_flags["bd"]), name
 
@@ -79,7 +79,7 @@ class TestEnergy:
         cfg = regression_scenarios(n_cells=257)["smooth_bump"]
         s, _, _ = build_initial(cfg)
         traj = run(s, cfg.solver, cfg.grid(), cfg.model)
-        d = traj.diagnostics
+        d = build_series(traj)
         total = d.energy + d.energy_diss_accum
         slack = 1e-3 * d.energy[0] + d.tolerance * np.diff(d.times)
         assert np.all(np.diff(total) <= slack)
@@ -88,7 +88,7 @@ class TestEnergy:
         cfg = regression_scenarios(n_cells=257)["smooth_bump"]
         s, _, _ = build_initial(cfg)
         traj = run(s, cfg.solver, cfg.grid(), cfg.model)
-        d = traj.diagnostics
+        d = build_series(traj)
         assert np.max(d.bd_entropy) <= 1.05 * d.bd_entropy[0] + d.bd_diss_accum[-1]
 
 
@@ -124,7 +124,7 @@ class TestHoff:
         for n in (513, 1025):
             cfg = replace(base, n_cells=n)
             s, _, _ = build_initial(cfg)
-            traj = run(s, cfg.solver, cfg.grid(), cfg.model, build_diagnostics=False)
+            traj = run(s, cfg.solver, cfg.grid(), cfg.model)
             series = build_series(traj)
             sups[n] = (np.max(series.hoff_A), np.max(series.hoff_B))
         assert abs(sups[513][0] - sups[1025][0]) <= 0.05 * sups[1025][0]
@@ -178,7 +178,7 @@ class TestOleinik:
         cfg = regression_scenarios(n_cells=257)["steepening"]
         s, _, _ = build_initial(cfg)
         g, p = cfg.grid(), cfg.model
-        traj = run(s, cfg.solver, g, p, build_diagnostics=False)
+        traj = run(s, cfg.solver, g, p)
         series = build_series(traj)
         assert np.all(~series.violation_flags["oleinik"])
         from nsdv.effective import effective_velocity
@@ -211,7 +211,7 @@ class TestVacuum:
     def test_rarefaction_below_comparison(self):
         cfg = regression_scenarios(n_cells=257)["rarefaction"]
         s, _, _ = build_initial(cfg)
-        traj = run(s, cfg.solver, cfg.grid(), cfg.model, build_diagnostics=False)
+        traj = run(s, cfg.solver, cfg.grid(), cfg.model)
         series = build_series(traj)
         assert series.monitors_available["vacuum"]
         assert np.all(~series.violation_flags["vacuum"])
@@ -245,7 +245,7 @@ class TestSeries:
         cfg = regression_scenarios(n_cells=257)["rarefaction"]
         s, _, _ = build_initial(cfg)
         traj = run(s, cfg.solver, cfg.grid(), cfg.model)
-        d = traj.diagnostics
+        d = build_series(traj)
         for k, snap in enumerate(traj.snapshots):
             assert d.inv_rho_max[k] * float(np.min(snap.rho)) == pytest.approx(1.0, rel=1e-14)
 
@@ -253,7 +253,7 @@ class TestSeries:
         cfg = regression_scenarios(n_cells=129)["smooth_bump"]
         s, _, _ = build_initial(cfg)
         traj = run(s, cfg.solver, cfg.grid(), cfg.model)
-        d = traj.diagnostics
+        d = build_series(traj)
         assert set(d.violation_flags) == set(FLAG_ORDER)
         bits = d.flag_bits(0)
         assert len(bits) == len(FLAG_ORDER) and set(bits) <= {"0", "1"}
@@ -263,7 +263,7 @@ class TestSeries:
         cfg = regression_scenarios(n_cells=129)["smooth_bump"]
         s, _, _ = build_initial(cfg)
         traj = run(s, cfg.solver, cfg.grid(), cfg.model)
-        d = traj.diagnostics
+        d = build_series(traj)
         n = len(d.times)
         for name in (
             "energy",
@@ -287,7 +287,7 @@ class TestSeries:
             p = mp(alpha, gamma)
             s = FluidState(time=0.0, rho=np.ones(129), u=np.zeros(129))
             traj = run(s, SolverConfig(t_end=0.2, output_cadence=0.1), g, p)
-            np.testing.assert_allclose(traj.diagnostics.y_max, f2(1.0, p), atol=1e-12)
+            np.testing.assert_allclose(build_series(traj).y_max, f2(1.0, p), atol=1e-12)
 
 
 class TestMonitorsFire:
@@ -343,7 +343,7 @@ class TestMonitorsFire:
         s, _, _ = build_initial(cfg)
         assert constantin_condition_holds(s, cfg.grid(), cfg.model)
         traj = run(s, cfg.solver, cfg.grid(), cfg.model)
-        d = traj.diagnostics
+        d = build_series(traj)
         assert d.monitors_available["w1_sign"]
         assert bool(d.violation_flags["w1_sign"][0])
 
@@ -370,7 +370,7 @@ class TestConstantinCondition:
         cfg = regression_scenarios(n_cells=257)["constantin"]
         s, _, _ = build_initial(cfg)
         traj = run(s, cfg.solver, cfg.grid(), cfg.model)
-        d = traj.diagnostics
+        d = build_series(traj)
         assert d.monitors_available["w1_sign"]
         assert not np.any(d.violation_flags["w1_sign"])
         assert np.max(d.w1_max) <= d.tolerance

@@ -175,7 +175,7 @@ class TestYResidual:
             )
             state, _, _ = build_initial(cfg)
             g, p = cfg.grid(), cfg.model
-            traj = nsdv.run(state, cfg.solver, g, p, build_diagnostics=False)
+            traj = nsdv.run(state, cfg.solver, g, p)
             r = max(
                 y_residual(
                     traj.snapshots[k - 1], traj.snapshots[k], traj.snapshots[k + 1], g, p

@@ -5,6 +5,7 @@ import pytest
 from dataclasses import replace
 
 import nsdv
+from nsdv.diagnostics import build_series
 from nsdv.errors import InputError, NumericalFailure, VacuumBlowup
 from nsdv.eulerian import (
     SolverConfig,
@@ -144,7 +145,7 @@ class TestFailures:
         )
         s, _, _ = build_initial(cfg0)
         with pytest.raises(NumericalFailure) as err:
-            run(s, solver, g, cfg0.model, build_diagnostics=False)
+            run(s, solver, g, cfg0.model)
         assert err.value.time is not None and err.value.time < 1.0
 
     def test_vacuum_floor_step(self):
@@ -204,7 +205,7 @@ class TestFailures:
         assert traj.blowup is not None
         assert 0.0 < traj.blowup.time < 3.0
         assert traj.snapshots[-1].time < 3.0
-        assert traj.diagnostics.violation_flags["blowup"][-1]
+        assert build_series(traj).violation_flags["blowup"][-1]
 
 
 class TestRun:
@@ -220,7 +221,7 @@ class TestRun:
     def test_smooth_bump_completes(self):
         cfg = regression_scenarios(n_cells=257)["smooth_bump"]
         s, _, _ = build_initial(cfg)
-        traj = run(s, cfg.solver, cfg.grid(), cfg.model, build_diagnostics=False)
+        traj = run(s, cfg.solver, cfg.grid(), cfg.model)
         assert traj.blowup is None
         assert traj.snapshots[-1].time == pytest.approx(1.0, rel=1e-9)
         assert min(float(np.min(x.rho)) for x in traj.snapshots) > 0.5
@@ -230,7 +231,7 @@ class TestRun:
         # change that shifts the trajectory shows up here first
         cfg = regression_scenarios(n_cells=257)["smooth_bump"]
         s, _, _ = build_initial(cfg)
-        d = run(s, cfg.solver, cfg.grid(), cfg.model).diagnostics
+        d = build_series(run(s, cfg.solver, cfg.grid(), cfg.model))
         assert d.energy[0] == pytest.approx(0.01253314137315496, rel=1e-7)
         assert d.energy[-1] == pytest.approx(0.008584515146887312, rel=1e-7)
         assert d.energy_diss_accum[-1] == pytest.approx(0.004087160209556596, rel=1e-7)
@@ -288,7 +289,7 @@ class TestRun:
     def test_boundary_reset_every_snapshot(self):
         cfg = regression_scenarios(n_cells=129)["rarefaction"]
         s, _, _ = build_initial(cfg)
-        traj = run(s, cfg.solver, cfg.grid(), cfg.model, build_diagnostics=False)
+        traj = run(s, cfg.solver, cfg.grid(), cfg.model)
         for snap in traj.snapshots:
             assert snap.rho[0] == 1.0 and snap.rho[-1] == 1.0
             assert snap.u[0] == 0.0 and snap.u[-1] == 0.0
@@ -304,13 +305,13 @@ class TestRun:
         p = base.model
         ref_cfg = replace(base, n_cells=1025, solver=SolverConfig(t_end=0.25, output_cadence=0.25))
         sref, _, _ = build_initial(ref_cfg)
-        ref = run(sref, ref_cfg.solver, ref_cfg.grid(), p, build_diagnostics=False).snapshots[-1]
+        ref = run(sref, ref_cfg.solver, ref_cfg.grid(), p).snapshots[-1]
         errs = {}
         for n in (129, 257):
             cfg = replace(base, n_cells=n, solver=ref_cfg.solver)
             s0, _, _ = build_initial(cfg)
             g = cfg.grid()
-            fin = run(s0, cfg.solver, g, p, build_diagnostics=False).snapshots[-1]
+            fin = run(s0, cfg.solver, g, p).snapshots[-1]
             stride = 1024 // (n - 1)
             err = np.sqrt(np.sum((fin.rho - ref.rho[::stride]) ** 2) * g.dx) + np.sqrt(
                 np.sum((fin.u - ref.u[::stride]) ** 2) * g.dx
@@ -324,9 +325,9 @@ class TestRun:
         s, _, _ = build_initial(cfg)
         g, p = cfg.grid(), cfg.model
         sol = SolverConfig(t_end=0.5, output_cadence=0.5)
-        fp = run(s, sol, g, p, build_diagnostics=False).snapshots[-1]
+        fp = run(s, sol, g, p).snapshots[-1]
         fe = run(
-            s, replace(sol, formulation="effective"), g, p, build_diagnostics=False
+            s, replace(sol, formulation="effective"), g, p
         ).snapshots[-1]
         dist = np.sqrt(np.sum((fp.rho - fe.rho) ** 2) * g.dx) + np.sqrt(
             np.sum((fp.u - fe.u) ** 2) * g.dx

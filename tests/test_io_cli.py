@@ -55,6 +55,19 @@ def assert_writers_reaped(processes):
     assert all(p.returncode is not None for p in writers)
 
 
+# A snapshot writer child that reads its first message, then reports a failure.
+FAILING_CHILD = (
+    "import pickle, sys; pickle.load(sys.stdin.buffer); "
+    "pickle.dump((OSError('planted'), 'planted traceback'), sys.stdout.buffer)"
+)
+
+
+def entries(root):
+    """Every path under root, hidden ones included: file bytes, None for a directory."""
+    return {p.relative_to(root): None if p.is_dir() else p.read_bytes()
+            for p in sorted(root.rglob("*"))}
+
+
 def small_cfg(**solver_kw):
     solver_kw = {"t_end": 0.2, "output_cadence": 0.1, **solver_kw}
     solver = SolverConfig(**solver_kw)
@@ -90,7 +103,6 @@ class TestConfigRoundTrip:
                 n_cells=65,
                 solver=SolverConfig(t_end=1.0, output_cadence=0.5),
                 initial=init,
-                seed=3,
             )
             assert io.parse_config(io.serialize_config(cfg)) == cfg
 
@@ -206,6 +218,16 @@ class TestOutputs:
         assert not list(tmp_path.iterdir())  # staging removed, no run directory
         assert_writers_reaped(started)
 
+    def test_orphaned_writer_removes_its_stage(self, tmp_path):
+        cfg = small_cfg()
+        state, _, _ = build_initial(cfg)
+        with io.RunWriter(tmp_path, cfg) as writer:
+            writer.record(state)
+            # what the child sees when the command is killed outright
+            writer._child.stdin.close()
+            assert writer._child.wait(timeout=120) == 0
+            assert not list(tmp_path.iterdir())
+
     def test_config_hash_distinguishes(self):
         a = small_cfg()
         b = small_cfg(cfl_number=0.3)
@@ -299,10 +321,9 @@ class TestCLI:
         assert not list(out.iterdir())  # no run directory, no staging directory
         assert_writers_reaped(started)
 
-    def test_snapshot_writer_failure_surfaces(self, tmp_path, started):
+    def test_snapshot_writer_failure_surfaces(self, tmp_path, started, monkeypatch):
+        monkeypatch.setattr(io, "_CHILD", FAILING_CHILD)
         path = CONFIG_DIR / "equilibrium.cfg"
-        blocked = tmp_path / f"run-{io.config_hash(io.load_config(path))}" / "snapshots"
-        (blocked / "snap_00001.csv").mkdir(parents=True)
         outcome = []
 
         def command():
@@ -316,8 +337,42 @@ class TestCLI:
         thread.join(timeout=120)
         assert not thread.is_alive(), "command hung on a failed snapshot writer"
         (result,) = outcome
-        assert isinstance(result, IsADirectoryError) or result not in (0, None), result
+        assert isinstance(result, OSError) and str(result) == "planted", result
+        assert not list(tmp_path.iterdir())
         assert_writers_reaped(started)
+
+    RUN_EQUILIBRIUM = ["run", "--config", str(CONFIG_DIR / "equilibrium.cfg"), "--cadence", "0.25"]
+
+    def test_rerun_replaces_the_run_directory_whole(self, tmp_path):
+        assert main([*self.RUN_EQUILIBRIUM, "--out", str(tmp_path / "fresh")]) == 0
+        (run_dir,) = (tmp_path / "fresh").iterdir()
+        stray = tmp_path / "rerun" / run_dir.name / "snapshots" / "snap_00001.csv"
+        stray.mkdir(parents=True)
+        assert main([*self.RUN_EQUILIBRIUM, "--out", str(tmp_path / "rerun")]) == 0
+        assert entries(tmp_path / "rerun") == entries(tmp_path / "fresh")
+
+    def test_failed_rerun_leaves_the_old_tree(self, tmp_path, monkeypatch):
+        assert main([*self.RUN_EQUILIBRIUM, "--out", str(tmp_path)]) == 0
+        before = entries(tmp_path)
+        monkeypatch.setattr(io, "_CHILD", FAILING_CHILD)
+        with pytest.raises(OSError, match="planted"):
+            main([*self.RUN_EQUILIBRIUM, "--out", str(tmp_path)])
+        assert entries(tmp_path) == before
+
+    def test_failed_swap_restores_the_old_tree(self, tmp_path, monkeypatch):
+        assert main([*self.RUN_EQUILIBRIUM, "--out", str(tmp_path)]) == 0
+        before = entries(tmp_path)
+        real_replace = os.replace
+
+        def replace_but_the_new_tree(src, dst):
+            if Path(src).name == "run":  # the staged tree, RunWriter's second move
+                raise OSError("planted")
+            real_replace(src, dst)
+
+        monkeypatch.setattr(io.os, "replace", replace_but_the_new_tree)
+        with pytest.raises(OSError, match="planted"):
+            main([*self.RUN_EQUILIBRIUM, "--out", str(tmp_path)])
+        assert entries(tmp_path) == before
 
     @pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="needs /proc")
     def test_no_process_outlives_the_command(self, tmp_path):
@@ -386,7 +441,8 @@ class TestCLI:
         "old, new, message",
         [
             ("cfl_number = 0.4", "cfl_numbr = 0.4", "unknown config key 'cfl_numbr'"),
-            ("[run]", "[runs]", "unknown config section [runs]"),
+            ("kind = equilibrium", "kind = equilibrium\n\n[run]\nseed = 0",
+             "unknown config section [run]"),
             ("t_end = 1.0", "t_end = inf", "t_end must be positive and finite"),
             ("cfl_number = 0.4", "cfl_number = 0.4\ncfl_number = 0.2", "set twice"),
         ],
@@ -448,7 +504,6 @@ def test_mms_convergence_matches_run_reference():
             initial, cfg, grid, p,
             forcing=lambda t: manufactured_source("manufactured-1", t, grid, p),
             exact_boundary=lambda t: manufactured_boundary("manufactured-1", t, grid, p),
-            build_diagnostics=False,
         )
         final = traj.snapshots[-1]
         rho_ex, u_ex = manufactured_exact("manufactured-1", final.time, grid, p)
@@ -460,6 +515,22 @@ def test_mms_convergence_matches_run_reference():
         ref.append([n, grid.dx, dt, err, order])
     keys = ("n", "dx", "dt", "err", "order")
     np.testing.assert_array_equal([[r[k] for k in keys] for r in rows], ref)
+
+
+def test_mms_convergence_zero_error_has_nan_order():
+    rows = mms_convergence("manufactured-zero", 2, base_n=9, t_end=0.01)
+    assert [r["err"] for r in rows] == [0.0, 0.0]
+    assert all(np.isnan(r["order"]) for r in rows)
+
+
+def test_convergence_zero_error_exits_0(tmp_path, capsys):
+    code = main(["convergence", "--id", "manufactured-zero", "--levels", "2",
+                 "--out", str(tmp_path)])
+    assert code == 0
+    assert "nan" in capsys.readouterr().out
+    table = (tmp_path / "convergence-manufactured-zero.dat").read_text(encoding="ascii")
+    rows = [line.split() for line in table.splitlines() if not line.startswith("#")]
+    assert [(r[3], r[4]) for r in rows] == [("0.0", "nan"), ("0.0", "nan")]
 
 
 def blow_up_at(monkeypatch, n_cells):

@@ -82,7 +82,7 @@ class TestIntegrateFlow:
         cfg = regression_scenarios(n_cells=257)["smooth_bump"]
         s, _, _ = build_initial(cfg)
         g, p = cfg.grid(), cfg.model
-        traj = run(s, SolverConfig(t_end=0.5, output_cadence=0.05), g, p, build_diagnostics=False)
+        traj = run(s, SolverConfig(t_end=0.5, output_cadence=0.05), g, p)
         flow = integrate_flow(TrajectorySampler(traj), g)
         assert flow.max_jacobian_discrepancy() <= 1e-4
         for k in range(len(flow.times)):
@@ -218,7 +218,7 @@ class TestStepLagrangian:
         s, _, _ = build_initial(cfg)
         g, p = cfg.grid(), cfg.model
         sol = SolverConfig(t_end=0.5, output_cadence=0.25)
-        fp = run(s, sol, g, p, build_diagnostics=False).snapshots[-1]
+        fp = run(s, sol, g, p).snapshots[-1]
         lag = run_lagrangian(s, sol, g, p)
         fl = lag.eulerian_state(len(lag.times) - 1)
         dist = np.sqrt(np.sum((fp.rho - fl.rho) ** 2) * g.dx) + np.sqrt(
@@ -254,7 +254,7 @@ class TestVDecay:
         cfg = regression_scenarios(n_cells=257)["smooth_bump"]
         s, v0, _ = build_initial(cfg)
         g, p = cfg.grid(), cfg.model
-        traj = run(s, SolverConfig(t_end=0.5, output_cadence=0.05), g, p, build_diagnostics=False)
+        traj = run(s, SolverConfig(t_end=0.5, output_cadence=0.05), g, p)
         rep = v_lagrangian_decay(traj, v0)
         assert np.all(np.isfinite(rep.envelope))
         assert np.all(np.diff(rep.envelope) >= 0.0)  # running max by construction

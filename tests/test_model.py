@@ -178,8 +178,9 @@ class TestParams:
             ModelParams(alpha=0.75, gamma=2.0, half_length=0.0)
 
     def test_farfield_pinned(self):
-        with pytest.raises(InputError):
-            ModelParams(alpha=0.75, gamma=2.0, half_length=1.0, farfield_density=2.0)
+        # a fourth value was the far-field density, a field no longer
+        with pytest.raises(TypeError):
+            ModelParams(0.75, 2.0, 1.0, 2.0)
 
     def test_log_branch_flag(self):
         assert mp(1.0, 2.0).log_branch
