@@ -131,6 +131,8 @@ def mms_convergence(
     Returns a list of row dicts (n, dx, dt, err, order); the order is NaN on
     the first level and wherever an error is zero.  A VacuumBlowup at any
     level is raised."""
+    if levels < 1:
+        raise InputError(f"levels must be at least 1, got {levels}")
     p = ModelParams(alpha=alpha, gamma=gamma, half_length=half_length)
     rows = []
     for lvl in range(levels):

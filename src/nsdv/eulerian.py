@@ -32,7 +32,7 @@ from . import diagnostics, model
 from .effective import effective_velocity
 from .errors import InputError, NumericalFailure, VacuumBlowup
 from .model import FARFIELD, RHO_FLOOR, FluidState, Grid1D, ModelParams
-from .stencils import ddx, ddx_upwind, solve_tridiagonal
+from .stencils import ddx, ddx_upwind, solve_diffusion
 
 @dataclass(frozen=True)
 class SolverConfig:
@@ -189,16 +189,7 @@ def step_primitive(
         u_new = mom_star / rho_new
     else:
         # rho_new*u_new - dt*d/dx(mu du_new/dx) = mom_star, Dirichlet ends
-        r = dt / dx**2
-        diag = np.ones(grid.n_cells)
-        lower = np.zeros(grid.n_cells)
-        upper = np.zeros(grid.n_cells)
-        rhs = mom_star.copy()
-        diag[1:-1] = rho_new[1:-1] + r * (mu_ifc[1:] + mu_ifc[:-1])
-        lower[1:-1] = -r * mu_ifc[:-1]
-        upper[1:-1] = -r * mu_ifc[1:]
-        rhs[0], rhs[-1] = u_bl, u_br
-        u_new = solve_tridiagonal(lower, diag, upper, rhs)
+        u_new = solve_diffusion(rho_new, mu_ifc, dt / dx**2, mom_star, u_bl, u_br)
 
     u_new[0], u_new[-1] = u_bl, u_br
     _check_finite(u_new, t_new)

@@ -276,12 +276,6 @@ def build_initial(cfg: ScenarioConfig):
     return state, v0, oleinik_c
 
 
-def validate_config(cfg: ScenarioConfig) -> None:
-    """Full validation: constructs the initial data and checks the hypotheses
-    the monitored estimates assume."""
-    build_initial(cfg)
-
-
 def regression_scenarios(n_cells: int = 1024) -> dict:
     """The four pinned regression scenarios the acceptance suite monitors.
 

@@ -23,16 +23,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import model
-from .errors import (
-    DomainExitError,
-    HomeomorphismError,
-    InputError,
-    NumericalFailure,
-    VacuumBlowup,
-)
-from .eulerian import drive
-from .model import RHO_FLOOR, FluidState, Grid1D, ModelParams
-from .stencils import ddx, solve_tridiagonal
+from .errors import DomainExitError, HomeomorphismError, InputError
+from .eulerian import _check_density, _check_finite, drive
+from .model import FluidState, Grid1D, ModelParams
+from .stencils import ddx, solve_diffusion
 
 
 @dataclass(frozen=True)
@@ -201,41 +195,25 @@ def step_lagrangian(
 
     u advances through a tridiagonal solve with diffusion coefficient
     rho_lag*mu(rho_lag)/rho0, the Jacobian through d(dX/dx)/dt = du/dx, and
-    the density is recomputed from the mass identity.
+    the density is recomputed from the mass identity.  The new state passes
+    the same density and finite checks as an Eulerian step.
     """
     if np.any(jac <= 0.0):
         raise HomeomorphismError(f"non-positive Jacobian entering step at t={time:.6g}")
-    dx = grid.dx
     w = rho_lag * model.viscosity(rho_lag, p) / rho0
     w_ifc = 0.5 * (w[:-1] + w[1:])
     dpdx = ddx(model.pressure(rho_lag, p), grid)
-
-    r = dt / dx**2
-    n = grid.n_cells
-    diag = np.ones(n)
-    lower = np.zeros(n)
-    upper = np.zeros(n)
     rhs = rho0 * u_lag - dt * dpdx
-    rhs[0] = rhs[-1] = 0.0
-    diag[1:-1] = rho0[1:-1] + r * (w_ifc[1:] + w_ifc[:-1])
-    lower[1:-1] = -r * w_ifc[:-1]
-    upper[1:-1] = -r * w_ifc[1:]
-    u_new = solve_tridiagonal(lower, diag, upper, rhs)
-    u_new[0] = u_new[-1] = 0.0
+    far = model.FARFIELD[1]
+    u_new = solve_diffusion(rho0, w_ifc, dt / grid.dx**2, rhs, far, far)
 
+    t_new = time + dt
     jac_new = jac + dt * ddx(u_new, grid)
     if np.any(jac_new <= 0.0):
-        raise HomeomorphismError(f"Jacobian lost positivity at t={time + dt:.6g}")
+        raise HomeomorphismError(f"Jacobian lost positivity at t={t_new:.6g}")
     rho_new = rho0 / jac_new
-
-    bad = rho_new <= RHO_FLOOR
-    if np.any(bad):
-        node = int(np.argmax(bad))
-        raise VacuumBlowup(
-            f"Lagrangian density hit the floor at node {node}", time=time + dt, node=node
-        )
-    if not np.all(np.isfinite(u_new)):
-        raise NumericalFailure("non-finite Lagrangian velocity", time=time + dt)
+    _check_density(rho_new, t_new)
+    _check_finite(u_new, t_new)
     return rho_new, u_new, jac_new
 
 

@@ -1,4 +1,4 @@
-"""Finite-difference stencils and the banded solve used by the implicit steppers.
+"""Finite-difference stencils and the implicit diffusion solve both frames share.
 
 Central second order in the interior, one-sided second order at the ends
 (exact for quadratics everywhere).  The upwind variant biases the stencil by
@@ -73,4 +73,26 @@ def solve_tridiagonal(lower, diag, upper, rhs) -> np.ndarray:
     *_, x, info = lapack.dgtsv(*bands)
     if info != 0:
         raise NumericalFailure(f"singular tridiagonal system (gtsv info {info})")
+    return x
+
+
+def solve_diffusion(a, w_ifc, r, rhs, left, right) -> np.ndarray:
+    """Solve a*x - r*D(w_ifc*D x) = rhs on the interior nodes, x = left, right
+    at the two ends.
+
+    D is the undivided difference and w_ifc the coefficient at the n-1
+    interfaces; a and rhs are nodal (their end values are not used).  This is
+    the implicit half of the momentum diffusion d/dx(mu du/dx) in both frames.
+    """
+    n = len(a)
+    diag = np.ones(n)
+    lower = np.zeros(n)
+    upper = np.zeros(n)
+    diag[1:-1] = a[1:-1] + r * (w_ifc[1:] + w_ifc[:-1])
+    lower[1:-1] = -r * w_ifc[:-1]
+    upper[1:-1] = -r * w_ifc[1:]
+    rhs = np.array(rhs, dtype=float)
+    rhs[0], rhs[-1] = left, right
+    x = solve_tridiagonal(lower, diag, upper, rhs)
+    x[0], x[-1] = left, right
     return x

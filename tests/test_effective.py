@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 from dataclasses import replace
 
-import nsdv
 from conftest import smooth_state
 from nsdv.effective import (
     compute_effective_fields,
@@ -15,7 +14,7 @@ from nsdv.effective import (
     y_residual,
 )
 from nsdv.errors import InputError
-from nsdv.eulerian import SolverConfig, step_primitive
+from nsdv.eulerian import SolverConfig, run, step_primitive
 from nsdv.initdata import build_initial, manufactured_exact, regression_scenarios
 from nsdv.model import FluidState, Grid1D, ModelParams, f2, phi, viscosity
 from nsdv.stencils import ddx
@@ -175,7 +174,7 @@ class TestYResidual:
             )
             state, _, _ = build_initial(cfg)
             g, p = cfg.grid(), cfg.model
-            traj = nsdv.run(state, cfg.solver, g, p)
+            traj = run(state, cfg.solver, g, p)
             r = max(
                 y_residual(
                     traj.snapshots[k - 1], traj.snapshots[k], traj.snapshots[k + 1], g, p

@@ -16,7 +16,6 @@ from nsdv.initdata import (
     manufactured_source,
     mollify,
     regression_scenarios,
-    validate_config,
 )
 from nsdv import initdata
 from nsdv.model import Grid1D, ModelParams, phi
@@ -135,7 +134,7 @@ class TestBuildInitial:
 
     def test_regression_scenarios_validate(self):
         for cfg in regression_scenarios(n_cells=257).values():
-            validate_config(cfg)
+            build_initial(cfg)
 
 
 class TestInitialDataValidation:

@@ -12,7 +12,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import nsdv
 import nsdv.cli
 from nsdv import io
 from nsdv.cli import main, mms_convergence
@@ -281,7 +280,7 @@ class TestCLI:
 
     def test_unstable_dt_exits_3(self, tmp_path):
         cfg = small_cfg(t_end=2.0, output_cadence=1.0, diffusion_treatment="explicit",
-                        dt_override=float(nsdv.Grid1D(129, 10.0).dx))
+                        dt_override=float(Grid1D(129, 10.0).dx))
         path = tmp_path / "unstable.cfg"
         io.save_config(cfg, path)
         assert main(["run", "--config", str(path), "--out", str(tmp_path)]) == 3
@@ -307,7 +306,7 @@ class TestCLI:
     def test_failed_run_leaves_no_run_directory(self, tmp_path, failure, started):
         if failure == "unstable-dt-exit-3":
             cfg = small_cfg(t_end=2.0, output_cadence=1.0, diffusion_treatment="explicit",
-                            dt_override=float(nsdv.Grid1D(129, 10.0).dx))
+                            dt_override=float(Grid1D(129, 10.0).dx))
             code = 3
         else:
             cfg = replace(small_cfg(), initial=InitialData(kind="smooth_bump", amplitude=-1.5,
@@ -531,6 +530,25 @@ def test_convergence_zero_error_exits_0(tmp_path, capsys):
     table = (tmp_path / "convergence-manufactured-zero.dat").read_text(encoding="ascii")
     rows = [line.split() for line in table.splitlines() if not line.startswith("#")]
     assert [(r[3], r[4]) for r in rows] == [("0.0", "nan"), ("0.0", "nan")]
+
+
+@pytest.mark.parametrize("levels", ["0", "-1"])
+def test_convergence_without_levels_exits_2(tmp_path, capsys, levels):
+    code = main(["convergence", "--levels", levels, "--out", str(tmp_path)])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert "levels must be at least 1" in captured.err
+    assert captured.out == ""
+    assert not list(tmp_path.iterdir())
+
+
+def test_package_import_loads_no_submodule():
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))}
+    code = "import sys, nsdv; print(sorted(m for m in sys.modules if m.startswith('nsdv.')))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=60).stdout
+    assert out.strip() == "[]"
 
 
 def blow_up_at(monkeypatch, n_cells):

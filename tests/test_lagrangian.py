@@ -3,8 +3,7 @@
 import numpy as np
 import pytest
 
-import nsdv
-from nsdv.errors import DomainExitError, HomeomorphismError
+from nsdv.errors import DomainExitError, HomeomorphismError, InputError, VacuumBlowup
 from nsdv.eulerian import SolverConfig, Trajectory, run
 from nsdv.initdata import build_initial, regression_scenarios
 from nsdv.lagrangian import (
@@ -18,7 +17,7 @@ from nsdv.lagrangian import (
     to_lagrangian,
     v_lagrangian_decay,
 )
-from nsdv.model import FluidState, Grid1D, ModelParams
+from nsdv.model import RHO_FLOOR, FluidState, Grid1D, ModelParams
 
 
 def mp(alpha, gamma, L=8.0):
@@ -130,7 +129,7 @@ class TestTransport:
     def test_unknown_time_rejected(self):
         g = Grid1D(65, 2.0)
         flow = _sine_flow(g)
-        with pytest.raises(nsdv.InputError):
+        with pytest.raises(InputError):
             to_lagrangian(np.ones(65), flow, 0.123456)
 
     def test_non_monotone_map_rejected(self):
@@ -183,6 +182,18 @@ class TestStepLagrangian:
         assert np.max(np.abs(rho - 1.0)) <= 1e-12
         assert np.max(np.abs(u)) <= 1e-12
         assert np.max(np.abs(jac - 1.0)) <= 1e-12
+
+    def test_density_at_floor_is_vacuum_blowup(self):
+        # one particle carries near-vacuum mass: the mass identity keeps its
+        # density at the floor, reported with its node and the step's end time
+        g = Grid1D(65, 4.0)
+        rho0 = np.ones(65)
+        rho0[40] = 0.5 * RHO_FLOOR
+        with pytest.raises(VacuumBlowup) as err:
+            step_lagrangian(rho0.copy(), np.zeros(65), np.ones(65), 1e-3, rho0, g,
+                            mp(0.75, 2.0, L=4.0), time=0.25)
+        assert err.value.node == 40
+        assert err.value.time == 0.25 + 1e-3
 
     def test_mass_identity_exact_by_construction(self):
         cfg = regression_scenarios(n_cells=257)["smooth_bump"]

@@ -6,7 +6,7 @@ import scipy.linalg
 
 from nsdv.errors import NumericalFailure, ShapeError
 from nsdv.model import Grid1D
-from nsdv.stencils import ddx, ddx_upwind, solve_tridiagonal
+from nsdv.stencils import ddx, ddx_upwind, solve_diffusion, solve_tridiagonal
 
 
 def test_constant_field_zero_derivative():
@@ -109,3 +109,22 @@ def test_tridiagonal_bitwise_equal_to_solve_banded(n):
 def test_tridiagonal_failures_are_numerical(diag, rhs):
     with pytest.raises(NumericalFailure):
         solve_tridiagonal(np.zeros(4), diag, np.zeros(4), rhs)
+
+
+def test_diffusion_matches_dense():
+    rng = np.random.default_rng(7)
+    n = 40
+    a = rng.uniform(0.5, 2.0, n)
+    w_ifc = rng.uniform(0.1, 1.0, n - 1)
+    rhs = rng.standard_normal(n)
+    rhs_in = rhs.copy()
+    r, left, right = 0.7, 0.3, -1.2
+    d = np.diff(np.eye(n), axis=0)  # (D x)_j = x_{j+1} - x_j
+    m = np.diag(a) + r * d.T @ np.diag(w_ifc) @ d
+    m[[0, -1]] = np.eye(n)[[0, -1]]
+    b = rhs.copy()
+    b[0], b[-1] = left, right
+    x = solve_diffusion(a, w_ifc, r, rhs, left, right)
+    np.testing.assert_allclose(x, np.linalg.solve(m, b), rtol=1e-12, atol=1e-14)
+    assert (x[0], x[-1]) == (left, right)
+    np.testing.assert_array_equal(rhs, rhs_in)
