@@ -68,19 +68,7 @@ def _run_with_outputs(args):
     cfg = _load_scenario(args)
     with io.RunWriter(_out_root(args), cfg) as writer:
         initial, _, _ = build_initial(cfg)
-        grid = cfg.grid()
-        forcing = boundary = None
-        if cfg.initial.kind == "manufactured":
-            mms_id, p = cfg.initial.mms_id, cfg.model
-
-            def forcing(t):
-                return manufactured_source(mms_id, t, grid, p)
-
-            def boundary(t):
-                return manufactured_boundary(mms_id, t, grid, p)
-
-        traj = run(initial, cfg.solver, grid, cfg.model, forcing=forcing,
-                   exact_boundary=boundary, on_snapshot=writer.record)
+        traj = run(initial, cfg.solver, cfg.grid(), cfg.model, on_snapshot=writer.record)
         series = build_series(traj)
         return traj, series, writer.finish(traj, series)
 

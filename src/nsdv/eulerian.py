@@ -63,12 +63,6 @@ class SolverConfig:
             raise InputError("advection_order must be 1 or 2")
 
 
-@dataclass(frozen=True)
-class BlowupInfo:
-    time: float
-    node: int
-
-
 @dataclass
 class Trajectory:
     """Snapshots at the diagnostic cadence plus runner-accumulated dissipation."""
@@ -78,7 +72,7 @@ class Trajectory:
     snapshots: list[FluidState]
     energy_diss_accum: np.ndarray
     bd_diss_accum: np.ndarray
-    blowup: BlowupInfo | None = None
+    blowup: VacuumBlowup | None = None  # the one that ended the run early
 
     @property
     def times(self) -> np.ndarray:
@@ -291,19 +285,15 @@ def run(
     cfg: SolverConfig,
     grid: Grid1D,
     p: ModelParams,
-    forcing=None,
-    exact_boundary=None,
     on_snapshot=None,
 ) -> Trajectory:
     """Integrate to t_end, recording snapshots and dissipation at the cadence.
 
-    `forcing(t) -> (g_rho, g_mom)` adds manufactured sources; `exact_boundary(t)
-    -> ((rhoL, uL), (rhoR, uR))` overrides the far-field Dirichlet values (both
-    used by the manufactured-solution studies).  `on_snapshot(state)`, when
+    The system is unforced, with far-field ends.  `on_snapshot(state)`, when
     given, receives each snapshot as soon as it is recorded (the CLI streams
-    them to its output writer while stepping goes on).  A VacuumBlowup ends the run
-    early and is recorded on the returned partial trajectory; other failures
-    propagate.
+    them to its output writer while stepping goes on).  A VacuumBlowup ends
+    the run early and is recorded on the returned partial trajectory; other
+    failures propagate.
     """
     if initial.n != grid.n_cells:
         raise InputError("initial state does not match the grid")
@@ -311,8 +301,6 @@ def run(
         raise InputError("trajectories start at t=0")
 
     effective = cfg.formulation == "effective"
-    if effective and (forcing is not None or exact_boundary is not None):
-        raise InputError("manufactured sources run on the primitive formulation")
     v = effective_velocity(initial, grid, p) if effective else None
 
     def step(state, t, dt):
@@ -320,11 +308,9 @@ def run(
         if effective:
             rho, v = step_effective(state.rho, v, t, dt, grid, cfg, p)
             return FluidState(time=t + dt, rho=rho, u=recover_velocity(rho, v, grid, p))
-        frc = forcing(t) if forcing is not None else None
-        bc = exact_boundary(t + dt) if exact_boundary is not None else (FARFIELD, FARFIELD)
-        return step_primitive(state, dt, grid, cfg, p, forcing=frc, boundary=bc)
+        return step_primitive(state, dt, grid, cfg, p)
 
-    _, snapshots, (e_diss, bd_diss), exc = drive(
+    _, snapshots, (e_diss, bd_diss), blowup = drive(
         initial,
         cfg,
         lambda state: stable_dt(state, grid, cfg, p),
@@ -341,5 +327,5 @@ def run(
         snapshots=snapshots,
         energy_diss_accum=e_diss,
         bd_diss_accum=bd_diss,
-        blowup=None if exc is None else BlowupInfo(time=exc.time, node=exc.node),
+        blowup=blowup,
     )

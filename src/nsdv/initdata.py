@@ -9,8 +9,9 @@ monitor tracks.
 
 All initial data must sit at the far-field state (1, 0) to within 1e-8 on the
 outer 5% of the domain (the estimates assume rho-1 and u are square
-integrable); manufactured-solution data are exempt since they exist purely to
-exercise the discretization with sources.
+integrable).  The manufactured solutions, with their sources and boundary
+values, are no initial-data kind: they serve the convergence study alone
+(`nsdv convergence`), since a forced run obeys none of the monitored balances.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from .stencils import ddx
 FARFIELD_TOL = 1e-8
 FARFIELD_BAND = 0.05  # fraction of the domain on each side that must be at far field
 
-_KINDS = ("equilibrium", "smooth_bump", "shock_like", "rarefaction", "from_v0", "manufactured")
+_KINDS = ("equilibrium", "smooth_bump", "shock_like", "rarefaction", "from_v0")
 
 
 @dataclass(frozen=True)
@@ -44,7 +45,6 @@ class InitialData:
     steepness: float | None = None
     profile: str | None = None
     mollifier_n: int | None = None
-    mms_id: str | None = None
 
     def __post_init__(self):
         if self.kind not in _KINDS:
@@ -55,7 +55,6 @@ class InitialData:
             "shock_like": ("jump", "steepness"),
             "rarefaction": ("amplitude",),
             "from_v0": ("profile", "mollifier_n"),
-            "manufactured": ("mms_id",),
         }[self.kind]
         for name in need:
             if getattr(self, name) is None:
@@ -228,7 +227,6 @@ def build_initial(cfg: ScenarioConfig):
     grid = cfg.grid()
     x = grid.coords
     init = cfg.initial
-    manufactured = init.kind == "manufactured"
 
     if init.kind == "equilibrium":
         rho = np.ones_like(x)
@@ -242,7 +240,7 @@ def build_initial(cfg: ScenarioConfig):
     elif init.kind == "rarefaction":
         rho = np.ones_like(x)
         u = init.amplitude * np.tanh(2.0 * x) * _envelope(x, p.half_length)
-    elif init.kind == "from_v0":
+    else:  # from_v0
         try:
             rho_raw, v_raw = V0_PROFILES[init.profile](x, p)
         except KeyError:
@@ -252,25 +250,19 @@ def build_initial(cfg: ScenarioConfig):
         rho = 1.0 + mollify(rho_raw - 1.0, init.mollifier_n, grid)
         v0 = mollify(v_raw, init.mollifier_n, grid)
         u = v0 - ddx(model.phi(rho, p), grid)
-    else:  # manufactured
-        rho, u = manufactured_exact(init.mms_id, 0.0, grid, p)
 
-    if not manufactured:
-        rho[0] = rho[-1] = model.FARFIELD[0]
-        u[0] = u[-1] = model.FARFIELD[1]
+    rho[0] = rho[-1] = model.FARFIELD[0]
+    u[0] = u[-1] = model.FARFIELD[1]
 
     state = FluidState(time=0.0, rho=rho, u=u)
     if init.kind != "from_v0":
         v0 = effective_velocity(state, grid, p)
     oleinik_c = float(np.max(np.diff(v0)) / grid.dx)
 
-    if not manufactured:
-        band = np.abs(x) >= (1.0 - FARFIELD_BAND) * p.half_length
-        gap = float(np.max(np.abs(rho[band] - 1.0) + np.abs(u[band])))
-        if gap > FARFIELD_TOL:
-            raise ConfigError(
-                f"initial data not at far field near the boundary (gap {gap:.3e})"
-            )
+    band = np.abs(x) >= (1.0 - FARFIELD_BAND) * p.half_length
+    gap = float(np.max(np.abs(rho[band] - 1.0) + np.abs(u[band])))
+    if gap > FARFIELD_TOL:
+        raise ConfigError(f"initial data not at far field near the boundary (gap {gap:.3e})")
     if not np.isfinite(oleinik_c):
         raise ConfigError("one-sided slope constant of v0 is not finite")
     return state, v0, oleinik_c

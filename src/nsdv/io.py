@@ -101,7 +101,7 @@ _FORMAT = {
     }),
     "initial": (InitialData, {
         "kind": str, "amplitude": float, "width": float, "jump": float, "steepness": float,
-        "profile": str, "mollifier_n": int, "mms_id": str,
+        "profile": str, "mollifier_n": int,
     }),
 }
 
@@ -330,26 +330,33 @@ class RunWriter:
         # mkdtemp makes the stage private; the tree inside it gets the usual
         # permissions, and becomes the run directory
         self._stage = Path(tempfile.mkdtemp(prefix=f".{self.run_dir.name}-", dir=out_dir))
-        self._tree = self._stage / "run"
-        (self._tree / "snapshots").mkdir(parents=True)
-        (self._tree / "plots").mkdir()
-        self._build = build_id()
-        self._footer = footer(self._hash, self._build)
-        package_root = str(Path(__file__).resolve().parent.parent)
-        # Unbuffered pipes: every message is one write of a few hundred bytes
-        # at most, which the pipe takes whole without waiting on the child.
-        self._child = subprocess.Popen(
-            [sys.executable, "-c", _CHILD, package_root],
-            stdin=subprocess.PIPE, stdout=subprocess.PIPE, bufsize=0,
-        )
-        self._send((self._tree, self._cfg, self._footer))
+        self._child = None
+        try:
+            self._tree = self._stage / "run"
+            (self._tree / "snapshots").mkdir(parents=True)
+            (self._tree / "plots").mkdir()
+            self._build = build_id()
+            self._footer = footer(self._hash, self._build)
+            package_root = str(Path(__file__).resolve().parent.parent)
+            # Unbuffered pipes: every message is one write of a few hundred bytes
+            # at most, which the pipe takes whole without waiting on the child.
+            self._child = subprocess.Popen(
+                [sys.executable, "-c", _CHILD, package_root],
+                stdin=subprocess.PIPE, stdout=subprocess.PIPE, bufsize=0,
+            )
+            self._send((self._tree, self._cfg, self._footer))
+        except BaseException:
+            # a raising __enter__ gets no __exit__ call: clean up here
+            self.__exit__()
+            raise
         return self
 
     def __exit__(self, *exc_info) -> None:
-        self._child.kill()  # a no-op once `finish` or a failure has reaped it
-        self._child.wait()
-        self._child.stdin.close()
-        self._child.stdout.close()
+        if self._child is not None:
+            self._child.kill()  # a no-op once `finish` or a failure has reaped it
+            self._child.wait()
+            self._child.stdin.close()
+            self._child.stdout.close()
         shutil.rmtree(self._stage, ignore_errors=True)
 
     def record(self, state) -> None:

@@ -31,7 +31,7 @@ import numpy as np
 
 from . import model
 from .diagnostics import left_integral
-from .errors import NumericalFailure, VacuumBlowup
+from .errors import InputError, NumericalFailure, VacuumBlowup
 from .eulerian import SolverConfig, Trajectory, drive, stable_dt, step_primitive
 from .initdata import ScenarioConfig, build_initial
 from .lagrangian import TrajectorySampler, integrate_flow, to_lagrangian
@@ -96,6 +96,8 @@ def default_perturbation(grid) -> np.ndarray:
 def twin_run_stability(scenario: ScenarioConfig, epsilon: float) -> TwinReport:
     """Run the twin experiment at perturbation size `epsilon` (of u0 only),
     along default_perturbation."""
+    if not np.isfinite(epsilon):
+        raise InputError(f"epsilon must be finite, got {epsilon}")
     p = scenario.model
     grid = scenario.grid()
     cfg = scenario.solver

@@ -251,9 +251,3 @@ class TestManufactured:
         g = Grid1D(65, np.pi)
         with pytest.raises(InputError):
             manufactured_source("manufactured-42", 0.0, g, mp(L=np.pi))
-
-    def test_manufactured_initial_state_skips_farfield_check(self):
-        cfg = scenario(InitialData(kind="manufactured", mms_id="manufactured-1"), L=np.pi)
-        state, _, _ = build_initial(cfg)
-        # cos(pi) = -1 at the boundary: far from the (1, 0) state by design
-        assert state.rho[0] == pytest.approx(0.9)

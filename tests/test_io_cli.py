@@ -18,7 +18,7 @@ from nsdv.cli import main, mms_convergence
 from nsdv.diagnostics import FLAG_ORDER
 from nsdv.effective import compute_effective_fields
 from nsdv.errors import ConfigError, DomainExitError, HomeomorphismError, VacuumBlowup
-from nsdv.eulerian import SolverConfig, run
+from nsdv.eulerian import SolverConfig, run, step_primitive
 from nsdv.initdata import (
     InitialData,
     ScenarioConfig,
@@ -89,10 +89,9 @@ class TestConfigRoundTrip:
         cfg = small_cfg(dt_override=1e-3, advection_order=1)
         assert io.parse_config(io.serialize_config(cfg)) == cfg
 
-    def test_identity_from_v0_and_manufactured(self):
+    def test_identity_from_v0(self):
         for init in (
             InitialData(kind="from_v0", profile="vstep_down", mollifier_n=8),
-            InitialData(kind="manufactured", mms_id="manufactured-1"),
             InitialData(kind="shock_like", jump=0.2, steepness=3.0),
             InitialData(kind="rarefaction", amplitude=0.1),
             InitialData(kind="equilibrium"),
@@ -216,6 +215,16 @@ class TestOutputs:
         assert "snapshot writer process" in str(info.value.__cause__)
         assert not list(tmp_path.iterdir())  # staging removed, no run directory
         assert_writers_reaped(started)
+
+    def test_writer_that_fails_to_start_removes_its_stage(self, tmp_path, monkeypatch):
+        def failing_popen(*args, **kwargs):
+            raise OSError("planted: cannot start the writer")
+
+        monkeypatch.setattr(io.subprocess, "Popen", failing_popen)
+        with pytest.raises(OSError, match="planted"):
+            with io.RunWriter(tmp_path, small_cfg()):
+                pass
+        assert not list(tmp_path.iterdir())
 
     def test_orphaned_writer_removes_its_stage(self, tmp_path):
         cfg = small_cfg()
@@ -412,6 +421,17 @@ class TestCLI:
         assert "kappa=" in out
         assert list(tmp_path.glob("twin-*.dat"))
 
+    @pytest.mark.parametrize("epsilon", ["nan", "inf"])
+    def test_twin_non_finite_epsilon_exits_2(self, tmp_path, capsys, epsilon):
+        path = CONFIG_DIR / "twin_smooth_bump.cfg"
+        code = main(["twin", "--config", str(path), "--out", str(tmp_path),
+                     "--epsilon", epsilon])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert f"epsilon must be finite, got {epsilon}" in captured.err
+        assert captured.out == ""
+        assert not list(tmp_path.iterdir())
+
     @pytest.fixture
     def dat_tables(self, tmp_path):
         path = tmp_path / "twin.cfg"
@@ -444,8 +464,10 @@ class TestCLI:
              "unknown config section [run]"),
             ("t_end = 1.0", "t_end = inf", "t_end must be positive and finite"),
             ("cfl_number = 0.4", "cfl_number = 0.4\ncfl_number = 0.2", "set twice"),
+            ("kind = equilibrium", "kind = manufactured", "unknown initial-data kind"),
         ],
-        ids=["key-typo", "unknown-section", "infinite-t_end", "duplicate-key"],
+        ids=["key-typo", "unknown-section", "infinite-t_end", "duplicate-key",
+             "manufactured-kind"],
     )
     def test_rejected_config_exits_2(self, tmp_path, capsys, old, new, message):
         text = (CONFIG_DIR / "equilibrium.cfg").read_text(encoding="ascii")
@@ -489,8 +511,9 @@ def test_mms_convergence_monotone():
 
 
 def test_mms_convergence_matches_run_reference():
-    # reference: each level integrated through run() with its forcing and
-    # exact boundary, as the study did before it called drive() itself
+    # reference: each level stepped by a plain loop of step_primitive, with
+    # the source at t and the exact boundary at t + h, and the same clipping
+    # of the last step to t_end as drive()
     rows = mms_convergence("manufactured-1", 2, base_n=65, t_end=0.25)
     p = ModelParams(alpha=0.75, gamma=2.0, half_length=np.pi)
     ref = []
@@ -498,13 +521,16 @@ def test_mms_convergence_matches_run_reference():
         grid = Grid1D(n, np.pi)
         dt = 0.25 * grid.dx**2
         cfg = SolverConfig(t_end=0.25, output_cadence=0.25, dt_override=dt)
-        initial = FluidState(0.0, *manufactured_exact("manufactured-1", 0.0, grid, p))
-        traj = run(
-            initial, cfg, grid, p,
-            forcing=lambda t: manufactured_source("manufactured-1", t, grid, p),
-            exact_boundary=lambda t: manufactured_boundary("manufactured-1", t, grid, p),
-        )
-        final = traj.snapshots[-1]
+        final = FluidState(0.0, *manufactured_exact("manufactured-1", 0.0, grid, p))
+        t = 0.0
+        while t < 0.25 - 1e-12:
+            h = min(dt, 0.25 - t)
+            final = step_primitive(
+                final, h, grid, cfg, p,
+                forcing=manufactured_source("manufactured-1", t, grid, p),
+                boundary=manufactured_boundary("manufactured-1", t + h, grid, p),
+            )
+            t += h
         rho_ex, u_ex = manufactured_exact("manufactured-1", final.time, grid, p)
         err = float(
             np.sqrt(np.sum((final.rho - rho_ex) ** 2) * grid.dx)
