@@ -26,7 +26,6 @@ import numpy as np
 
 from . import model
 from .effective import compute_effective_fields, effective_velocity
-from .errors import InputError
 from .model import RHO_FLOOR, FluidState, Grid1D, ModelParams
 from .stencils import ddx
 
@@ -76,12 +75,9 @@ def bd_dissipation_rate(state: FluidState, grid: Grid1D, p: ModelParams) -> floa
     return float(np.sum(coeff * ddx(rho, grid) ** 2) * grid.dx)
 
 
-def bv_norm(v, grid: Grid1D, half_width: float) -> float:
-    """Discrete total variation of v over the window [-half_width, half_width]."""
-    if half_width > grid.half_length + 1e-12:
-        raise InputError("window exceeds the domain")
-    mask = np.abs(grid.coords) <= half_width + 1e-12
-    return float(np.sum(np.abs(np.diff(np.asarray(v)[mask]))))
+def bv_norm(v, grid: Grid1D) -> float:
+    """Discrete total variation of v over the whole grid."""
+    return float(np.sum(np.abs(np.diff(np.asarray(v)))))
 
 
 def left_integral(times: np.ndarray, *factors: np.ndarray) -> np.ndarray:
@@ -115,7 +111,7 @@ def _scan(traj) -> dict:
                 "rho_max": float(np.max(s.rho)),
                 "rho_min": float(np.min(s.rho)),
                 "inv_rho_max": float(np.max(1.0 / s.rho)),
-                "bv_v": bv_norm(eff.v, grid, grid.half_length),
+                "bv_v": bv_norm(eff.v, grid),
                 "w1_max": float(np.max(eff.w1)),
                 # the Hoff functionals' spatial sums
                 "dux2": float(np.sum(mu * ddx(s.u, grid) ** 2) * dx),

@@ -27,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .diagnostics import FLAG_ORDER, DiagnosticSeries, build_series
+from .diagnostics import FLAG_ORDER, DiagnosticSeries
 from .effective import compute_effective_fields
 from .errors import ConfigError
 from .eulerian import SolverConfig
@@ -161,6 +161,8 @@ def parse_config(text: str) -> ScenarioConfig:
                 fields[name] = cls(**kw)
     except KeyError as exc:
         raise ConfigError(f"missing config key {exc}") from None
+    except ConfigError:
+        raise  # a dataclass's own verdict, not a malformed value
     except ValueError as exc:
         raise ConfigError(f"bad config value: {exc}") from None
     return ScenarioConfig(**fields)
@@ -425,11 +427,3 @@ class RunWriter:
             exc, text = outcome
             raise exc from RuntimeError(f"in the snapshot writer process:\n{text}")
 
-
-def emit_run_outputs(out_dir, cfg: ScenarioConfig, traj) -> Path:
-    """Write snapshots, diagnostics, manifest and plot data of a finished
-    trajectory under out_dir/run-<hash>/; returns that directory."""
-    with RunWriter(out_dir, cfg) as writer:
-        for snap in traj.snapshots:
-            writer.record(snap)
-        return writer.finish(traj, build_series(traj))

@@ -2,11 +2,10 @@
 material coordinates.
 
 The flow map X solves dX/dt = u(t, X), X(0, x) = x; its space derivative
-obeys dX/dx = exp(int_0^t du/dx(tau, X) dtau), which is what we accumulate
-(the centered difference of X is kept as a consistency check).  Composition
-with X moves fields between frames; X^{-1} is obtained by monotone inversion
-of the sampled map rather than by integrating the backward flow, so the
-inverse-pair property is exact up to interpolation.
+obeys dX/dx = exp(int_0^t du/dx(tau, X) dtau), which is what we accumulate.
+Composition with X moves fields between frames; X^{-1} is obtained by
+monotone inversion of the sampled map rather than by integrating the
+backward flow, so the inverse-pair property is exact up to interpolation.
 
 In material coordinates mass conservation is algebraic, dX/dx * rho_lag =
 rho0, and the momentum equation becomes a pure reaction-diffusion problem
@@ -31,44 +30,24 @@ from .stencils import ddx, solve_diffusion
 
 @dataclass(frozen=True)
 class FlowMap:
-    """X(t, .) and its Jacobian sampled at the recorded times.
-
-    jacobian holds the exponential-identity product; jacobian_fd() recomputes
-    it by differencing x_map, and the two must agree to second order.
-    """
+    """X(t, .) and its Jacobian, the exponential-identity product, sampled
+    at the recorded times."""
 
     times: np.ndarray
     x_map: np.ndarray  # (n_times, n_nodes)
     jacobian: np.ndarray
     grid: Grid1D
 
-    def index_of(self, t: float) -> int:
-        k = int(np.argmin(np.abs(self.times - t)))
-        if abs(self.times[k] - t) > 1e-9 * max(1.0, abs(t)):
-            raise InputError(f"time {t} not among the recorded flow times")
-        return k
-
-    def jacobian_fd(self, k: int) -> np.ndarray:
-        return ddx(self.x_map[k], self.grid)
-
-    def max_jacobian_discrepancy(self) -> float:
-        return float(
-            max(
-                np.max(np.abs(self.jacobian[k] - self.jacobian_fd(k)))
-                for k in range(len(self.times))
-            )
-        )
-
 
 class TrajectorySampler:
-    """Velocity sampler over a solver trajectory: linear interpolation in time
-    between snapshots and linear interpolation in space."""
+    """Velocity sampler over a run's recorded states on `grid`: linear
+    interpolation in time between states and linear interpolation in space."""
 
-    def __init__(self, traj):
-        self.grid = traj.grid
-        self.times = traj.times
-        self._u = [s.u for s in traj.snapshots]
-        self._dudx = [ddx(s.u, traj.grid) for s in traj.snapshots]
+    def __init__(self, grid: Grid1D, states):
+        self.grid = grid
+        self.times = np.array([s.time for s in states])
+        self._u = [s.u for s in states]
+        self._dudx = [ddx(s.u, grid) for s in states]
 
     def _pair(self, t):
         k = int(np.searchsorted(self.times, t, side="right")) - 1
@@ -132,28 +111,11 @@ def _check_monotone(xk: np.ndarray, t: float):
         raise HomeomorphismError(f"flow map not strictly increasing at t={t:.6g}")
 
 
-def to_lagrangian(field, flow: FlowMap, t: float) -> np.ndarray:
-    """field composed with X(t, .): values the Eulerian field takes at the
-    current particle positions."""
-    k = flow.index_of(t)
-    _check_monotone(flow.x_map[k], t)
+def to_lagrangian(field, flow: FlowMap, k: int) -> np.ndarray:
+    """field composed with X(t_k, .) at the flow's k-th recorded time: values
+    the Eulerian field takes at the current particle positions."""
+    _check_monotone(flow.x_map[k], flow.times[k])
     return np.interp(flow.x_map[k], flow.grid.coords, np.asarray(field, dtype=float))
-
-
-def to_eulerian(field, flow: FlowMap, t: float) -> np.ndarray:
-    """field composed with X^{-1}(t, .), by monotone inversion of x_map."""
-    k = flow.index_of(t)
-    _check_monotone(flow.x_map[k], t)
-    return np.interp(flow.grid.coords, flow.x_map[k], np.asarray(field, dtype=float))
-
-
-def lagrangian_density(flow: FlowMap, rho0, t: float) -> np.ndarray:
-    """rho_lag(t, x) = rho0(x) / dX/dx(t, x): mass conservation made algebraic."""
-    k = flow.index_of(t)
-    jac = flow.jacobian[k]
-    if np.any(jac <= 0.0):
-        raise HomeomorphismError(f"non-positive Jacobian at t={t:.6g}")
-    return np.asarray(rho0, dtype=float) / jac
 
 
 @dataclass
@@ -257,37 +219,3 @@ def run_lagrangian(initial: FluidState, cfg, grid: Grid1D, p: ModelParams) -> La
         params=p, grid=grid, rho0=rho0, times=times, rho=rho, u=u, jacobian=jacobian, x=x
     )
 
-
-@dataclass(frozen=True)
-class DecayReport:
-    """Empirical envelope for the damped transport of v along particle paths."""
-
-    times: np.ndarray
-    ratio: np.ndarray  # max_x |v_lag| / (1 + |v0|) per time
-    envelope: np.ndarray  # running max of ratio: the measured C(t)
-    v_final: np.ndarray
-
-
-def v_lagrangian_decay(traj, v0) -> DecayReport:
-    """Integrate dv/dt + f1(rho_lag) (v - u_lag) = 0 along trajectories with
-    the exponential integrating factor, reporting max |v|/(1+|v0|).
-
-    `traj` is an Eulerian trajectory; rho and u are transported through its
-    flow map, frozen on each cadence interval.
-    """
-    grid, p = traj.grid, traj.params
-    flow = integrate_flow(TrajectorySampler(traj), grid)
-    times = traj.times
-    v = np.asarray(v0, dtype=float).copy()
-    denom = 1.0 + np.abs(v0)
-    ratios = [float(np.max(np.abs(v) / denom))]
-    for k in range(len(times) - 1):
-        dt = times[k + 1] - times[k]
-        rho_k = to_lagrangian(traj.snapshots[k].rho, flow, times[k])
-        u_k = to_lagrangian(traj.snapshots[k].u, flow, times[k])
-        v = u_k + (v - u_k) * np.exp(-dt * model.f1(rho_k, p))
-        ratios.append(float(np.max(np.abs(v) / denom)))
-    ratio = np.array(ratios)
-    return DecayReport(
-        times=times, ratio=ratio, envelope=np.maximum.accumulate(ratio), v_final=v
-    )

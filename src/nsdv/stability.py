@@ -32,7 +32,7 @@ import numpy as np
 from . import model
 from .diagnostics import left_integral
 from .errors import InputError, NumericalFailure, VacuumBlowup
-from .eulerian import SolverConfig, Trajectory, drive, stable_dt, step_primitive
+from .eulerian import SolverConfig, drive, stable_dt, step_primitive
 from .initdata import ScenarioConfig, build_initial
 from .lagrangian import TrajectorySampler, integrate_flow, to_lagrangian
 from .model import FluidState
@@ -60,8 +60,8 @@ class TwinReport:
 
 
 def _lockstep_pair(initial_a, initial_b, cfg: SolverConfig, grid, p):
-    """Advance two primitive runs with a shared dt sequence, snapshotting both
-    at the cadence."""
+    """Advance two primitive runs with a shared dt sequence; returns the two
+    lists of states recorded at the cadence."""
 
     def step(pair, t, dt):
         out = []
@@ -81,10 +81,7 @@ def _lockstep_pair(initial_a, initial_b, cfg: SolverConfig, grid, p):
     )
     if blowup is not None:
         raise blowup
-    zeros = np.zeros(len(pairs))
-    traj_a = Trajectory(p, grid, [a for a, _ in pairs], zeros, zeros.copy())
-    traj_b = Trajectory(p, grid, [b for _, b in pairs], zeros.copy(), zeros.copy())
-    return traj_a, traj_b
+    return [a for a, _ in pairs], [b for _, b in pairs]
 
 
 def default_perturbation(grid) -> np.ndarray:
@@ -96,8 +93,10 @@ def default_perturbation(grid) -> np.ndarray:
 def twin_run_stability(scenario: ScenarioConfig, epsilon: float) -> TwinReport:
     """Run the twin experiment at perturbation size `epsilon` (of u0 only),
     along default_perturbation."""
-    if not np.isfinite(epsilon):
-        raise InputError(f"epsilon must be finite, got {epsilon}")
+    # epsilon = 0 steps two identical runs, whose difference passes every
+    # Gronwall check vacuously
+    if not np.isfinite(epsilon) or epsilon == 0.0:
+        raise InputError(f"epsilon must be finite and nonzero, got {epsilon:g}")
     p = scenario.model
     grid = scenario.grid()
     cfg = scenario.solver
@@ -108,11 +107,11 @@ def twin_run_stability(scenario: ScenarioConfig, epsilon: float) -> TwinReport:
         time=0.0, rho=base.rho.copy(), u=base.u + epsilon * default_perturbation(grid)
     )
 
-    traj1, traj2 = _lockstep_pair(base, pert, cfg, grid, p)
-    flow1 = integrate_flow(TrajectorySampler(traj1), grid)
-    flow2 = integrate_flow(TrajectorySampler(traj2), grid)
+    states1, states2 = _lockstep_pair(base, pert, cfg, grid, p)
+    flow1 = integrate_flow(TrajectorySampler(grid, states1), grid)
+    flow2 = integrate_flow(TrajectorySampler(grid, states2), grid)
 
-    times = traj1.times
+    times = flow1.times
     rho0 = base.rho
     dx = grid.dx
     n_t = len(times)
@@ -123,9 +122,9 @@ def twin_run_stability(scenario: ScenarioConfig, epsilon: float) -> TwinReport:
     g_cs = np.empty(n_t)  # ||G1+G2|| * ||d delta_u/dx||
     kappa = np.inf
 
-    for k, t in enumerate(times):
-        u1 = to_lagrangian(traj1.snapshots[k].u, flow1, t)
-        u2 = to_lagrangian(traj2.snapshots[k].u, flow2, t)
+    for k in range(n_t):
+        u1 = to_lagrangian(states1[k].u, flow1, k)
+        u2 = to_lagrangian(states2[k].u, flow2, k)
         rho1 = rho0 / flow1.jacobian[k]
         rho2 = rho0 / flow2.jacobian[k]
         du = u1 - u2

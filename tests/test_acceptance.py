@@ -188,11 +188,11 @@ def test_criterion_08_lagrangian_mass_identity():
         state, _, _ = build_initial(cfg)
         g = cfg.grid()
         traj = run(state, cfg.solver, g, p)
-        flow = integrate_flow(TrajectorySampler(traj), g)
+        flow = integrate_flow(TrajectorySampler(g, traj.snapshots), g)
         ok &= bool(all(np.all(j > 0.0) for j in flow.jacobian))
         err = max(
-            float(np.max(np.abs(flow.jacobian[k] * to_lagrangian(traj.snapshots[k].rho, flow, t) - state.rho)))
-            for k, t in enumerate(flow.times)
+            float(np.max(np.abs(flow.jacobian[k] * to_lagrangian(traj.snapshots[k].rho, flow, k) - state.rho)))
+            for k in range(len(flow.times))
         )
         mean_dt = 0.5 / max(1, len(traj.snapshots) - 1) / 8  # cadence/substep scale
         c = err / (g.dx + mean_dt)

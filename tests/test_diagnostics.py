@@ -13,7 +13,6 @@ from nsdv.diagnostics import (
     energy,
     sigma,
 )
-from nsdv.errors import InputError
 from nsdv.eulerian import SolverConfig, Trajectory, run
 from nsdv.initdata import build_initial, regression_scenarios
 from nsdv.model import FluidState, Grid1D, ModelParams, f2
@@ -223,21 +222,16 @@ class TestBV:
     def test_monotone_field(self):
         g = Grid1D(101, 2.0)
         v = np.tanh(3 * g.coords)
-        assert bv_norm(v, g, 2.0) == pytest.approx(abs(v[-1] - v[0]), rel=1e-12)
+        assert bv_norm(v, g) == pytest.approx(abs(v[-1] - v[0]), rel=1e-12)
 
     def test_constant_zero(self):
         g = Grid1D(101, 2.0)
-        assert bv_norm(np.full(101, 2.2), g, 1.0) == 0.0
+        assert bv_norm(np.full(101, 2.2), g) == 0.0
 
     def test_sine_total_variation(self):
         g = Grid1D(1025, np.pi)
-        tv = bv_norm(np.sin(g.coords), g, np.pi)
+        tv = bv_norm(np.sin(g.coords), g)
         assert tv == pytest.approx(4.0, abs=10 * g.dx)
-
-    def test_window_validation(self):
-        g = Grid1D(101, 2.0)
-        with pytest.raises(InputError):
-            bv_norm(np.ones(101), g, 3.0)
 
 
 class TestSeries:

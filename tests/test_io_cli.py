@@ -15,7 +15,7 @@ import pytest
 import nsdv.cli
 from nsdv import io
 from nsdv.cli import main, mms_convergence
-from nsdv.diagnostics import FLAG_ORDER
+from nsdv.diagnostics import FLAG_ORDER, build_series
 from nsdv.effective import compute_effective_fields
 from nsdv.errors import ConfigError, DomainExitError, HomeomorphismError, VacuumBlowup
 from nsdv.eulerian import SolverConfig, run, step_primitive
@@ -132,11 +132,16 @@ class TestConfigRoundTrip:
 
 @pytest.fixture(scope="module")
 def run_dir(tmp_path_factory):
+    """The run directory `nsdv run` writes for small_cfg(), that config, and
+    the trajectory `run` computes for it."""
     cfg = small_cfg()
-    state, _, _ = build_initial(cfg)
-    traj = run(state, cfg.solver, cfg.grid(), cfg.model)
+    path = tmp_path_factory.mktemp("cfg") / "small.cfg"
+    io.save_config(cfg, path)
     out = tmp_path_factory.mktemp("out")
-    return io.emit_run_outputs(out, cfg, traj), cfg, traj
+    assert main(["run", "--config", str(path), "--out", str(out)]) == 0
+    (d,) = out.iterdir()
+    state, _, _ = build_initial(cfg)
+    return d, cfg, run(state, cfg.solver, cfg.grid(), cfg.model)
 
 
 class TestOutputs:
@@ -191,9 +196,8 @@ class TestOutputs:
         json.loads("\n".join(raw[:-1]))
 
     def test_git_describe_runs_at_most_three_times(self, tmp_path, monkeypatch):
-        cfg = small_cfg()
-        state, _, _ = build_initial(cfg)
-        traj = run(state, cfg.solver, cfg.grid(), cfg.model)
+        path = tmp_path / "small.cfg"
+        io.save_config(small_cfg(), path)
         calls = []
         real_run = subprocess.run
 
@@ -202,16 +206,17 @@ class TestOutputs:
             return real_run(*args, **kwargs)
 
         monkeypatch.setattr(io.subprocess, "run", counting_run)
-        io.emit_run_outputs(tmp_path, cfg, traj)
+        assert main(["verify", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
         assert 1 <= len(calls) <= 3
 
     def test_snapshot_worker_failure_is_raised(self, tmp_path, started):
         # states on 129 nodes against a config on 257: the writer process fails
         cfg = small_cfg()
         state, _, _ = build_initial(cfg)
-        traj = run(state, cfg.solver, cfg.grid(), cfg.model)
         with pytest.raises(ValueError) as info:
-            io.emit_run_outputs(tmp_path, replace(cfg, n_cells=257), traj)
+            with io.RunWriter(tmp_path, replace(cfg, n_cells=257)) as writer:
+                traj = run(state, cfg.solver, cfg.grid(), cfg.model, on_snapshot=writer.record)
+                writer.finish(traj, build_series(traj))
         assert "snapshot writer process" in str(info.value.__cause__)
         assert not list(tmp_path.iterdir())  # staging removed, no run directory
         assert_writers_reaped(started)
@@ -293,23 +298,6 @@ class TestCLI:
         path = tmp_path / "unstable.cfg"
         io.save_config(cfg, path)
         assert main(["run", "--config", str(path), "--out", str(tmp_path)]) == 3
-
-    def test_verify_tree_matches_emit_run_outputs(self, tmp_path):
-        cfg = small_cfg()
-        path = tmp_path / "small.cfg"
-        io.save_config(cfg, path)
-        assert main(["verify", "--config", str(path), "--out", str(tmp_path / "cli")]) == 0
-        state, _, _ = build_initial(cfg)
-        traj = run(state, cfg.solver, cfg.grid(), cfg.model)
-        io.emit_run_outputs(tmp_path / "emit", cfg, traj)
-
-        def tree(root):
-            return {p.relative_to(root): p.read_bytes()
-                    for p in sorted(root.rglob("*")) if p.is_file()}
-
-        streamed, emitted = tree(tmp_path / "cli"), tree(tmp_path / "emit")
-        assert len(streamed) == 3 + len(traj.snapshots) + 10
-        assert streamed == emitted
 
     @pytest.mark.parametrize("failure", ["unstable-dt-exit-3", "negative-density-exit-2"])
     def test_failed_run_leaves_no_run_directory(self, tmp_path, failure, started):
@@ -421,14 +409,14 @@ class TestCLI:
         assert "kappa=" in out
         assert list(tmp_path.glob("twin-*.dat"))
 
-    @pytest.mark.parametrize("epsilon", ["nan", "inf"])
+    @pytest.mark.parametrize("epsilon", ["nan", "inf", "0"])
     def test_twin_non_finite_epsilon_exits_2(self, tmp_path, capsys, epsilon):
         path = CONFIG_DIR / "twin_smooth_bump.cfg"
         code = main(["twin", "--config", str(path), "--out", str(tmp_path),
                      "--epsilon", epsilon])
         assert code == 2
         captured = capsys.readouterr()
-        assert f"epsilon must be finite, got {epsilon}" in captured.err
+        assert f"epsilon must be finite and nonzero, got {epsilon}" in captured.err
         assert captured.out == ""
         assert not list(tmp_path.iterdir())
 
@@ -464,7 +452,9 @@ class TestCLI:
              "unknown config section [run]"),
             ("t_end = 1.0", "t_end = inf", "t_end must be positive and finite"),
             ("cfl_number = 0.4", "cfl_number = 0.4\ncfl_number = 0.2", "set twice"),
-            ("kind = equilibrium", "kind = manufactured", "unknown initial-data kind"),
+            # InitialData's own ConfigError, not wrapped as a bad value
+            ("kind = equilibrium", "kind = manufactured",
+             "config error: unknown initial-data kind 'manufactured'\n"),
         ],
         ids=["key-typo", "unknown-section", "infinite-t_end", "duplicate-key",
              "manufactured-kind"],
