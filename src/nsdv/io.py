@@ -261,7 +261,8 @@ def read_manifest(path):
 
 # The writer's child process: ignore Ctrl-C (it reaches the whole process
 # group, and the parent stops the child), import the same nsdv as the parent
-# from the package root in argv[1], and write snapshots.
+# from the package root in argv[1], and write snapshots.  It loads no scipy:
+# only stencils.solve_tridiagonal imports it, and the child never solves.
 _CHILD = (
     "import signal, sys; signal.signal(signal.SIGINT, signal.SIG_IGN); "
     "sys.path.insert(0, sys.argv[1]); "

@@ -106,6 +106,11 @@ def twin_run_stability(scenario: ScenarioConfig, epsilon: float) -> TwinReport:
     pert = FluidState(
         time=0.0, rho=base.rho.copy(), u=base.u + epsilon * default_perturbation(grid)
     )
+    # A perturbation lost to rounding (u0 unchanged) or whose energy
+    # underflows (epsilon=1e-300 on u0 = 0) starts the check from
+    # 1/2||sqrt(rho0) delta_u(0)||^2 = 0: as vacuous as epsilon = 0.
+    if 0.5 * np.sum(base.rho * (pert.u - base.u) ** 2) * grid.dx == 0.0:
+        raise InputError(f"epsilon {epsilon:g} gives a perturbation of zero energy")
 
     states1, states2 = _lockstep_pair(base, pert, cfg, grid, p)
     flow1 = integrate_flow(TrajectorySampler(grid, states1), grid)

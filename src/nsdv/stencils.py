@@ -9,7 +9,6 @@ two nodes next to each boundary where the biased 3-point stencil does not fit.
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import lapack
 
 from .errors import NumericalFailure, ShapeError
 from .model import Grid1D
@@ -62,15 +61,19 @@ def solve_tridiagonal(lower, diag, upper, rhs) -> np.ndarray:
 
     lower[i] multiplies x[i-1] (lower[0] ignored), upper[i] multiplies x[i+1]
     (upper[-1] ignored).  Backed by LAPACK gtsv (partial pivoting), the
-    routine scipy's banded solver uses for one band on each side.
+    routine scipy's banded solver uses for one band on each side.  scipy is
+    imported here, at the first solve, so that runs that never solve (the
+    effective formulation) and the snapshot writer do not load it.
     """
+    import scipy.linalg.lapack
+
     n = len(diag)
     if not (len(lower) == len(upper) == len(rhs) == n):
         raise ShapeError("tridiagonal bands must share one length")
     bands = (lower[1:], diag, upper[:-1], rhs)
     if not all(np.isfinite(band).all() for band in bands):
         raise NumericalFailure("non-finite tridiagonal system")
-    *_, x, info = lapack.dgtsv(*bands)
+    *_, x, info = scipy.linalg.lapack.dgtsv(*bands)
     if info != 0:
         raise NumericalFailure(f"singular tridiagonal system (gtsv info {info})")
     return x

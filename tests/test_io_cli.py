@@ -32,6 +32,9 @@ from nsdv.model import FluidState, Grid1D, ModelParams
 
 REPO = Path(__file__).resolve().parent.parent
 CONFIG_DIR = REPO / "configs"
+# for a child interpreter that imports nsdv from this checkout
+SRC_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(
+    filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))}
 
 
 @pytest.fixture
@@ -372,12 +375,10 @@ class TestCLI:
 
     @pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="needs /proc")
     def test_no_process_outlives_the_command(self, tmp_path):
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))}
         command = subprocess.Popen(
             [sys.executable, "-m", "nsdv.cli", "verify", "--config",
              str(CONFIG_DIR / "equilibrium.cfg"), "--cadence", "0.25", "--out", str(tmp_path)],
-            env=env, stdout=subprocess.DEVNULL, start_new_session=True,
+            env=SRC_ENV, stdout=subprocess.DEVNULL, start_new_session=True,
         )
         assert command.wait(timeout=120) == 0
         left = []
@@ -409,14 +410,20 @@ class TestCLI:
         assert "kappa=" in out
         assert list(tmp_path.glob("twin-*.dat"))
 
-    @pytest.mark.parametrize("epsilon", ["nan", "inf", "0"])
-    def test_twin_non_finite_epsilon_exits_2(self, tmp_path, capsys, epsilon):
+    @pytest.mark.parametrize("epsilon, error", [
+        ("nan", "epsilon must be finite and nonzero, got nan"),
+        ("inf", "epsilon must be finite and nonzero, got inf"),
+        ("0", "epsilon must be finite and nonzero, got 0"),
+        # u0 = 0 there, so the perturbation is nonzero but its square underflows
+        ("1e-300", "epsilon 1e-300 gives a perturbation of zero energy"),
+    ], ids=["nan", "inf", "0", "1e-300"])
+    def test_twin_non_finite_epsilon_exits_2(self, tmp_path, capsys, epsilon, error):
         path = CONFIG_DIR / "twin_smooth_bump.cfg"
         code = main(["twin", "--config", str(path), "--out", str(tmp_path),
                      "--epsilon", epsilon])
         assert code == 2
         captured = capsys.readouterr()
-        assert f"epsilon must be finite and nonzero, got {epsilon}" in captured.err
+        assert error in captured.err
         assert captured.out == ""
         assert not list(tmp_path.iterdir())
 
@@ -559,12 +566,59 @@ def test_convergence_without_levels_exits_2(tmp_path, capsys, levels):
 
 
 def test_package_import_loads_no_submodule():
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))}
     code = "import sys, nsdv; print(sorted(m for m in sys.modules if m.startswith('nsdv.')))"
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+    out = subprocess.run([sys.executable, "-c", code], env=SRC_ENV, capture_output=True,
                          text=True, check=True, timeout=60).stdout
     assert out.strip() == "[]"
+
+
+def test_only_the_tridiagonal_solve_imports_scipy():
+    """The snapshot writer child (its own code, stdin at end of file) and
+    the command line load no scipy module; the first solve loads it."""
+    scipy_modules = "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    code = "\n".join([
+        io._CHILD, scipy_modules,
+        "import nsdv.cli", scipy_modules,
+        "import numpy as np; from nsdv.stencils import solve_tridiagonal",
+        "solve_tridiagonal(np.zeros(3), np.ones(3), np.zeros(3), np.ones(3))",
+        "print('scipy.linalg' in sys.modules)",
+    ])
+    out = subprocess.run([sys.executable, "-c", code, str(REPO / "src")],
+                         stdin=subprocess.DEVNULL, capture_output=True, text=True,
+                         check=True, timeout=60).stdout
+    assert out.split("\n") == ["[]", "[]", "True", ""]
+
+
+def test_without_scipy_only_the_implicit_solve_fails(tmp_path, capsys):
+    """With scipy blocked, an effective-formulation verify (no implicit
+    solve) gives the usual verdicts; a semi-implicit run fails at its first
+    step and leaves nothing under its output root."""
+    effective = tmp_path / "effective.cfg"
+    io.save_config(small_cfg(formulation="effective"), effective)
+    primitive = tmp_path / "primitive.cfg"
+    io.save_config(small_cfg(), primitive)
+    code = "\n".join([
+        "import sys; sys.modules['scipy'] = None",
+        "from nsdv.cli import main",
+        "assert main(sys.argv[1:6]) == 0",
+        "main(sys.argv[6:])",
+    ])
+    failed = tmp_path / "failed"
+    with subprocess.Popen(
+        [sys.executable, "-c", code,
+         "verify", "--config", str(effective), "--out", str(tmp_path / "blocked"),
+         "verify", "--config", str(primitive), "--out", str(failed)],
+        env=SRC_ENV, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+    ) as blocked:
+        # the unblocked run meanwhile, in this process
+        assert main(["verify", "--config", str(effective), "--out", str(tmp_path / "open")]) == 0
+        verdicts = [line for line in capsys.readouterr().out.splitlines()
+                    if line.startswith("monitor")]
+        out, err = blocked.communicate(timeout=60)
+    assert blocked.returncode != 0
+    assert "ModuleNotFoundError" in err and "scipy" in err
+    assert [line for line in out.splitlines() if line.startswith("monitor")] == verdicts
+    assert not list(failed.iterdir())  # no run directory, no staging directory
 
 
 def blow_up_at(monkeypatch, n_cells):
