@@ -75,7 +75,7 @@ def bd_dissipation_rate(state: FluidState, grid: Grid1D, p: ModelParams) -> floa
     return float(np.sum(coeff * ddx(rho, grid) ** 2) * grid.dx)
 
 
-def bv_norm(v, grid: Grid1D) -> float:
+def bv_norm(v) -> float:
     """Discrete total variation of v over the whole grid."""
     return float(np.sum(np.abs(np.diff(np.asarray(v)))))
 
@@ -111,7 +111,7 @@ def _scan(traj) -> dict:
                 "rho_max": float(np.max(s.rho)),
                 "rho_min": float(np.min(s.rho)),
                 "inv_rho_max": float(np.max(1.0 / s.rho)),
-                "bv_v": bv_norm(eff.v, grid),
+                "bv_v": bv_norm(eff.v),
                 "w1_max": float(np.max(eff.w1)),
                 # the Hoff functionals' spatial sums
                 "dux2": float(np.sum(mu * ddx(s.u, grid) ** 2) * dx),
@@ -141,27 +141,26 @@ def _y_envelope(p: ModelParams, times: np.ndarray, sc: dict) -> np.ndarray | Non
     return sc["y_max"][0] + c_gamma * left_integral(times, sc["rho_max"] ** expo)
 
 
-def _vacuum_envelope(p: ModelParams, times: np.ndarray, z0: float, y_env: np.ndarray):
-    """Integrates dz/dt = y_env(t) + gamma/(alpha+1-gamma) * z^(alpha+1-gamma)
-    from z0, the comparison ODE for z = max 1/rho when gamma < alpha+1 (the
-    power branch, c_gamma = 0)."""
+def _vacuum_envelope(p: ModelParams, times: np.ndarray, z0: float, y0: float):
+    """Integrates dz/dt = y0 + gamma/(alpha+1-gamma) * z^(alpha+1-gamma) from
+    z0, the comparison ODE for z = max 1/rho when gamma < alpha+1.  That is
+    the power branch with c_gamma = 0, where the y envelope is the constant
+    y0 = y_max(0)."""
     coef = p.gamma / (p.alpha + 1.0 - p.gamma)
     expo = p.alpha + 1.0 - p.gamma
 
-    def rate(t, zz):
-        c = float(np.interp(t, times, y_env))
-        return c + coef * zz**expo
+    def rate(zz):
+        return y0 + coef * zz**expo
 
     z_env = np.empty_like(times)
     z_env[0] = z0
     substeps = 8
     for k in range(len(times) - 1):
-        zz, t = z_env[k], times[k]
+        zz = z_env[k]
         h = (times[k + 1] - times[k]) / substeps
         for _ in range(substeps):  # midpoint RK2 on the comparison ODE
-            zmid = zz + 0.5 * h * rate(t, zz)
-            zz = zz + h * rate(t + 0.5 * h, zmid)
-            t += h
+            zmid = zz + 0.5 * h * rate(zz)
+            zz = zz + h * rate(zmid)
         z_env[k + 1] = zz
     return z_env
 
@@ -245,7 +244,7 @@ def build_series(traj) -> DiagnosticSeries:
         flags["oleinik"] = np.zeros(n_t, bool)
 
     avail["vacuum"] = p.gamma < p.alpha + 1.0 - model.BRANCH_TOL
-    z_env = _vacuum_envelope(p, times, z[0], y_env) if avail["vacuum"] else None
+    z_env = _vacuum_envelope(p, times, z[0], float(y_env[0])) if avail["vacuum"] else None
     flags["vacuum"] = ~(z <= z_env + tol) if avail["vacuum"] else np.zeros(n_t, bool)
 
     w1_active = constantin_condition_holds(traj.snapshots[0], grid, p)

@@ -204,21 +204,22 @@ def recover_velocity(rho, v, grid: Grid1D, p: ModelParams) -> np.ndarray:
 def step_effective(
     rho: np.ndarray,
     v: np.ndarray,
+    u: np.ndarray,
     time: float,
     dt: float,
     grid: Grid1D,
     cfg: SolverConfig,
     p: ModelParams,
 ):
-    """Advance the (rho, v) pair one step.
+    """Advance the (rho, v) pair one step; u is recover_velocity(rho, v).
 
     The mass flux splits as rho*u = rho*v - ddx(rho**alpha/alpha): upwind
     advection by v plus conservative central diffusion.  v is advected upwind
-    and damped with the exact exponential factor.
+    and damped with the exact exponential factor.  Returns the new rho, v and
+    their recovered velocity, which the next step takes as its u.
     """
     dx = grid.dx
     t_new = time + dt
-    u = recover_velocity(rho, v, grid, p)
 
     v_ifc = 0.5 * (v[:-1] + v[1:])
     f_adv = _upwind_interface(rho, v_ifc, cfg.advection_order) * v_ifc
@@ -234,7 +235,7 @@ def step_effective(
     v_new = damp_effective_velocity(v_star, u, rho, dt, p)
     v_new[0] = v_new[-1] = FARFIELD[1]
     _check_finite(v_new, t_new)
-    return rho_new, v_new
+    return rho_new, v_new, recover_velocity(rho_new, v_new, grid, p)
 
 
 def drive(initial, cfg: SolverConfig, dt, step, rates=(), record=None):
@@ -301,13 +302,16 @@ def run(
         raise InputError("trajectories start at t=0")
 
     effective = cfg.formulation == "effective"
-    v = effective_velocity(initial, grid, p) if effective else None
+    if effective:
+        v = effective_velocity(initial, grid, p)
+        # not initial.u: the two differ by the stencil commutation error
+        u = recover_velocity(initial.rho, v, grid, p)
 
     def step(state, t, dt):
-        nonlocal v
+        nonlocal v, u
         if effective:
-            rho, v = step_effective(state.rho, v, t, dt, grid, cfg, p)
-            return FluidState(time=t + dt, rho=rho, u=recover_velocity(rho, v, grid, p))
+            rho, v, u = step_effective(state.rho, v, u, t, dt, grid, cfg, p)
+            return FluidState(time=t + dt, rho=rho, u=u)
         return step_primitive(state, dt, grid, cfg, p)
 
     _, snapshots, (e_diss, bd_diss), blowup = drive(

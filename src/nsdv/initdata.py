@@ -267,41 +267,3 @@ def build_initial(cfg: ScenarioConfig):
         raise ConfigError("one-sided slope constant of v0 is not finite")
     return state, v0, oleinik_c
 
-
-def regression_scenarios(n_cells: int = 1024) -> dict:
-    """The four pinned regression scenarios the acceptance suite monitors.
-
-    smooth_bump    gamma above alpha+1: growing y envelope
-    rarefaction    gamma below alpha+1: constant envelope, active vacuum ODE
-    steepening     compression front, large one-sided slopes
-    constantin     alpha > 1, gamma in [alpha, alpha+1], sign-preserving flux
-    """
-    solver = SolverConfig(t_end=1.0, output_cadence=0.05)
-    length = 10.0  # wide far-field buffer keeps the parabolic velocity tail
-    # below the boundary at the mass-conservation tolerance
-    return {
-        "smooth_bump": ScenarioConfig(
-            model=ModelParams(alpha=0.75, gamma=2.0, half_length=length),
-            n_cells=n_cells,
-            solver=solver,
-            initial=InitialData(kind="smooth_bump", amplitude=0.1, width=1.0),
-        ),
-        "rarefaction": ScenarioConfig(
-            model=ModelParams(alpha=0.75, gamma=1.0, half_length=length),
-            n_cells=n_cells,
-            solver=solver,
-            initial=InitialData(kind="rarefaction", amplitude=0.2),
-        ),
-        "steepening": ScenarioConfig(
-            model=ModelParams(alpha=1.0, gamma=3.0, half_length=length),
-            n_cells=n_cells,
-            solver=solver,
-            initial=InitialData(kind="shock_like", jump=0.25, steepness=2.0),
-        ),
-        "constantin": ScenarioConfig(
-            model=ModelParams(alpha=1.5, gamma=2.0, half_length=length),
-            n_cells=n_cells,
-            solver=solver,
-            initial=InitialData(kind="smooth_bump", amplitude=0.1, width=1.6),
-        ),
-    }

@@ -113,6 +113,12 @@ def twin_run_stability(scenario: ScenarioConfig, epsilon: float) -> TwinReport:
         raise InputError(f"epsilon {epsilon:g} gives a perturbation of zero energy")
 
     states1, states2 = _lockstep_pair(base, pert, cfg, grid, p)
+    # A perturbation that rounding erases during stepping leaves two equal
+    # runs from then on, as vacuous as one that never started.
+    for a, b in zip(states1[1:], states2[1:]):
+        if np.array_equal(a.u, b.u) and np.array_equal(a.rho, b.rho):
+            raise InputError(f"epsilon {epsilon:g} is lost to rounding: the two runs "
+                             f"coincide from t={a.time:g}")
     flow1 = integrate_flow(TrajectorySampler(grid, states1), grid)
     flow2 = integrate_flow(TrajectorySampler(grid, states2), grid)
 

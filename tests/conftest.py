@@ -1,7 +1,29 @@
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from nsdv import io
 from nsdv.model import FluidState, Grid1D, ModelParams
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+# every shipped config file
+SHIPPED = sorted(CONFIG_DIR.glob("*.cfg"))
+# The four pinned regression scenarios the acceptance suite monitors; each
+# configs/<name>.cfg says which branch of the estimates it exercises.
+REGRESSION = ("smooth_bump", "rarefaction", "steepening", "constantin")
+
+
+def shipped_scenario(name, n_cells=None, **solver):
+    """configs/<name>.cfg, resized to n_cells and with the given solver
+    fields replaced, when given."""
+    cfg = io.load_config(CONFIG_DIR / f"{name}.cfg")
+    if n_cells is not None:
+        cfg = replace(cfg, n_cells=n_cells)
+    if solver:
+        cfg = replace(cfg, solver=replace(cfg.solver, **solver))
+    return cfg
 
 
 @pytest.fixture

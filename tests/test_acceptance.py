@@ -3,17 +3,27 @@ pass/fail line each.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines as they complete.  The four regression scenarios (smooth_bump,
-rarefaction, steepening, constantin) run once at N=1024 and are shared by the
-balance, envelope, slope, vacuum and sign criteria.
+rarefaction, steepening, constantin) run once as shipped in configs/, at
+N=1024, and are shared by the balance, envelope, slope, vacuum and sign
+criteria.
 """
 
 import numpy as np
 import pytest
 from dataclasses import replace
 
+from conftest import REGRESSION, shipped_scenario
+from nsdv import diagnostics
 from nsdv.diagnostics import build_series
-from nsdv.eulerian import SolverConfig, run, stable_dt, step_effective, step_primitive
-from nsdv.initdata import build_initial, regression_scenarios
+from nsdv.eulerian import (
+    SolverConfig,
+    recover_velocity,
+    run,
+    stable_dt,
+    step_effective,
+    step_primitive,
+)
+from nsdv.initdata import build_initial
 from nsdv.lagrangian import (
     TrajectorySampler,
     integrate_flow,
@@ -37,7 +47,8 @@ def report(num, ok, desc, detail=""):
 def scenario_runs():
     """The four pinned regression scenarios at N=1024, full monitors."""
     out = {}
-    for name, cfg in regression_scenarios(n_cells=1024).items():
+    for name in REGRESSION:
+        cfg = shipped_scenario(name)
         state, v0, oleinik_c = build_initial(cfg)
         traj = run(state, cfg.solver, cfg.grid(), cfg.model)
         out[name] = (cfg, traj)
@@ -93,8 +104,9 @@ def test_criterion_02_equilibrium_fixed_point():
 
     cfg = SolverConfig(t_end=1.0, output_cadence=1.0, formulation="effective")
     rho, v = np.ones(257), np.zeros(257)
+    u = recover_velocity(rho, v, g, p)
     for k in range(n_steps):
-        rho, v = step_effective(rho, v, k * 1e-4, 1e-4, g, cfg, p)
+        rho, v, u = step_effective(rho, v, u, k * 1e-4, 1e-4, g, cfg, p)
     worst = max(worst, float(np.max(np.abs(rho - 1.0))), float(np.max(np.abs(v))))
 
     rho_l, u_l, jac = np.ones(257), np.zeros(257), np.ones(257)
@@ -124,9 +136,10 @@ def test_criterion_04_energy_and_bd_balances(scenario_runs):
         d = build_series(traj)
         ok &= not np.any(d.violation_flags["energy"])
         ok &= not np.any(d.violation_flags["bd"])
-        gap_e = float(np.max(d.energy + d.energy_diss_accum - d.energy[0] * 1.001 - d.tolerance * d.times))
+        rel = 1.0 + diagnostics.BALANCE_REL
+        gap_e = float(np.max(d.energy + d.energy_diss_accum - d.energy[0] * rel - d.tolerance * d.times))
         gap_bd = float(
-            np.max(d.bd_entropy + d.bd_diss_accum - d.bd_entropy[0] * 1.001 - d.tolerance * d.times)
+            np.max(d.bd_entropy + d.bd_diss_accum - d.bd_entropy[0] * rel - d.tolerance * d.times)
         )
         worst[name] = max(gap_e, gap_bd)
     report(
@@ -179,14 +192,12 @@ def test_criterion_07_vacuum_bound(scenario_runs):
 
 
 def test_criterion_08_lagrangian_mass_identity():
-    base = regression_scenarios()["smooth_bump"]
-    p = base.model
     ok = True
     details = []
     for n in (257, 513):
-        cfg = replace(base, n_cells=n, solver=SolverConfig(t_end=0.5, output_cadence=0.05))
+        cfg = shipped_scenario("smooth_bump", n, t_end=0.5, output_cadence=0.05)
         state, _, _ = build_initial(cfg)
-        g = cfg.grid()
+        g, p = cfg.grid(), cfg.model
         traj = run(state, cfg.solver, g, p)
         flow = integrate_flow(TrajectorySampler(g, traj.snapshots), g)
         ok &= bool(all(np.all(j > 0.0) for j in flow.jacobian))
@@ -202,13 +213,11 @@ def test_criterion_08_lagrangian_mass_identity():
 
 
 def test_criterion_09_cross_formulation_agreement():
-    base = regression_scenarios()["smooth_bump"]
-    p = base.model
     dists = {}
     for n in (256, 512, 1024):
-        cfg = replace(base, n_cells=n, solver=SolverConfig(t_end=0.5, output_cadence=0.25))
+        cfg = shipped_scenario("smooth_bump", n, t_end=0.5, output_cadence=0.25)
         state, _, _ = build_initial(cfg)
-        g = cfg.grid()
+        g, p = cfg.grid(), cfg.model
         fp = run(state, cfg.solver, g, p).snapshots[-1]
         fe = run(
             state, replace(cfg.solver, formulation="effective"), g, p
@@ -255,8 +264,7 @@ def test_criterion_10_mms_convergence():
 
 
 def test_criterion_11_twin_run_stability():
-    base = regression_scenarios()["smooth_bump"]
-    cfg = replace(base, n_cells=512, solver=SolverConfig(t_end=0.12, output_cadence=0.01))
+    cfg = shipped_scenario("twin_smooth_bump")
     eps = 1e-6
     r1 = twin_run_stability(cfg, eps)
     r2 = twin_run_stability(cfg, eps / 2.0)

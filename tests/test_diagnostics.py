@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from conftest import smooth_state
+from conftest import REGRESSION, shipped_scenario, smooth_state
 from nsdv.diagnostics import (
     FLAG_ORDER,
     bd_entropy,
@@ -14,7 +14,7 @@ from nsdv.diagnostics import (
     sigma,
 )
 from nsdv.eulerian import SolverConfig, Trajectory, run
-from nsdv.initdata import build_initial, regression_scenarios
+from nsdv.initdata import build_initial
 from nsdv.model import FluidState, Grid1D, ModelParams, f2
 from nsdv.stencils import ddx
 
@@ -36,7 +36,7 @@ def synthetic_traj(g, p, states, cadence=0.1):
 def test_build_series_evaluates_each_snapshot_once(monkeypatch):
     import nsdv.diagnostics
 
-    cfg = regression_scenarios(n_cells=129)["smooth_bump"]
+    cfg = shipped_scenario("smooth_bump", 129)
     s, _, _ = build_initial(cfg)
     traj = run(s, cfg.solver, cfg.grid(), cfg.model)
     calls = []
@@ -67,7 +67,8 @@ class TestEnergy:
         assert bd_entropy(s, grid, p) == pytest.approx(energy(s, grid, p), rel=1e-12)
 
     def test_balance_holds_on_scenarios(self):
-        for name, cfg in regression_scenarios(n_cells=257).items():
+        for name in REGRESSION:
+            cfg = shipped_scenario(name, 257)
             s, _, _ = build_initial(cfg)
             traj = run(s, cfg.solver, cfg.grid(), cfg.model)
             d = build_series(traj)
@@ -75,7 +76,7 @@ class TestEnergy:
             assert not np.any(d.violation_flags["bd"]), name
 
     def test_energy_plus_dissipation_nonincreasing(self):
-        cfg = regression_scenarios(n_cells=257)["smooth_bump"]
+        cfg = shipped_scenario("smooth_bump", 257)
         s, _, _ = build_initial(cfg)
         traj = run(s, cfg.solver, cfg.grid(), cfg.model)
         d = build_series(traj)
@@ -84,7 +85,7 @@ class TestEnergy:
         assert np.all(np.diff(total) <= slack)
 
     def test_bd_sup_bounded_by_initial_plus_budget(self):
-        cfg = regression_scenarios(n_cells=257)["smooth_bump"]
+        cfg = shipped_scenario("smooth_bump", 257)
         s, _, _ = build_initial(cfg)
         traj = run(s, cfg.solver, cfg.grid(), cfg.model)
         d = build_series(traj)
@@ -116,12 +117,9 @@ class TestHoff:
         assert series.hoff_A[-1] == 0.0 and series.hoff_B[-1] == 0.0
 
     def test_refinement_stability(self):
-        base = regression_scenarios()["smooth_bump"]
-        from dataclasses import replace
-
         sups = {}
         for n in (513, 1025):
-            cfg = replace(base, n_cells=n)
+            cfg = shipped_scenario("smooth_bump", n)
             s, _, _ = build_initial(cfg)
             traj = run(s, cfg.solver, cfg.grid(), cfg.model)
             series = build_series(traj)
@@ -174,7 +172,7 @@ class TestOleinik:
     def test_one_sidedness(self):
         # steepening scenario: min slope grows strongly negative, the monitor
         # only ever constrains the max side
-        cfg = regression_scenarios(n_cells=257)["steepening"]
+        cfg = shipped_scenario("steepening", 257)
         s, _, _ = build_initial(cfg)
         g, p = cfg.grid(), cfg.model
         traj = run(s, cfg.solver, g, p)
@@ -208,7 +206,7 @@ class TestVacuum:
         assert not series.monitors_available["vacuum"] and series.z_env is None
 
     def test_rarefaction_below_comparison(self):
-        cfg = regression_scenarios(n_cells=257)["rarefaction"]
+        cfg = shipped_scenario("rarefaction", 257)
         s, _, _ = build_initial(cfg)
         traj = run(s, cfg.solver, cfg.grid(), cfg.model)
         series = build_series(traj)
@@ -222,21 +220,20 @@ class TestBV:
     def test_monotone_field(self):
         g = Grid1D(101, 2.0)
         v = np.tanh(3 * g.coords)
-        assert bv_norm(v, g) == pytest.approx(abs(v[-1] - v[0]), rel=1e-12)
+        assert bv_norm(v) == pytest.approx(abs(v[-1] - v[0]), rel=1e-12)
 
     def test_constant_zero(self):
-        g = Grid1D(101, 2.0)
-        assert bv_norm(np.full(101, 2.2), g) == 0.0
+        assert bv_norm(np.full(101, 2.2)) == 0.0
 
     def test_sine_total_variation(self):
         g = Grid1D(1025, np.pi)
-        tv = bv_norm(np.sin(g.coords), g)
+        tv = bv_norm(np.sin(g.coords))
         assert tv == pytest.approx(4.0, abs=10 * g.dx)
 
 
 class TestSeries:
     def test_inv_rho_max_identity(self):
-        cfg = regression_scenarios(n_cells=257)["rarefaction"]
+        cfg = shipped_scenario("rarefaction", 257)
         s, _, _ = build_initial(cfg)
         traj = run(s, cfg.solver, cfg.grid(), cfg.model)
         d = build_series(traj)
@@ -244,7 +241,7 @@ class TestSeries:
             assert d.inv_rho_max[k] * float(np.min(snap.rho)) == pytest.approx(1.0, rel=1e-14)
 
     def test_flag_layout(self):
-        cfg = regression_scenarios(n_cells=129)["smooth_bump"]
+        cfg = shipped_scenario("smooth_bump", 129)
         s, _, _ = build_initial(cfg)
         traj = run(s, cfg.solver, cfg.grid(), cfg.model)
         d = build_series(traj)
@@ -254,7 +251,7 @@ class TestSeries:
         assert not d.any_violation()
 
     def test_series_axes_shared(self):
-        cfg = regression_scenarios(n_cells=129)["smooth_bump"]
+        cfg = shipped_scenario("smooth_bump", 129)
         s, _, _ = build_initial(cfg)
         traj = run(s, cfg.solver, cfg.grid(), cfg.model)
         d = build_series(traj)
@@ -344,12 +341,12 @@ class TestMonitorsFire:
 
 class TestConstantinCondition:
     def test_holds_on_constantin_scenario(self):
-        cfg = regression_scenarios(n_cells=257)["constantin"]
+        cfg = shipped_scenario("constantin", 257)
         s, _, _ = build_initial(cfg)
         assert constantin_condition_holds(s, cfg.grid(), cfg.model)
 
     def test_requires_alpha_above_one(self):
-        cfg = regression_scenarios(n_cells=257)["rarefaction"]
+        cfg = shipped_scenario("rarefaction", 257)
         s, _, _ = build_initial(cfg)
         assert not constantin_condition_holds(s, cfg.grid(), cfg.model)
 
@@ -361,7 +358,7 @@ class TestConstantinCondition:
         assert not constantin_condition_holds(s, g, p)
 
     def test_w1_monitor_active_and_clean(self):
-        cfg = regression_scenarios(n_cells=257)["constantin"]
+        cfg = shipped_scenario("constantin", 257)
         s, _, _ = build_initial(cfg)
         traj = run(s, cfg.solver, cfg.grid(), cfg.model)
         d = build_series(traj)

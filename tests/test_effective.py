@@ -2,9 +2,8 @@
 
 import numpy as np
 import pytest
-from dataclasses import replace
 
-from conftest import smooth_state
+from conftest import shipped_scenario, smooth_state
 from nsdv.effective import (
     compute_effective_fields,
     convective_derivative,
@@ -15,7 +14,7 @@ from nsdv.effective import (
 )
 from nsdv.errors import InputError
 from nsdv.eulerian import SolverConfig, run, step_primitive
-from nsdv.initdata import build_initial, manufactured_exact, regression_scenarios
+from nsdv.initdata import build_initial, manufactured_exact
 from nsdv.model import FluidState, Grid1D, ModelParams, f2, phi, viscosity
 from nsdv.stencils import ddx
 
@@ -126,7 +125,7 @@ class TestConvectiveDerivative:
     def test_matches_time_difference_oracle(self):
         # udot from the momentum balance vs (u(t+d)-u(t))/d + u u_x from a
         # solver micro-step
-        cfg = regression_scenarios(n_cells=513)["smooth_bump"]
+        cfg = shipped_scenario("smooth_bump", 513)
         state, _, _ = build_initial(cfg)
         g, p = cfg.grid(), cfg.model
         delta = 1e-7
@@ -162,15 +161,12 @@ class TestYResidual:
     def test_refinement_order(self):
         # solver-time error held at O(dx^2) so the residual scales as
         # C*(dx^2 + cadence^2) with stable C
-        base = regression_scenarios()["smooth_bump"]
         worst = {}
         cs = {}
         for n, cad in ((129, 0.08), (257, 0.04)):
-            g0 = Grid1D(n, base.model.half_length)
-            cfg = replace(
-                base,
-                n_cells=n,
-                solver=SolverConfig(t_end=0.4, output_cadence=cad, dt_override=0.2 * g0.dx**2),
+            g0 = shipped_scenario("smooth_bump", n).grid()
+            cfg = shipped_scenario(
+                "smooth_bump", n, t_end=0.4, output_cadence=cad, dt_override=0.2 * g0.dx**2
             )
             state, _, _ = build_initial(cfg)
             g, p = cfg.grid(), cfg.model

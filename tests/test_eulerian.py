@@ -5,6 +5,7 @@ import pytest
 from dataclasses import replace
 
 import nsdv
+from conftest import shipped_scenario, smooth_state
 from nsdv.diagnostics import build_series
 from nsdv.errors import InputError, NumericalFailure, VacuumBlowup
 from nsdv.eulerian import (
@@ -16,7 +17,7 @@ from nsdv.eulerian import (
     step_effective,
     step_primitive,
 )
-from nsdv.initdata import build_initial, regression_scenarios
+from nsdv.initdata import build_initial
 from nsdv.model import FluidState, Grid1D, ModelParams
 
 
@@ -88,16 +89,17 @@ class TestFixedPoint:
         p = mp(0.75, 2.0, L=4.0)
         cfg = SolverConfig(t_end=1.0, output_cadence=1.0, formulation="effective")
         rho, v = np.ones(129), np.zeros(129)
+        u = recover_velocity(rho, v, g, p)
         dt = 1e-4
         for k in range(200):
-            rho, v = step_effective(rho, v, k * dt, dt, g, cfg, p)
+            rho, v, u = step_effective(rho, v, u, k * dt, dt, g, cfg, p)
         assert np.max(np.abs(rho - 1.0)) <= 1e-12
         assert np.max(np.abs(v)) <= 1e-12
 
 
 class TestConservationAndDamping:
     def test_mass_conserved_per_step(self):
-        cfg = regression_scenarios(n_cells=257)["smooth_bump"]
+        cfg = shipped_scenario("smooth_bump", 257)
         s, _, _ = build_initial(cfg)
         g, p = cfg.grid(), cfg.model
         m0 = np.sum(s.rho) * g.dx
@@ -122,7 +124,6 @@ class TestConservationAndDamping:
         np.testing.assert_allclose(out, v * np.exp(-p.gamma * dt * steps), rtol=1e-12)
 
     def test_velocity_recovery_roundtrip(self, grid):
-        from conftest import smooth_state
         from nsdv.effective import effective_velocity
 
         p = mp(0.75, 2.0)
@@ -135,7 +136,7 @@ class TestConservationAndDamping:
 
 class TestFailures:
     def test_huge_dt_override_is_numerical_failure(self):
-        cfg0 = regression_scenarios(n_cells=257)["smooth_bump"]
+        cfg0 = shipped_scenario("smooth_bump", 257)
         g = cfg0.grid()
         solver = SolverConfig(
             t_end=1.0,
@@ -176,7 +177,7 @@ class TestFailures:
         cfg = SolverConfig(
             t_end=1.0, output_cadence=1.0, formulation="effective", advection_order=1
         )
-        return step_effective(rho, v, 0.0, dt * g.dx, g, cfg, p)
+        return step_effective(rho, v, recover_velocity(rho, v, g, p), 0.0, dt * g.dx, g, cfg, p)
 
     def test_vacuum_floor_step_effective(self):
         with pytest.raises(VacuumBlowup) as err:
@@ -190,16 +191,7 @@ class TestFailures:
         assert err.value.time == pytest.approx(2.0 * 0.02)
 
     def test_run_records_partial_trajectory_on_blowup(self):
-        from nsdv.initdata import InitialData, ScenarioConfig
-
-        cfg = ScenarioConfig(
-            model=ModelParams(alpha=2.0, gamma=2.0, half_length=10.0),
-            n_cells=128,
-            solver=SolverConfig(
-                t_end=3.0, output_cadence=0.25, cfl_number=0.4, advection_order=1
-            ),
-            initial=InitialData(kind="rarefaction", amplitude=25.0),
-        )
+        cfg = shipped_scenario("vacuum_stress")
         s, _, _ = build_initial(cfg)
         traj = run(s, cfg.solver, cfg.grid(), cfg.model)
         assert traj.blowup is not None
@@ -219,7 +211,7 @@ class TestRun:
             assert np.max(np.abs(s.u)) <= 1e-13
 
     def test_smooth_bump_completes(self):
-        cfg = regression_scenarios(n_cells=257)["smooth_bump"]
+        cfg = shipped_scenario("smooth_bump", 257)
         s, _, _ = build_initial(cfg)
         traj = run(s, cfg.solver, cfg.grid(), cfg.model)
         assert traj.blowup is None
@@ -229,7 +221,7 @@ class TestRun:
     def test_smooth_bump_regression_fixture(self):
         # frozen reference values for the N=257 smooth-bump run; any scheme
         # change that shifts the trajectory shows up here first
-        cfg = regression_scenarios(n_cells=257)["smooth_bump"]
+        cfg = shipped_scenario("smooth_bump", 257)
         s, _, _ = build_initial(cfg)
         d = build_series(run(s, cfg.solver, cfg.grid(), cfg.model))
         assert d.energy[0] == pytest.approx(0.01253314137315496, rel=1e-7)
@@ -255,10 +247,9 @@ class TestRun:
         from nsdv.lagrangian import run_lagrangian
         from nsdv.stability import twin_run_stability
 
-        sol = SolverConfig(t_end=0.13, output_cadence=0.05)
-        cfg = replace(regression_scenarios()["smooth_bump"], n_cells=129, solver=sol)
+        cfg = shipped_scenario("smooth_bump", 129, t_end=0.13, output_cadence=0.05)
         s, _, _ = build_initial(cfg)
-        g, p = cfg.grid(), cfg.model
+        g, p, sol = cfg.grid(), cfg.model, cfg.solver
         expected = [0.0, 0.05, 0.1, 0.13]
         np.testing.assert_allclose(run(s, sol, g, p).times, expected, atol=1e-12)
         np.testing.assert_allclose(run_lagrangian(s, sol, g, p).times, expected, atol=1e-12)
@@ -266,8 +257,7 @@ class TestRun:
 
     def test_drive_hands_each_recorded_state_to_record(self, monkeypatch):
         # same setup as the cadence contract: t=0, 0.05, 0.1 and t_end 0.13
-        sol = SolverConfig(t_end=0.13, output_cadence=0.05)
-        cfg = replace(regression_scenarios()["smooth_bump"], n_cells=129, solver=sol)
+        cfg = shipped_scenario("smooth_bump", 129, t_end=0.13, output_cadence=0.05)
         s, _, _ = build_initial(cfg)
         stepped = [s]
         real_step = nsdv.eulerian.step_primitive
@@ -279,7 +269,7 @@ class TestRun:
         monkeypatch.setattr(nsdv.eulerian, "step_primitive", counting_step)
         seen = []
         # each state is handed over right after the step that made it, before the next step
-        traj = run(s, sol, cfg.grid(), cfg.model,
+        traj = run(s, cfg.solver, cfg.grid(), cfg.model,
                    on_snapshot=lambda state: seen.append((state, stepped[-1])))
         assert len(seen) == len(traj.snapshots) == 4
         for (state, latest), snap in zip(seen, traj.snapshots):
@@ -287,7 +277,7 @@ class TestRun:
         np.testing.assert_allclose([st.time for st, _ in seen], [0.0, 0.05, 0.1, 0.13], atol=1e-12)
 
     def test_boundary_reset_every_snapshot(self):
-        cfg = regression_scenarios(n_cells=129)["rarefaction"]
+        cfg = shipped_scenario("rarefaction", 129)
         s, _, _ = build_initial(cfg)
         traj = run(s, cfg.solver, cfg.grid(), cfg.model)
         for snap in traj.snapshots:
@@ -301,14 +291,13 @@ class TestRun:
             run(s, SolverConfig(t_end=1.0, output_cadence=0.5), grid, p)
 
     def test_self_convergence_against_refined_reference(self):
-        base = regression_scenarios()["smooth_bump"]
-        p = base.model
-        ref_cfg = replace(base, n_cells=1025, solver=SolverConfig(t_end=0.25, output_cadence=0.25))
+        ref_cfg = shipped_scenario("smooth_bump", 1025, t_end=0.25, output_cadence=0.25)
+        p = ref_cfg.model
         sref, _, _ = build_initial(ref_cfg)
         ref = run(sref, ref_cfg.solver, ref_cfg.grid(), p).snapshots[-1]
         errs = {}
         for n in (129, 257):
-            cfg = replace(base, n_cells=n, solver=ref_cfg.solver)
+            cfg = replace(ref_cfg, n_cells=n)
             s0, _, _ = build_initial(cfg)
             g = cfg.grid()
             fin = run(s0, cfg.solver, g, p).snapshots[-1]
@@ -321,7 +310,7 @@ class TestRun:
         assert np.log2(errs[129] / errs[257]) >= 1.0
 
     def test_cross_formulation_agreement_quick(self):
-        cfg = regression_scenarios(n_cells=257)["smooth_bump"]
+        cfg = shipped_scenario("smooth_bump", 257)
         s, _, _ = build_initial(cfg)
         g, p = cfg.grid(), cfg.model
         sol = SolverConfig(t_end=0.5, output_cadence=0.5)

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from conftest import SHIPPED
+from nsdv import io
 from nsdv.effective import effective_velocity
 from nsdv.errors import ConfigError, InputError
 from nsdv.eulerian import SolverConfig
@@ -15,7 +17,6 @@ from nsdv.initdata import (
     manufactured_exact,
     manufactured_source,
     mollify,
-    regression_scenarios,
 )
 from nsdv import initdata
 from nsdv.model import Grid1D, ModelParams, phi
@@ -117,10 +118,10 @@ class TestBuildInitial:
         np.testing.assert_allclose(effective_velocity(state, g, p), v0, atol=g.dx**2)
 
     def test_boundary_invariant(self):
-        for name, cfg in regression_scenarios(n_cells=257).items():
-            state, _, _ = build_initial(cfg)
-            assert state.rho[0] == 1.0 and state.rho[-1] == 1.0, name
-            assert state.u[0] == 0.0 and state.u[-1] == 0.0, name
+        for path in SHIPPED:
+            state, _, _ = build_initial(io.load_config(path))
+            assert state.rho[0] == 1.0 and state.rho[-1] == 1.0, path.name
+            assert state.u[0] == 0.0 and state.u[-1] == 0.0, path.name
 
     def test_farfield_violation_rejected(self):
         cfg = scenario(InitialData(kind="smooth_bump", amplitude=0.1, width=5.0))
@@ -132,9 +133,9 @@ class TestBuildInitial:
         with pytest.raises(ConfigError):
             build_initial(cfg)
 
-    def test_regression_scenarios_validate(self):
-        for cfg in regression_scenarios(n_cells=257).values():
-            build_initial(cfg)
+    def test_shipped_configs_validate(self):
+        for path in SHIPPED:
+            build_initial(io.load_config(path))
 
 
 class TestInitialDataValidation:

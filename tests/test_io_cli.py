@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import nsdv.cli
+from conftest import CONFIG_DIR, SHIPPED, shipped_scenario
 from nsdv import io
 from nsdv.cli import main, mms_convergence
 from nsdv.diagnostics import FLAG_ORDER, build_series
@@ -26,12 +27,10 @@ from nsdv.initdata import (
     manufactured_boundary,
     manufactured_exact,
     manufactured_source,
-    regression_scenarios,
 )
 from nsdv.model import FluidState, Grid1D, ModelParams
 
 REPO = Path(__file__).resolve().parent.parent
-CONFIG_DIR = REPO / "configs"
 # for a child interpreter that imports nsdv from this checkout
 SRC_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(
     filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))}
@@ -72,18 +71,13 @@ def entries(root):
 
 def small_cfg(**solver_kw):
     solver_kw = {"t_end": 0.2, "output_cadence": 0.1, **solver_kw}
-    solver = SolverConfig(**solver_kw)
-    return ScenarioConfig(
-        model=ModelParams(alpha=0.75, gamma=2.0, half_length=10.0),
-        n_cells=129,
-        solver=solver,
-        initial=InitialData(kind="smooth_bump", amplitude=0.1, width=1.0),
-    )
+    return shipped_scenario("smooth_bump", 129, **solver_kw)
 
 
 class TestConfigRoundTrip:
     def test_identity_on_presets(self):
-        for cfg in regression_scenarios(n_cells=257).values():
+        for path in SHIPPED:
+            cfg = io.load_config(path)
             text = io.serialize_config(cfg)
             assert io.parse_config(text) == cfg
             assert io.serialize_config(io.parse_config(text)) == text
@@ -108,16 +102,11 @@ class TestConfigRoundTrip:
             assert io.parse_config(io.serialize_config(cfg)) == cfg
 
     def test_shipped_configs_parse(self):
-        names = {p.name for p in CONFIG_DIR.glob("*.cfg")}
+        names = {p.name for p in SHIPPED}
         assert {"smooth_bump.cfg", "rarefaction.cfg", "steepening.cfg",
                 "constantin.cfg", "equilibrium.cfg", "vacuum_stress.cfg"} <= names
-        for path in CONFIG_DIR.glob("*.cfg"):
+        for path in SHIPPED:
             io.load_config(path)
-
-    def test_shipped_regression_configs_match_registry(self):
-        scenarios = regression_scenarios()
-        for name, cfg in scenarios.items():
-            assert io.load_config(CONFIG_DIR / f"{name}.cfg") == cfg
 
     def test_readme_example_parses(self):
         readme = (REPO / "README.md").read_text(encoding="utf-8")
@@ -416,7 +405,9 @@ class TestCLI:
         ("0", "epsilon must be finite and nonzero, got 0"),
         # u0 = 0 there, so the perturbation is nonzero but its square underflows
         ("1e-300", "epsilon 1e-300 gives a perturbation of zero energy"),
-    ], ids=["nan", "inf", "0", "1e-300"])
+        # the perturbation survives u0 but not the first step
+        ("1e-30", "epsilon 1e-30 is lost to rounding: the two runs coincide from t=0.01"),
+    ], ids=["nan", "inf", "0", "1e-300", "1e-30"])
     def test_twin_non_finite_epsilon_exits_2(self, tmp_path, capsys, epsilon, error):
         path = CONFIG_DIR / "twin_smooth_bump.cfg"
         code = main(["twin", "--config", str(path), "--out", str(tmp_path),

@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
+from conftest import shipped_scenario
 from nsdv.errors import DomainExitError, HomeomorphismError, VacuumBlowup
 from nsdv.eulerian import SolverConfig, run
-from nsdv.initdata import build_initial, regression_scenarios
+from nsdv.initdata import build_initial
 from nsdv.lagrangian import (
     FlowMap,
     TrajectorySampler,
@@ -76,7 +77,7 @@ class TestIntegrateFlow:
             integrate_flow(sampler, g)
 
     def test_jacobian_matches_map_difference_on_solver_run(self):
-        cfg = regression_scenarios(n_cells=257)["smooth_bump"]
+        cfg = shipped_scenario("smooth_bump", 257)
         s, _, _ = build_initial(cfg)
         g, p = cfg.grid(), cfg.model
         traj = run(s, SolverConfig(t_end=0.5, output_cadence=0.05), g, p)
@@ -145,7 +146,7 @@ class TestStepLagrangian:
         assert err.value.time == 0.25 + 1e-3
 
     def test_mass_identity_exact_by_construction(self):
-        cfg = regression_scenarios(n_cells=257)["smooth_bump"]
+        cfg = shipped_scenario("smooth_bump", 257)
         s, _, _ = build_initial(cfg)
         g, p = cfg.grid(), cfg.model
         traj = run_lagrangian(s, SolverConfig(t_end=0.5, output_cadence=0.1), g, p)
@@ -155,7 +156,7 @@ class TestStepLagrangian:
     def test_flow_inequality_bounds(self):
         # C(t)^{-1} inf rho0 <= dX/dx <= C(t) sup rho0 with
         # C(t) = max(rho_lag) * max(1/rho_lag) measured on the run
-        cfg = regression_scenarios(n_cells=257)["smooth_bump"]
+        cfg = shipped_scenario("smooth_bump", 257)
         s, _, _ = build_initial(cfg)
         g, p = cfg.grid(), cfg.model
         traj = run_lagrangian(s, SolverConfig(t_end=0.5, output_cadence=0.1), g, p)
@@ -166,7 +167,7 @@ class TestStepLagrangian:
             assert np.max(jac_k) <= hi * c_t + 1e-12
 
     def test_jacobian_positive_throughout(self):
-        cfg = regression_scenarios(n_cells=129)["steepening"]
+        cfg = shipped_scenario("steepening", 129)
         s, _, _ = build_initial(cfg)
         g, p = cfg.grid(), cfg.model
         traj = run_lagrangian(s, SolverConfig(t_end=1.0, output_cadence=0.1), g, p)
@@ -174,7 +175,7 @@ class TestStepLagrangian:
             assert np.all(jac_k > 0.0)
 
     def test_cross_solver_agreement(self):
-        cfg = regression_scenarios(n_cells=257)["smooth_bump"]
+        cfg = shipped_scenario("smooth_bump", 257)
         s, _, _ = build_initial(cfg)
         g, p = cfg.grid(), cfg.model
         sol = SolverConfig(t_end=0.5, output_cadence=0.25)

@@ -5,16 +5,14 @@ import numpy as np
 import pytest
 from dataclasses import replace
 
+from conftest import shipped_scenario
 from nsdv.errors import InputError
-from nsdv.eulerian import SolverConfig
-from nsdv.initdata import regression_scenarios
 from nsdv.stability import twin_run_stability
 
 
 @pytest.fixture(scope="module")
 def twin_cfg():
-    base = regression_scenarios()["smooth_bump"]
-    return replace(base, n_cells=257, solver=SolverConfig(t_end=0.12, output_cadence=0.01))
+    return shipped_scenario("twin_smooth_bump", 257)
 
 
 def test_zero_perturbation_identically_zero(twin_cfg):
