@@ -1,10 +1,11 @@
 """Command line entry points: run, verify, convergence, twin.
 
-Exit codes: 0 ok; 2 config error (ConfigError, InputError, a missing config
-file, DomainError when the data leave a constitutive law's domain,
-DomainExitError when a flow-map particle leaves the domain); 3 numerical
-failure (NumericalFailure, HomeomorphismError); 4 monitor violation; 5 blow-up
-detected (VacuumBlowup).  The default output root is $NSDV_OUT_DIR or ./out;
+Exit codes follow the exception classes: 0 ok; 2 config error (InputError,
+whose ConfigError includes DomainExitError when a flow-map particle leaves
+the domain; a missing config file; DomainError when the data leave a
+constitutive law's domain); 3 numerical failure (NumericalFailure, which
+includes HomeomorphismError); 4 monitor violation; 5 blow-up detected
+(VacuumBlowup).  The default output root is $NSDV_OUT_DIR or ./out;
 concurrent runs land in distinct directories keyed by the config hash.
 """
 
@@ -23,8 +24,6 @@ from .diagnostics import build_series
 from .errors import (
     ConfigError,
     DomainError,
-    DomainExitError,
-    HomeomorphismError,
     InputError,
     NumericalFailure,
     VacuumBlowup,
@@ -238,7 +237,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, FileNotFoundError, DomainError, DomainExitError) as exc:
+    except (ConfigError, FileNotFoundError, DomainError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except InputError as exc:
@@ -247,7 +246,7 @@ def main(argv=None) -> int:
     except VacuumBlowup as exc:
         print(f"blow-up: {exc} (t={exc.time})", file=sys.stderr)
         return EXIT_BLOWUP
-    except (NumericalFailure, HomeomorphismError) as exc:
+    except NumericalFailure as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

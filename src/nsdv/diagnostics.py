@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import model
-from .effective import compute_effective_fields, effective_velocity
+from .effective import compute_effective_fields
 from .model import RHO_FLOOR, FluidState, Grid1D, ModelParams
 from .stencils import ddx
 
@@ -57,12 +57,8 @@ def energy_dissipation_rate(state: FluidState, grid: Grid1D, p: ModelParams) -> 
     return float(np.sum(mu * ddx(state.u, grid) ** 2) * grid.dx)
 
 
-def bd_entropy(state: FluidState, grid: Grid1D, p: ModelParams) -> float:
+def bd_entropy(rho, v, grid: Grid1D, p: ModelParams) -> float:
     """Instantaneous part sum(rho v^2/2 + Pi_rel(rho)) dx with v effective."""
-    return _bd_entropy(state.rho, effective_velocity(state, grid, p), grid, p)
-
-
-def _bd_entropy(rho, v, grid: Grid1D, p: ModelParams) -> float:
     return 0.5 * float(np.sum(rho * v**2) * grid.dx) + float(
         np.sum(model.internal_energy(rho, p)) * grid.dx
     )
@@ -105,7 +101,7 @@ def _scan(traj) -> dict:
         rows.append(
             {
                 "energy": energy(s, grid, p),
-                "bd": _bd_entropy(s.rho, eff.v, grid, p),
+                "bd": bd_entropy(s.rho, eff.v, grid, p),
                 "y_max": float(np.max(eff.y)),
                 "slope": float(np.max(ddx(eff.v, grid))),
                 "rho_max": float(np.max(s.rho)),

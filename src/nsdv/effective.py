@@ -1,8 +1,8 @@
-"""Derived fields: effective velocity, effective flux, effective pressure,
-convective derivative, and the residual of the effective-pressure transport
-equation.
+"""Derived fields of one (rho, u) snapshot, and the residual of the
+effective-pressure transport equation.
 
-All of these are diagnostic views of a single (rho, u) snapshot:
+effective_velocity gives v alone (the effective solver's variable);
+compute_effective_fields gives all four, evaluating P(rho) and du/dx once:
 
     v    = u + mu(rho)/rho**2 * d rho/dx      (effective velocity)
     w1   = rho**alpha * du/dx - P(rho) + P(1) (effective flux)
@@ -42,33 +42,18 @@ def effective_velocity(state: FluidState, grid: Grid1D, p: ModelParams) -> np.nd
     return state.u + mu / state.rho**2 * ddx(state.rho, grid)
 
 
-def effective_flux(state: FluidState, grid: Grid1D, p: ModelParams) -> np.ndarray:
-    """w1 = rho**alpha * ddx(u) - P(rho) + P(1)."""
-    mu = model.viscosity(state.rho, p)
-    p_far = model.pressure(model.FARFIELD[0], p)
-    return mu * ddx(state.u, grid) - model.pressure(state.rho, p) + p_far
-
-
-def effective_pressure(state: FluidState, grid: Grid1D, p: ModelParams) -> np.ndarray:
-    """y = ddx(v)/rho + f2(rho) with v the effective velocity."""
-    v = effective_velocity(state, grid, p)
-    return ddx(v, grid) / state.rho + model.f2(state.rho, p)
-
-
-def convective_derivative(state: FluidState, grid: Grid1D, p: ModelParams) -> np.ndarray:
-    """udot from the momentum balance: (ddx(rho**alpha*ddx(u)) - ddx(P))/rho."""
-    mu = model.viscosity(state.rho, p)
-    visc = ddx(mu * ddx(state.u, grid), grid)
-    dpdx = ddx(model.pressure(state.rho, p), grid)
-    return (visc - dpdx) / state.rho
-
-
 def compute_effective_fields(state: FluidState, grid: Grid1D, p: ModelParams) -> EffectiveFields:
+    """The one definition of w1, y and udot: v from effective_velocity, then
+    mu(rho), P(rho) and the viscous flux mu*ddx(u) once for the other three."""
+    rho = state.rho
+    v = effective_velocity(state, grid, p)
+    flux = model.viscosity(rho, p) * ddx(state.u, grid)
+    pres = model.pressure(rho, p)
     return EffectiveFields(
-        v=effective_velocity(state, grid, p),
-        w1=effective_flux(state, grid, p),
-        y=effective_pressure(state, grid, p),
-        udot=convective_derivative(state, grid, p),
+        v=v,
+        w1=flux - pres + model.pressure(model.FARFIELD[0], p),
+        y=ddx(v, grid) / rho + model.f2(rho, p),
+        udot=(ddx(flux, grid) - ddx(pres, grid)) / rho,
     )
 
 
@@ -95,19 +80,18 @@ def y_residual(
         raise InputError(
             f"snapshot times must increase, got {prev.time}, {mid.time}, {nxt.time}"
         )
-    y_prev = effective_pressure(prev, grid, p)
-    y_mid = effective_pressure(mid, grid, p)
-    y_next = effective_pressure(nxt, grid, p)
+    eff = compute_effective_fields(mid, grid, p)
+    y_prev = compute_effective_fields(prev, grid, p).y
+    y_next = compute_effective_fields(nxt, grid, p).y
 
     dydt = (y_next - y_prev) / (nxt.time - prev.time)
-    v = effective_velocity(mid, grid, p)
     rho, u = mid.rho, mid.u
     res = (
         dydt
-        + u * ddx(y_mid, grid)
-        + model.f1(rho, p) * y_mid
+        + u * ddx(eff.y, grid)
+        + model.f1(rho, p) * eff.y
         - model.f1f2(rho, p)
-        + model.f1prime_rho_over_mu(rho, p) * (v - u) ** 2
+        + model.f1prime_rho_over_mu(rho, p) * (eff.v - u) ** 2
     )
     l2 = float(np.sqrt(np.sum(res**2) * grid.dx))
     return YResidual(field=res, max_norm=float(np.max(np.abs(res))), l2_norm=l2)

@@ -34,9 +34,9 @@ class VacuumBlowup(RuntimeError):
         self.node = node
 
 
-class HomeomorphismError(RuntimeError):
+class HomeomorphismError(NumericalFailure):
     """Flow map lost monotonicity / Jacobian positivity."""
 
 
-class DomainExitError(RuntimeError):
+class DomainExitError(ConfigError):
     """A flow-map particle left the truncated domain."""

@@ -24,9 +24,8 @@ import numpy as np
 from . import model
 from .effective import effective_velocity
 from .errors import ConfigError, InputError
-from .eulerian import SolverConfig
+from .eulerian import SolverConfig, recover_velocity
 from .model import FluidState, Grid1D, ModelParams
-from .stencils import ddx
 
 FARFIELD_TOL = 1e-8
 FARFIELD_BAND = 0.05  # fraction of the domain on each side that must be at far field
@@ -249,7 +248,7 @@ def build_initial(cfg: ScenarioConfig):
             raise InputError("profile density must be positive")
         rho = 1.0 + mollify(rho_raw - 1.0, init.mollifier_n, grid)
         v0 = mollify(v_raw, init.mollifier_n, grid)
-        u = v0 - ddx(model.phi(rho, p), grid)
+        u = recover_velocity(rho, v0, grid, p)
 
     rho[0] = rho[-1] = model.FARFIELD[0]
     u[0] = u[-1] = model.FARFIELD[1]

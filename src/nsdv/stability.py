@@ -25,13 +25,13 @@ the horizon of the local-uniqueness contraction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import model
 from .diagnostics import left_integral
-from .errors import InputError, NumericalFailure, VacuumBlowup
+from .errors import ConfigError, InputError, NumericalFailure, VacuumBlowup
 from .eulerian import SolverConfig, drive, stable_dt, step_primitive
 from .initdata import ScenarioConfig, build_initial
 from .lagrangian import TrajectorySampler, integrate_flow, to_lagrangian
@@ -92,7 +92,8 @@ def default_perturbation(grid) -> np.ndarray:
 
 def twin_run_stability(scenario: ScenarioConfig, epsilon: float) -> TwinReport:
     """Run the twin experiment at perturbation size `epsilon` (of u0 only),
-    along default_perturbation."""
+    along default_perturbation.  The scenario's formulation must be
+    primitive: the twin compares primitive runs."""
     # epsilon = 0 steps two identical runs, whose difference passes every
     # Gronwall check vacuously
     if not np.isfinite(epsilon) or epsilon == 0.0:
@@ -101,7 +102,7 @@ def twin_run_stability(scenario: ScenarioConfig, epsilon: float) -> TwinReport:
     grid = scenario.grid()
     cfg = scenario.solver
     if cfg.formulation != "primitive":
-        cfg = replace(cfg, formulation="primitive")
+        raise ConfigError(f"twin steps the primitive solver, not formulation = {cfg.formulation}")
     base, _, _ = build_initial(scenario)
     pert = FluidState(
         time=0.0, rho=base.rho.copy(), u=base.u + epsilon * default_perturbation(grid)

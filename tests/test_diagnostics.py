@@ -13,6 +13,7 @@ from nsdv.diagnostics import (
     energy,
     sigma,
 )
+from nsdv.effective import effective_velocity
 from nsdv.eulerian import SolverConfig, Trajectory, run
 from nsdv.initdata import build_initial
 from nsdv.model import FluidState, Grid1D, ModelParams, f2
@@ -64,7 +65,8 @@ class TestEnergy:
     def test_bd_equals_energy_for_flat_density(self, grid):
         p = mp(0.75, 2.0)
         s = FluidState(time=0.0, rho=np.ones(grid.n_cells), u=np.sin(grid.coords))
-        assert bd_entropy(s, grid, p) == pytest.approx(energy(s, grid, p), rel=1e-12)
+        v = effective_velocity(s, grid, p)
+        assert bd_entropy(s.rho, v, grid, p) == pytest.approx(energy(s, grid, p), rel=1e-12)
 
     def test_balance_holds_on_scenarios(self):
         for name in REGRESSION:
@@ -178,8 +180,6 @@ class TestOleinik:
         traj = run(s, cfg.solver, g, p)
         series = build_series(traj)
         assert np.all(~series.violation_flags["oleinik"])
-        from nsdv.effective import effective_velocity
-
         min_slope = min(
             float(np.min(ddx(effective_velocity(sn, g, p), g))) for sn in traj.snapshots
         )

@@ -1,17 +1,10 @@
-"""Effective velocity/flux/pressure, convective derivative, y-equation residual."""
+"""Effective velocity, the fields w1, y and udot, y-equation residual."""
 
 import numpy as np
 import pytest
 
 from conftest import shipped_scenario, smooth_state
-from nsdv.effective import (
-    compute_effective_fields,
-    convective_derivative,
-    effective_flux,
-    effective_pressure,
-    effective_velocity,
-    y_residual,
-)
+from nsdv.effective import compute_effective_fields, effective_velocity, y_residual
 from nsdv.errors import InputError
 from nsdv.eulerian import SolverConfig, run, step_primitive
 from nsdv.initdata import build_initial, manufactured_exact
@@ -62,34 +55,35 @@ class TestEffectiveVelocity:
 class TestEffectiveFlux:
     def test_equilibrium_zero(self, grid, equilibrium):
         p = mp(0.75, 2.0)
-        np.testing.assert_array_equal(effective_flux(equilibrium, grid, p), 0.0)
+        np.testing.assert_array_equal(compute_effective_fields(equilibrium, grid, p).w1, 0.0)
 
     def test_linear_velocity(self, grid):
         p = mp(0.75, 2.0)
         s = FluidState(time=0.0, rho=np.ones(grid.n_cells), u=grid.coords.copy())
-        np.testing.assert_allclose(effective_flux(s, grid, p), 1.0, atol=1e-12)
+        np.testing.assert_allclose(compute_effective_fields(s, grid, p).w1, 1.0, atol=1e-12)
 
     def test_pressure_offset(self, grid):
         p = mp(0.75, 2.0)
         s = FluidState(time=0.0, rho=np.full(grid.n_cells, 2.0), u=np.zeros(grid.n_cells))
-        np.testing.assert_allclose(effective_flux(s, grid, p), -3.0, atol=1e-12)
+        np.testing.assert_allclose(compute_effective_fields(s, grid, p).w1, -3.0, atol=1e-12)
 
 
 class TestEffectivePressure:
     def test_equilibrium_power_branch(self, grid, equilibrium):
         p = mp(0.5 + 1e-3, 2.0)  # f2(1) = gamma/(gamma-alpha-1)
-        y = effective_pressure(equilibrium, grid, p)
+        y = compute_effective_fields(equilibrium, grid, p).y
         np.testing.assert_allclose(y, f2(1.0, p), atol=1e-12)
 
     def test_equilibrium_exact_value(self, grid, equilibrium):
         # gamma=2, alpha just above 1/2: f2(1) ~ 2/0.5 = 4 at alpha=0.5
         p = ModelParams(alpha=0.50000001, gamma=2.0, half_length=8.0)
-        y = effective_pressure(equilibrium, grid, p)
+        y = compute_effective_fields(equilibrium, grid, p).y
         assert y[0] == pytest.approx(4.0, rel=1e-6)
 
     def test_equilibrium_log_branch(self, grid, equilibrium):
         p = mp(1.0, 2.0)
-        np.testing.assert_allclose(effective_pressure(equilibrium, grid, p), 0.0, atol=1e-12)
+        y = compute_effective_fields(equilibrium, grid, p).y
+        np.testing.assert_allclose(y, 0.0, atol=1e-12)
 
     def test_manufactured_state_analytic(self):
         # alpha=2 makes v = u + rho_x analytically tractable
@@ -102,7 +96,7 @@ class TestEffectivePressure:
         s = FluidState(time=0.0, rho=rho, u=u)
         dv = -b * np.sin(x) - a * np.sin(x)  # d/dx (u + rho_x)
         y_exact = dv / rho + f2(rho, p)
-        y = effective_pressure(s, g, p)
+        y = compute_effective_fields(s, g, p).y
         # nested one-sided stencils carry a larger constant on the two
         # outermost nodes of this non-far-field synthetic state
         assert np.max(np.abs(y - y_exact)[2:-2]) <= 10.0 * g.dx**2
@@ -112,13 +106,14 @@ class TestEffectivePressure:
 class TestConvectiveDerivative:
     def test_equilibrium_zero(self, grid, equilibrium):
         p = mp(0.75, 2.0)
-        np.testing.assert_allclose(convective_derivative(equilibrium, grid, p), 0.0, atol=1e-12)
+        udot = compute_effective_fields(equilibrium, grid, p).udot
+        np.testing.assert_allclose(udot, 0.0, atol=1e-12)
 
     def test_sine_velocity_laplacian(self):
         g = Grid1D(1024, np.pi)
         p = mp(1.0, 2.0, L=np.pi)
         s = FluidState(time=0.0, rho=np.ones(g.n_cells), u=np.sin(g.coords))
-        udot = convective_derivative(s, g, p)
+        udot = compute_effective_fields(s, g, p).udot
         assert np.max(np.abs(udot + np.sin(g.coords))[2:-2]) <= 10.0 * g.dx**2
         assert np.max(np.abs(udot + np.sin(g.coords))) <= 500.0 * g.dx**2
 
@@ -133,7 +128,7 @@ class TestConvectiveDerivative:
         nxt = step_primitive(state, delta, g, scfg, p)
         du_dt = (nxt.u - state.u) / delta
         oracle = du_dt + state.u * ddx(state.u, g)
-        udot = convective_derivative(state, g, p)
+        udot = compute_effective_fields(state, g, p).udot
         assert np.max(np.abs(udot - oracle)) <= 1e-3  # O(delta) + O(dx^2)
 
 

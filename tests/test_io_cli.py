@@ -162,10 +162,12 @@ class TestOutputs:
         assert header == io.SNAP_HEADER.split(",")
         arr = np.array(rows)
         grid = cfg.grid()
-        eff = compute_effective_fields(traj.snapshots[0], grid, cfg.model)
-        np.testing.assert_array_equal(arr[:, 0], grid.coords)  # repr round-trips
-        np.testing.assert_array_equal(arr[:, 1], traj.snapshots[0].rho)
-        np.testing.assert_array_equal(arr[:, 3], eff.v)
+        s = traj.snapshots[0]
+        eff = compute_effective_fields(s, grid, cfg.model)
+        # repr round-trips every column bitwise
+        expected = (grid.coords, s.rho, s.u, eff.v, eff.w1, eff.y, eff.udot)
+        for col, want in enumerate(expected):
+            np.testing.assert_array_equal(arr[:, col], want, err_msg=header[col])
 
     def test_diagnostics_csv_schema(self, run_dir):
         d, _, traj = run_dir
@@ -417,6 +419,19 @@ class TestCLI:
         assert error in captured.err
         assert captured.out == ""
         assert not list(tmp_path.iterdir())
+
+    def test_twin_effective_formulation_exits_2(self, tmp_path, capsys):
+        text = (CONFIG_DIR / "twin_smooth_bump.cfg").read_text(encoding="ascii")
+        path = tmp_path / "cfg" / "effective.cfg"
+        path.parent.mkdir()
+        path.write_text(text.replace("formulation = primitive", "formulation = effective"),
+                        encoding="ascii")
+        out = tmp_path / "out"
+        assert main(["twin", "--config", str(path), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert "config error: twin steps the primitive solver" in captured.err
+        assert captured.out == ""
+        assert not out.exists()
 
     @pytest.fixture
     def dat_tables(self, tmp_path):

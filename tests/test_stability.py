@@ -6,7 +6,7 @@ import pytest
 from dataclasses import replace
 
 from conftest import shipped_scenario
-from nsdv.errors import InputError
+from nsdv.errors import ConfigError, InputError
 from nsdv.stability import twin_run_stability
 
 
@@ -48,7 +48,8 @@ def test_linear_epsilon_scaling(twin_cfg):
     assert ratio == pytest.approx(2.0, rel=0.2)
 
 
-def test_effective_formulation_config_runs_primitively(twin_cfg):
+def test_effective_formulation_config_is_config_error(twin_cfg):
+    # the twin steps primitive runs only; it must not ignore the config key
     cfg = replace(twin_cfg, solver=replace(twin_cfg.solver, formulation="effective"))
-    rep = twin_run_stability(cfg, 1e-6)
-    assert np.max(rep.delta_l2) <= 1e-5
+    with pytest.raises(ConfigError, match="not formulation = effective"):
+        twin_run_stability(cfg, 1e-6)
