@@ -66,7 +66,7 @@ def _run_with_outputs(args):
     directory.  Returns (trajectory, diagnostic series, run directory)."""
     cfg = _load_scenario(args)
     with io.RunWriter(_out_root(args), cfg) as writer:
-        initial, _, _ = build_initial(cfg)
+        initial = build_initial(cfg)
         traj = run(initial, cfg.solver, cfg.grid(), cfg.model, on_snapshot=writer.record)
         series = build_series(traj)
         return traj, series, writer.finish(traj, series)
@@ -85,7 +85,7 @@ def cmd_verify(args) -> int:
     traj, series, run_dir = _run_with_outputs(args)
     status = EXIT_OK
     for name in sorted(series.violation_flags):
-        if not series.monitors_available.get(name, True):
+        if not series.monitors_available[name]:
             print(f"monitor {name:12s} n/a")
             continue
         bad = series.violation_flags[name]

@@ -16,6 +16,11 @@ Envelope constants of the underlying inequalities are existential, so the
 monitors check only the fully computable comparisons and otherwise report
 empirical envelopes.  Tolerances scale as 10*dx: discretization error enters
 every differentiated quantity at first order near steep gradients.
+
+Each of the six bounded monitors is one (measured, bound) pair of series, or
+none where its estimate does not apply; it fires wherever
+~(measured <= bound), so a NaN on either side fires too.  The blowup monitor
+fires where max 1/rho reaches 1/RHO_FLOOR and at a recorded VacuumBlowup.
 """
 
 from __future__ import annotations
@@ -89,7 +94,8 @@ def left_integral(times: np.ndarray, *factors: np.ndarray) -> np.ndarray:
 
 def _scan(traj) -> dict:
     """Every per-snapshot scalar the series and monitors read, as one array
-    per name, from one compute_effective_fields call per snapshot.  No field
+    per name, from one compute_effective_fields call per snapshot; the names
+    of the series are those of the DiagnosticSeries fields.  No field
     array outlives its snapshot: at fine resolution the fields of a whole
     trajectory would dominate peak memory."""
     p, grid = traj.params, traj.grid
@@ -101,15 +107,15 @@ def _scan(traj) -> dict:
         rows.append(
             {
                 "energy": energy(s, grid, p),
-                "bd": bd_entropy(s.rho, eff.v, grid, p),
+                "bd_entropy": bd_entropy(s.rho, eff.v, grid, p),
                 "y_max": float(np.max(eff.y)),
-                "slope": float(np.max(ddx(eff.v, grid))),
+                "oleinik_slope": float(np.max(ddx(eff.v, grid))),
                 "rho_max": float(np.max(s.rho)),
-                "rho_min": float(np.min(s.rho)),
                 "inv_rho_max": float(np.max(1.0 / s.rho)),
-                "bv_v": bv_norm(eff.v),
+                "bv_norm_v": bv_norm(eff.v),
                 "w1_max": float(np.max(eff.w1)),
-                # the Hoff functionals' spatial sums
+                # read by the monitors and Hoff functionals, not series themselves
+                "rho_min": float(np.min(s.rho)),
                 "dux2": float(np.sum(mu * ddx(s.u, grid) ** 2) * dx),
                 "rudot2": float(np.sum(s.rho * eff.udot**2) * dx),
                 "dudot2": float(np.sum(mu * ddx(eff.udot, grid) ** 2) * dx),
@@ -198,9 +204,6 @@ class DiagnosticSeries:
     z_env: np.ndarray | None = None
     tolerance: float = 0.0
 
-    def any_violation(self) -> bool:
-        return any(bool(np.any(flags)) for flags in self.violation_flags.values())
-
     def flag_bits(self, k: int) -> str:
         return "".join("1" if self.violation_flags[name][k] else "0" for name in FLAG_ORDER)
 
@@ -210,65 +213,54 @@ def build_series(traj) -> DiagnosticSeries:
     one pass over its snapshots."""
     p, grid = traj.params, traj.grid
     times = traj.times
-    n_t = len(times)
     tol = TOL_FACTOR * grid.dx
 
     sc = _scan(traj)
+    rho_min, dux2, rudot2, dudot2 = (sc.pop(k) for k in ("rho_min", "dux2", "rudot2", "dudot2"))
     y_env = _y_envelope(p, times, sc)
     z = sc["inv_rho_max"]
-
-    flags = {}
-    avail = {}
-
-    budget_e = sc["energy"][0] * (1.0 + BALANCE_REL) + tol * times
-    flags["energy"] = sc["energy"] + traj.energy_diss_accum > budget_e
-    avail["energy"] = True
-    budget_bd = sc["bd"][0] * (1.0 + BALANCE_REL) + tol * times
-    flags["bd"] = sc["bd"] + traj.bd_diss_accum > budget_bd
-    avail["bd"] = True
-
-    # The Oleinik envelope derives from the y envelope; only the max side of
-    # the slope is ever constrained.
-    avail["y_env"] = avail["oleinik"] = y_env is not None
-    if y_env is not None:
-        flags["y_env"] = sc["y_max"] > y_env + tol
-        # dv/dx = rho*(y - f2(rho)) <= rho_max*(y_env - min_x f2); f2 is increasing
-        oleinik_env = sc["rho_max"] * (y_env - model.f2(sc["rho_min"], p))
-        flags["oleinik"] = ~(sc["slope"] <= oleinik_env + tol)
-    else:
-        flags["y_env"] = np.zeros(n_t, bool)
-        flags["oleinik"] = np.zeros(n_t, bool)
-
-    avail["vacuum"] = p.gamma < p.alpha + 1.0 - model.BRANCH_TOL
-    z_env = _vacuum_envelope(p, times, z[0], float(y_env[0])) if avail["vacuum"] else None
-    flags["vacuum"] = ~(z <= z_env + tol) if avail["vacuum"] else np.zeros(n_t, bool)
-
+    z_env = None
+    if p.gamma < p.alpha + 1.0 - model.BRANCH_TOL:
+        z_env = _vacuum_envelope(p, times, z[0], float(y_env[0]))
     w1_active = constantin_condition_holds(traj.snapshots[0], grid, p)
-    avail["w1_sign"] = w1_active
-    flags["w1_sign"] = sc["w1_max"] > tol if w1_active else np.zeros(n_t, bool)
+    energy_budget = sc["energy"][0] * (1.0 + BALANCE_REL) + tol * times
+    bd_budget = sc["bd_entropy"][0] * (1.0 + BALANCE_REL) + tol * times
 
+    # monitor -> (measured, bound), or None where its estimate does not apply.
+    # The Oleinik envelope derives from the y envelope and constrains only
+    # the max side of the slope: dv/dx = rho*(y - f2(rho)) <= rho_max*(y_env
+    # - min_x f2), f2 being increasing.
+    checks = {
+        "energy": (sc["energy"] + traj.energy_diss_accum, energy_budget),
+        "bd": (sc["bd_entropy"] + traj.bd_diss_accum, bd_budget),
+        "y_env": None if y_env is None else (sc["y_max"], y_env + tol),
+        "oleinik": None if y_env is None else (
+            sc["oleinik_slope"], sc["rho_max"] * (y_env - model.f2(rho_min, p)) + tol
+        ),
+        "vacuum": None if z_env is None else (z, z_env + tol),
+        "w1_sign": (sc["w1_max"], tol) if w1_active else None,
+    }
+    # ~(measured <= bound) also flags a NaN in either
+    flags = {
+        name: np.full(len(times), False) if pair is None else ~(pair[0] <= pair[1])
+        for name, pair in checks.items()
+    }
     flags["blowup"] = z >= 1.0 / RHO_FLOOR
     if traj.blowup is not None:
         flags["blowup"][-1] = True
-    avail["blowup"] = True
+    available = {name: pair is not None for name, pair in checks.items()}
+    available["blowup"] = True
 
     return DiagnosticSeries(
         times=times,
-        energy=sc["energy"],
         energy_diss_accum=np.asarray(traj.energy_diss_accum, dtype=float),
-        bd_entropy=sc["bd"],
         bd_diss_accum=np.asarray(traj.bd_diss_accum, dtype=float),
-        hoff_A=_hoff_series(times, sc["dux2"], sc["rudot2"]),
-        hoff_B=_hoff_series(times, sc["rudot2"], sc["dudot2"]),
-        y_max=sc["y_max"],
-        oleinik_slope=sc["slope"],
-        inv_rho_max=z,
-        rho_max=sc["rho_max"],
-        bv_norm_v=sc["bv_v"],
-        w1_max=sc["w1_max"],
+        hoff_A=_hoff_series(times, dux2, rudot2),
+        hoff_B=_hoff_series(times, rudot2, dudot2),
         violation_flags=flags,
-        monitors_available=avail,
+        monitors_available=available,
         y_env=y_env,
         z_env=z_env,
         tolerance=tol,
+        **sc,
     )

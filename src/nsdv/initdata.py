@@ -1,11 +1,12 @@
 """Initial-data construction and scenario configuration.
 
-Direct modes build (rho0, u0) from closed forms and derive the effective
-velocity; the from_v0 mode goes the other way, following the regularization
-route: mollify (rho0, v0) with the compactly supported kernel and couple the
-velocity through u0 = v0 - ddx(phi(rho0)).  Every mode reports the discrete
-one-sided slope constant of v0, the quantity whose preservation the Oleinik
-monitor tracks.
+build_initial returns the state (rho0, u0).  Direct modes build it from
+closed forms whose parameters must be finite (and a smooth_bump width
+positive); the from_v0 mode follows the regularization route: mollify
+(rho0, v0) with the compactly supported kernel and couple the velocity through
+u0 = v0 - ddx(phi(rho0)).  The one-sided slope of v that the Oleinik monitor
+tracks is measured on every snapshot, the initial one included
+(DiagnosticSeries.oleinik_slope).
 
 All initial data must sit at the far-field state (1, 0) to within 1e-8 on the
 outer 5% of the domain (the estimates assume rho-1 and u are square
@@ -22,7 +23,6 @@ from functools import lru_cache
 import numpy as np
 
 from . import model
-from .effective import effective_velocity
 from .errors import ConfigError, InputError
 from .eulerian import SolverConfig, recover_velocity
 from .model import FluidState, Grid1D, ModelParams
@@ -61,6 +61,12 @@ class InitialData:
         for f in fields(self):
             if f.name not in ("kind", *need) and getattr(self, f.name) is not None:
                 raise ConfigError(f"{self.kind} initial data does not use {f.name}")
+        for name in ("amplitude", "width", "jump", "steepness"):
+            value = getattr(self, name)
+            if value is not None and not np.isfinite(value):
+                raise ConfigError(f"{name} must be finite: {value}")
+        if self.width is not None and not self.width > 0.0:
+            raise ConfigError(f"width must be positive, got {self.width}")
 
 
 @dataclass(frozen=True)
@@ -217,11 +223,9 @@ def manufactured_boundary(mms_id: str, t: float, grid: Grid1D, p: ModelParams):
     return (float(rho[0]), float(u[0])), (float(rho[1]), float(u[1]))
 
 
-def build_initial(cfg: ScenarioConfig):
-    """Construct (FluidState at t=0, v0 field, discrete one-sided slope constant).
-
-    The slope constant is max_i (v0[i+1]-v0[i])/dx.
-    """
+def build_initial(cfg: ScenarioConfig) -> FluidState:
+    """The scenario's state at t=0, checked to sit at far field near the
+    boundary."""
     p = cfg.model
     grid = cfg.grid()
     x = grid.coords
@@ -247,22 +251,15 @@ def build_initial(cfg: ScenarioConfig):
         if np.any(rho_raw <= 0.0):
             raise InputError("profile density must be positive")
         rho = 1.0 + mollify(rho_raw - 1.0, init.mollifier_n, grid)
-        v0 = mollify(v_raw, init.mollifier_n, grid)
-        u = recover_velocity(rho, v0, grid, p)
+        u = recover_velocity(rho, mollify(v_raw, init.mollifier_n, grid), grid, p)
 
     rho[0] = rho[-1] = model.FARFIELD[0]
     u[0] = u[-1] = model.FARFIELD[1]
-
     state = FluidState(time=0.0, rho=rho, u=u)
-    if init.kind != "from_v0":
-        v0 = effective_velocity(state, grid, p)
-    oleinik_c = float(np.max(np.diff(v0)) / grid.dx)
 
     band = np.abs(x) >= (1.0 - FARFIELD_BAND) * p.half_length
     gap = float(np.max(np.abs(rho[band] - 1.0) + np.abs(u[band])))
     if gap > FARFIELD_TOL:
         raise ConfigError(f"initial data not at far field near the boundary (gap {gap:.3e})")
-    if not np.isfinite(oleinik_c):
-        raise ConfigError("one-sided slope constant of v0 is not finite")
-    return state, v0, oleinik_c
+    return state
 

@@ -27,6 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import __version__
 from .diagnostics import FLAG_ORDER, DiagnosticSeries
 from .effective import compute_effective_fields
 from .errors import ConfigError
@@ -75,7 +76,7 @@ def build_id() -> str:
             return out.stdout.strip()
     except (OSError, subprocess.SubprocessError):
         pass
-    return "nsdv-0.1.0"
+    return f"nsdv-{__version__}"
 
 
 def footer(tag: str, build: str) -> str:

@@ -49,7 +49,6 @@ class TwinReport:
     delta_l2: np.ndarray  # ||delta_u(t)||_L2 on the particle grid
     diss_accum: np.ndarray  # int_0^t ||d delta_u/dx||^2
     kappa: float
-    K: np.ndarray
     lhs: np.ndarray
     rhs: np.ndarray
     gronwall_ok: np.ndarray
@@ -103,7 +102,7 @@ def twin_run_stability(scenario: ScenarioConfig, epsilon: float) -> TwinReport:
     cfg = scenario.solver
     if cfg.formulation != "primitive":
         raise ConfigError(f"twin steps the primitive solver, not formulation = {cfg.formulation}")
-    base, _, _ = build_initial(scenario)
+    base = build_initial(scenario)
     pert = FluidState(
         time=0.0, rho=base.rho.copy(), u=base.u + epsilon * default_perturbation(grid)
     )
@@ -169,7 +168,6 @@ def twin_run_stability(scenario: ScenarioConfig, epsilon: float) -> TwinReport:
         delta_l2=delta_l2,
         diss_accum=diss_accum,
         kappa=kappa,
-        K=K,
         lhs=lhs,
         rhs=rhs,
         gronwall_ok=ok,

@@ -49,7 +49,7 @@ def scenario_runs():
     out = {}
     for name in REGRESSION:
         cfg = shipped_scenario(name)
-        state, v0, oleinik_c = build_initial(cfg)
+        state = build_initial(cfg)
         traj = run(state, cfg.solver, cfg.grid(), cfg.model)
         out[name] = (cfg, traj)
     return out
@@ -196,7 +196,7 @@ def test_criterion_08_lagrangian_mass_identity():
     details = []
     for n in (257, 513):
         cfg = shipped_scenario("smooth_bump", n, t_end=0.5, output_cadence=0.05)
-        state, _, _ = build_initial(cfg)
+        state = build_initial(cfg)
         g, p = cfg.grid(), cfg.model
         traj = run(state, cfg.solver, g, p)
         flow = integrate_flow(TrajectorySampler(g, traj.snapshots), g)
@@ -216,7 +216,7 @@ def test_criterion_09_cross_formulation_agreement():
     dists = {}
     for n in (256, 512, 1024):
         cfg = shipped_scenario("smooth_bump", n, t_end=0.5, output_cadence=0.25)
-        state, _, _ = build_initial(cfg)
+        state = build_initial(cfg)
         g, p = cfg.grid(), cfg.model
         fp = run(state, cfg.solver, g, p).snapshots[-1]
         fe = run(

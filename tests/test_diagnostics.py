@@ -38,7 +38,7 @@ def test_build_series_evaluates_each_snapshot_once(monkeypatch):
     import nsdv.diagnostics
 
     cfg = shipped_scenario("smooth_bump", 129)
-    s, _, _ = build_initial(cfg)
+    s = build_initial(cfg)
     traj = run(s, cfg.solver, cfg.grid(), cfg.model)
     calls = []
     real = nsdv.diagnostics.compute_effective_fields
@@ -71,7 +71,7 @@ class TestEnergy:
     def test_balance_holds_on_scenarios(self):
         for name in REGRESSION:
             cfg = shipped_scenario(name, 257)
-            s, _, _ = build_initial(cfg)
+            s = build_initial(cfg)
             traj = run(s, cfg.solver, cfg.grid(), cfg.model)
             d = build_series(traj)
             assert not np.any(d.violation_flags["energy"]), name
@@ -79,7 +79,7 @@ class TestEnergy:
 
     def test_energy_plus_dissipation_nonincreasing(self):
         cfg = shipped_scenario("smooth_bump", 257)
-        s, _, _ = build_initial(cfg)
+        s = build_initial(cfg)
         traj = run(s, cfg.solver, cfg.grid(), cfg.model)
         d = build_series(traj)
         total = d.energy + d.energy_diss_accum
@@ -88,7 +88,7 @@ class TestEnergy:
 
     def test_bd_sup_bounded_by_initial_plus_budget(self):
         cfg = shipped_scenario("smooth_bump", 257)
-        s, _, _ = build_initial(cfg)
+        s = build_initial(cfg)
         traj = run(s, cfg.solver, cfg.grid(), cfg.model)
         d = build_series(traj)
         assert np.max(d.bd_entropy) <= 1.05 * d.bd_entropy[0] + d.bd_diss_accum[-1]
@@ -122,7 +122,7 @@ class TestHoff:
         sups = {}
         for n in (513, 1025):
             cfg = shipped_scenario("smooth_bump", n)
-            s, _, _ = build_initial(cfg)
+            s = build_initial(cfg)
             traj = run(s, cfg.solver, cfg.grid(), cfg.model)
             series = build_series(traj)
             sups[n] = (np.max(series.hoff_A), np.max(series.hoff_B))
@@ -175,7 +175,7 @@ class TestOleinik:
         # steepening scenario: min slope grows strongly negative, the monitor
         # only ever constrains the max side
         cfg = shipped_scenario("steepening", 257)
-        s, _, _ = build_initial(cfg)
+        s = build_initial(cfg)
         g, p = cfg.grid(), cfg.model
         traj = run(s, cfg.solver, g, p)
         series = build_series(traj)
@@ -207,7 +207,7 @@ class TestVacuum:
 
     def test_rarefaction_below_comparison(self):
         cfg = shipped_scenario("rarefaction", 257)
-        s, _, _ = build_initial(cfg)
+        s = build_initial(cfg)
         traj = run(s, cfg.solver, cfg.grid(), cfg.model)
         series = build_series(traj)
         assert series.monitors_available["vacuum"]
@@ -234,7 +234,7 @@ class TestBV:
 class TestSeries:
     def test_inv_rho_max_identity(self):
         cfg = shipped_scenario("rarefaction", 257)
-        s, _, _ = build_initial(cfg)
+        s = build_initial(cfg)
         traj = run(s, cfg.solver, cfg.grid(), cfg.model)
         d = build_series(traj)
         for k, snap in enumerate(traj.snapshots):
@@ -242,17 +242,17 @@ class TestSeries:
 
     def test_flag_layout(self):
         cfg = shipped_scenario("smooth_bump", 129)
-        s, _, _ = build_initial(cfg)
+        s = build_initial(cfg)
         traj = run(s, cfg.solver, cfg.grid(), cfg.model)
         d = build_series(traj)
         assert set(d.violation_flags) == set(FLAG_ORDER)
         bits = d.flag_bits(0)
         assert len(bits) == len(FLAG_ORDER) and set(bits) <= {"0", "1"}
-        assert not d.any_violation()
+        assert not any(np.any(flags) for flags in d.violation_flags.values())
 
     def test_series_axes_shared(self):
         cfg = shipped_scenario("smooth_bump", 129)
-        s, _, _ = build_initial(cfg)
+        s = build_initial(cfg)
         traj = run(s, cfg.solver, cfg.grid(), cfg.model)
         d = build_series(traj)
         n = len(d.times)
@@ -317,7 +317,23 @@ class TestMonitorsFire:
         loud = FluidState(time=1.0, rho=np.ones(n), u=2.0 * np.exp(-grid.coords**2))
         series = build_series(synthetic_traj(grid, p, [quiet, loud]))
         assert bool(series.violation_flags["energy"][1])
-        assert series.any_violation()
+        assert any(np.any(flags) for flags in series.violation_flags.values())
+
+    def test_nan_fires_every_monitor_it_reaches(self, grid):
+        # every bounded verdict is ~(measured <= bound), which a NaN fails; a
+        # NaN in u reaches all of them but vacuum, which reads rho alone
+        p = mp(1.5, 2.0)  # every monitor available
+        n = grid.n_cells
+        flat = FluidState(time=0.0, rho=np.ones(n), u=np.zeros(n))
+        u = np.zeros(n)
+        u[n // 2] = np.nan
+        broken = FluidState(time=0.1, rho=np.ones(n), u=u)
+        series = build_series(synthetic_traj(grid, p, [flat, broken]))
+        assert all(series.monitors_available.values())
+        for name in ("energy", "bd", "y_env", "oleinik", "w1_sign"):
+            assert not series.violation_flags[name][0], name
+            assert bool(series.violation_flags[name][1]), name
+        assert not np.any(series.violation_flags["vacuum"])
 
     def test_w1_flag_fires_on_deep_dip(self):
         # du0/dx = 0 satisfies the sign hypothesis, yet the pressure deficit
@@ -331,7 +347,7 @@ class TestMonitorsFire:
             solver=SolverConfig(t_end=0.1, output_cadence=0.05),
             initial=InitialData(kind="smooth_bump", amplitude=-0.6, width=1.5),
         )
-        s, _, _ = build_initial(cfg)
+        s = build_initial(cfg)
         assert constantin_condition_holds(s, cfg.grid(), cfg.model)
         traj = run(s, cfg.solver, cfg.grid(), cfg.model)
         d = build_series(traj)
@@ -342,12 +358,12 @@ class TestMonitorsFire:
 class TestConstantinCondition:
     def test_holds_on_constantin_scenario(self):
         cfg = shipped_scenario("constantin", 257)
-        s, _, _ = build_initial(cfg)
+        s = build_initial(cfg)
         assert constantin_condition_holds(s, cfg.grid(), cfg.model)
 
     def test_requires_alpha_above_one(self):
         cfg = shipped_scenario("rarefaction", 257)
-        s, _, _ = build_initial(cfg)
+        s = build_initial(cfg)
         assert not constantin_condition_holds(s, cfg.grid(), cfg.model)
 
     def test_violating_slope_detected(self):
@@ -359,7 +375,7 @@ class TestConstantinCondition:
 
     def test_w1_monitor_active_and_clean(self):
         cfg = shipped_scenario("constantin", 257)
-        s, _, _ = build_initial(cfg)
+        s = build_initial(cfg)
         traj = run(s, cfg.solver, cfg.grid(), cfg.model)
         d = build_series(traj)
         assert d.monitors_available["w1_sign"]

@@ -121,7 +121,7 @@ class TestConvectiveDerivative:
         # udot from the momentum balance vs (u(t+d)-u(t))/d + u u_x from a
         # solver micro-step
         cfg = shipped_scenario("smooth_bump", 513)
-        state, _, _ = build_initial(cfg)
+        state = build_initial(cfg)
         g, p = cfg.grid(), cfg.model
         delta = 1e-7
         scfg = SolverConfig(t_end=1.0, output_cadence=1.0, diffusion_treatment="explicit")
@@ -163,7 +163,7 @@ class TestYResidual:
             cfg = shipped_scenario(
                 "smooth_bump", n, t_end=0.4, output_cadence=cad, dt_override=0.2 * g0.dx**2
             )
-            state, _, _ = build_initial(cfg)
+            state = build_initial(cfg)
             g, p = cfg.grid(), cfg.model
             traj = run(state, cfg.solver, g, p)
             r = max(

@@ -100,7 +100,7 @@ class TestFixedPoint:
 class TestConservationAndDamping:
     def test_mass_conserved_per_step(self):
         cfg = shipped_scenario("smooth_bump", 257)
-        s, _, _ = build_initial(cfg)
+        s = build_initial(cfg)
         g, p = cfg.grid(), cfg.model
         m0 = np.sum(s.rho) * g.dx
         for _ in range(20):
@@ -144,7 +144,7 @@ class TestFailures:
             diffusion_treatment="explicit",
             dt_override=g.dx,  # far above the dx^2/2 diffusive limit
         )
-        s, _, _ = build_initial(cfg0)
+        s = build_initial(cfg0)
         with pytest.raises(NumericalFailure) as err:
             run(s, solver, g, cfg0.model)
         assert err.value.time is not None and err.value.time < 1.0
@@ -192,7 +192,7 @@ class TestFailures:
 
     def test_run_records_partial_trajectory_on_blowup(self):
         cfg = shipped_scenario("vacuum_stress")
-        s, _, _ = build_initial(cfg)
+        s = build_initial(cfg)
         traj = run(s, cfg.solver, cfg.grid(), cfg.model)
         assert traj.blowup is not None
         assert 0.0 < traj.blowup.time < 3.0
@@ -212,7 +212,7 @@ class TestRun:
 
     def test_smooth_bump_completes(self):
         cfg = shipped_scenario("smooth_bump", 257)
-        s, _, _ = build_initial(cfg)
+        s = build_initial(cfg)
         traj = run(s, cfg.solver, cfg.grid(), cfg.model)
         assert traj.blowup is None
         assert traj.snapshots[-1].time == pytest.approx(1.0, rel=1e-9)
@@ -222,7 +222,7 @@ class TestRun:
         # frozen reference values for the N=257 smooth-bump run; any scheme
         # change that shifts the trajectory shows up here first
         cfg = shipped_scenario("smooth_bump", 257)
-        s, _, _ = build_initial(cfg)
+        s = build_initial(cfg)
         d = build_series(run(s, cfg.solver, cfg.grid(), cfg.model))
         assert d.energy[0] == pytest.approx(0.01253314137315496, rel=1e-7)
         assert d.energy[-1] == pytest.approx(0.008584515146887312, rel=1e-7)
@@ -248,7 +248,7 @@ class TestRun:
         from nsdv.stability import twin_run_stability
 
         cfg = shipped_scenario("smooth_bump", 129, t_end=0.13, output_cadence=0.05)
-        s, _, _ = build_initial(cfg)
+        s = build_initial(cfg)
         g, p, sol = cfg.grid(), cfg.model, cfg.solver
         expected = [0.0, 0.05, 0.1, 0.13]
         np.testing.assert_allclose(run(s, sol, g, p).times, expected, atol=1e-12)
@@ -258,7 +258,7 @@ class TestRun:
     def test_drive_hands_each_recorded_state_to_record(self, monkeypatch):
         # same setup as the cadence contract: t=0, 0.05, 0.1 and t_end 0.13
         cfg = shipped_scenario("smooth_bump", 129, t_end=0.13, output_cadence=0.05)
-        s, _, _ = build_initial(cfg)
+        s = build_initial(cfg)
         stepped = [s]
         real_step = nsdv.eulerian.step_primitive
 
@@ -278,7 +278,7 @@ class TestRun:
 
     def test_boundary_reset_every_snapshot(self):
         cfg = shipped_scenario("rarefaction", 129)
-        s, _, _ = build_initial(cfg)
+        s = build_initial(cfg)
         traj = run(s, cfg.solver, cfg.grid(), cfg.model)
         for snap in traj.snapshots:
             assert snap.rho[0] == 1.0 and snap.rho[-1] == 1.0
@@ -293,12 +293,12 @@ class TestRun:
     def test_self_convergence_against_refined_reference(self):
         ref_cfg = shipped_scenario("smooth_bump", 1025, t_end=0.25, output_cadence=0.25)
         p = ref_cfg.model
-        sref, _, _ = build_initial(ref_cfg)
+        sref = build_initial(ref_cfg)
         ref = run(sref, ref_cfg.solver, ref_cfg.grid(), p).snapshots[-1]
         errs = {}
         for n in (129, 257):
             cfg = replace(ref_cfg, n_cells=n)
-            s0, _, _ = build_initial(cfg)
+            s0 = build_initial(cfg)
             g = cfg.grid()
             fin = run(s0, cfg.solver, g, p).snapshots[-1]
             stride = 1024 // (n - 1)
@@ -311,7 +311,7 @@ class TestRun:
 
     def test_cross_formulation_agreement_quick(self):
         cfg = shipped_scenario("smooth_bump", 257)
-        s, _, _ = build_initial(cfg)
+        s = build_initial(cfg)
         g, p = cfg.grid(), cfg.model
         sol = SolverConfig(t_end=0.5, output_cadence=0.5)
         fp = run(s, sol, g, p).snapshots[-1]

@@ -36,6 +36,13 @@ def scenario(initial, alpha=0.75, gamma=2.0, n=513, L=10.0):
     )
 
 
+def mollified_v0(cfg):
+    """The v0 of a from_v0 scenario: its profile's raw v, mollified."""
+    g, init = cfg.grid(), cfg.initial
+    _, v_raw = V0_PROFILES[init.profile](g.coords, cfg.model)
+    return mollify(v_raw, init.mollifier_n, g)
+
+
 class TestMollify:
     def test_constant_preserved_exactly(self):
         g = Grid1D(257, 10.0)
@@ -80,7 +87,10 @@ class TestMollify:
 
 class TestBuildInitial:
     def test_equilibrium(self):
-        state, v0, c = build_initial(scenario(InitialData(kind="equilibrium")))
+        cfg = scenario(InitialData(kind="equilibrium"))
+        state = build_initial(cfg)
+        v0 = effective_velocity(state, cfg.grid(), cfg.model)
+        c = float(np.max(np.diff(v0)) / cfg.grid().dx)
         assert np.all(state.rho == 1.0) and np.all(state.u == 0.0)
         assert np.all(v0 == 0.0)
         assert c == 0.0
@@ -99,7 +109,9 @@ class TestBuildInitial:
 
     def test_from_v0_registry_profile(self):
         cfg = scenario(InitialData(kind="from_v0", profile="vstep_down", mollifier_n=16))
-        state, v0, c = build_initial(cfg)
+        state = build_initial(cfg)
+        v0 = mollified_v0(cfg)
+        c = float(np.max(np.diff(v0)) / cfg.grid().dx)
         # flat raw density: coupling term is zero away from the boundary reset
         np.testing.assert_allclose(state.u[2:-2], v0[2:-2], atol=1e-13)
         # the windowed profile owns a small positive tail slope
@@ -107,7 +119,8 @@ class TestBuildInitial:
 
     def test_compatibility_coupling(self):
         cfg = scenario(InitialData(kind="from_v0", profile="bump_step", mollifier_n=16))
-        state, v0, _ = build_initial(cfg)
+        state = build_initial(cfg)
+        v0 = mollified_v0(cfg)
         g, p = cfg.grid(), cfg.model
         # interior identity is exact; the boundary far-field reset perturbs
         # the outermost stencils at the profile-tail scale (~1e-11)
@@ -119,7 +132,7 @@ class TestBuildInitial:
 
     def test_boundary_invariant(self):
         for path in SHIPPED:
-            state, _, _ = build_initial(io.load_config(path))
+            state = build_initial(io.load_config(path))
             assert state.rho[0] == 1.0 and state.rho[-1] == 1.0, path.name
             assert state.u[0] == 0.0 and state.u[-1] == 0.0, path.name
 
@@ -154,6 +167,14 @@ class TestInitialDataValidation:
             InitialData(kind="smooth_bump", amplitude=0.1, width=1.0, jump=0.2)
         with pytest.raises(ConfigError, match="does not use amplitude"):
             InitialData(kind="equilibrium", amplitude=0.1)
+
+    def test_non_finite_or_nonpositive_parameters(self):
+        with pytest.raises(ConfigError, match="jump must be finite: inf"):
+            InitialData(kind="shock_like", jump=np.inf, steepness=4.0)
+        with pytest.raises(ConfigError, match="steepness must be finite: nan"):
+            InitialData(kind="shock_like", jump=0.2, steepness=np.nan)
+        with pytest.raises(ConfigError, match="width must be positive, got -1.0"):
+            InitialData(kind="smooth_bump", amplitude=0.1, width=-1.0)
 
     def test_n_cells_minimum(self):
         with pytest.raises(ConfigError):

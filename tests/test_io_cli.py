@@ -132,7 +132,7 @@ def run_dir(tmp_path_factory):
     out = tmp_path_factory.mktemp("out")
     assert main(["run", "--config", str(path), "--out", str(out)]) == 0
     (d,) = out.iterdir()
-    state, _, _ = build_initial(cfg)
+    state = build_initial(cfg)
     return d, cfg, run(state, cfg.solver, cfg.grid(), cfg.model)
 
 
@@ -206,7 +206,7 @@ class TestOutputs:
     def test_snapshot_worker_failure_is_raised(self, tmp_path, started):
         # states on 129 nodes against a config on 257: the writer process fails
         cfg = small_cfg()
-        state, _, _ = build_initial(cfg)
+        state = build_initial(cfg)
         with pytest.raises(ValueError) as info:
             with io.RunWriter(tmp_path, replace(cfg, n_cells=257)) as writer:
                 traj = run(state, cfg.solver, cfg.grid(), cfg.model, on_snapshot=writer.record)
@@ -227,7 +227,7 @@ class TestOutputs:
 
     def test_orphaned_writer_removes_its_stage(self, tmp_path):
         cfg = small_cfg()
-        state, _, _ = build_initial(cfg)
+        state = build_initial(cfg)
         with io.RunWriter(tmp_path, cfg) as writer:
             writer.record(state)
             # what the child sees when the command is killed outright
@@ -487,6 +487,28 @@ class TestCLI:
         path.write_text(text.replace("amplitude = 0.1", "amplitude = -1.5"), encoding="ascii")
         assert main(["run", "--config", str(path), "--out", str(tmp_path)]) == 2
         assert "non-positive density" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "old, new, message",
+        [
+            # a zero width divides by zero into a flat state that passes every monitor
+            ("width = 1.0", "width = 0.0", "config error: width must be positive, got 0.0\n"),
+            ("width = 1.0", "width = nan", "config error: width must be finite: nan\n"),
+            ("amplitude = 0.1", "amplitude = nan",
+             "config error: amplitude must be finite: nan\n"),
+        ],
+        ids=["zero-width", "nan-width", "nan-amplitude"],
+    )
+    def test_bad_initial_data_exits_2(self, tmp_path, capsys, old, new, message):
+        text = (CONFIG_DIR / "smooth_bump.cfg").read_text(encoding="ascii")
+        assert old in text
+        path = tmp_path / "bad_initial.cfg"
+        path.write_text(text.replace(old, new), encoding="ascii")
+        assert main(["verify", "--config", str(path), "--out", str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.endswith(message)
+        assert captured.out == ""
+        assert not list(tmp_path.glob("run-*"))
 
     @pytest.mark.parametrize(
         "exc, code", [(DomainExitError("left"), 2), (HomeomorphismError("folded"), 3)]

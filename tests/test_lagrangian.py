@@ -78,7 +78,7 @@ class TestIntegrateFlow:
 
     def test_jacobian_matches_map_difference_on_solver_run(self):
         cfg = shipped_scenario("smooth_bump", 257)
-        s, _, _ = build_initial(cfg)
+        s = build_initial(cfg)
         g, p = cfg.grid(), cfg.model
         traj = run(s, SolverConfig(t_end=0.5, output_cadence=0.05), g, p)
         flow = integrate_flow(TrajectorySampler(g, traj.snapshots), g)
@@ -147,7 +147,7 @@ class TestStepLagrangian:
 
     def test_mass_identity_exact_by_construction(self):
         cfg = shipped_scenario("smooth_bump", 257)
-        s, _, _ = build_initial(cfg)
+        s = build_initial(cfg)
         g, p = cfg.grid(), cfg.model
         traj = run_lagrangian(s, SolverConfig(t_end=0.5, output_cadence=0.1), g, p)
         for rho_k, jac_k in zip(traj.rho, traj.jacobian):
@@ -157,7 +157,7 @@ class TestStepLagrangian:
         # C(t)^{-1} inf rho0 <= dX/dx <= C(t) sup rho0 with
         # C(t) = max(rho_lag) * max(1/rho_lag) measured on the run
         cfg = shipped_scenario("smooth_bump", 257)
-        s, _, _ = build_initial(cfg)
+        s = build_initial(cfg)
         g, p = cfg.grid(), cfg.model
         traj = run_lagrangian(s, SolverConfig(t_end=0.5, output_cadence=0.1), g, p)
         lo, hi = float(np.min(s.rho)), float(np.max(s.rho))
@@ -168,7 +168,7 @@ class TestStepLagrangian:
 
     def test_jacobian_positive_throughout(self):
         cfg = shipped_scenario("steepening", 129)
-        s, _, _ = build_initial(cfg)
+        s = build_initial(cfg)
         g, p = cfg.grid(), cfg.model
         traj = run_lagrangian(s, SolverConfig(t_end=1.0, output_cadence=0.1), g, p)
         for jac_k in traj.jacobian:
@@ -176,7 +176,7 @@ class TestStepLagrangian:
 
     def test_cross_solver_agreement(self):
         cfg = shipped_scenario("smooth_bump", 257)
-        s, _, _ = build_initial(cfg)
+        s = build_initial(cfg)
         g, p = cfg.grid(), cfg.model
         sol = SolverConfig(t_end=0.5, output_cadence=0.25)
         fp = run(s, sol, g, p).snapshots[-1]
