@@ -31,7 +31,7 @@ import numpy as np
 
 from . import model
 from .effective import compute_effective_fields
-from .model import RHO_FLOOR, FluidState, Grid1D, ModelParams
+from .model import RHO_FLOOR, CheckedDensity, FluidState, Grid1D, ModelParams
 from .stencils import ddx
 
 # Monitor tolerance = TOL_FACTOR * dx.
@@ -56,10 +56,10 @@ def energy(state: FluidState, grid: Grid1D, p: ModelParams) -> float:
     return float(np.sum(e) * grid.dx)
 
 
-def energy_dissipation_rate(state: FluidState, grid: Grid1D, p: ModelParams) -> float:
-    """sum mu(rho) (du/dx)^2 dx, accumulated in time by the runner."""
-    mu = model.viscosity(state.rho, p)
-    return float(np.sum(mu * ddx(state.u, grid) ** 2) * grid.dx)
+def energy_dissipation_rate(u, density: CheckedDensity, grid: Grid1D, p: ModelParams) -> float:
+    """sum mu(rho) (du/dx)^2 dx, accumulated in time by the runner, which
+    shares the powers of rho in `density` with its step."""
+    return float((model.viscosity(density, p) * ddx(u, grid) ** 2).sum() * grid.dx)
 
 
 def bd_entropy(rho, v, grid: Grid1D, p: ModelParams) -> float:
@@ -69,11 +69,13 @@ def bd_entropy(rho, v, grid: Grid1D, p: ModelParams) -> float:
     )
 
 
-def bd_dissipation_rate(state: FluidState, grid: Grid1D, p: ModelParams) -> float:
-    """sum (mu(rho) P'(rho)/rho) (drho/dx)^2 dx."""
-    rho = state.rho
-    coeff = model.viscosity(rho, p) * p.gamma * rho ** (p.gamma - 1.0) / rho
-    return float(np.sum(coeff * ddx(rho, grid) ** 2) * grid.dx)
+def bd_dissipation_rate(density: CheckedDensity, grid: Grid1D, p: ModelParams) -> float:
+    """sum (mu(rho) P'(rho)/rho) (drho/dx)^2 dx, accumulated in time by the
+    runner, which shares the powers of rho in `density` with its step and
+    stable_dt."""
+    rho = density.rho
+    coeff = model.viscosity(density, p) * p.gamma * density.power(p.gamma - 1.0) / rho
+    return float((coeff * ddx(rho, grid) ** 2).sum() * grid.dx)
 
 
 def bv_norm(v) -> float:
@@ -94,16 +96,15 @@ def left_integral(times: np.ndarray, *factors: np.ndarray) -> np.ndarray:
 
 def _scan(traj) -> dict:
     """Every per-snapshot scalar the series and monitors read, as one array
-    per name, from one compute_effective_fields call per snapshot; the names
-    of the series are those of the DiagnosticSeries fields.  No field
-    array outlives its snapshot: at fine resolution the fields of a whole
-    trajectory would dominate peak memory."""
+    per name, from one compute_effective_fields call per snapshot, which also
+    gives mu(rho) and du/dx; the names of the series are those of the
+    DiagnosticSeries fields.  No field array outlives its snapshot: at fine
+    resolution the fields of a whole trajectory would dominate peak memory."""
     p, grid = traj.params, traj.grid
     dx = grid.dx
     rows = []
     for s in traj.snapshots:
         eff = compute_effective_fields(s, grid, p)
-        mu = model.viscosity(s.rho, p)
         rows.append(
             {
                 "energy": energy(s, grid, p),
@@ -116,9 +117,9 @@ def _scan(traj) -> dict:
                 "w1_max": float(np.max(eff.w1)),
                 # read by the monitors and Hoff functionals, not series themselves
                 "rho_min": float(np.min(s.rho)),
-                "dux2": float(np.sum(mu * ddx(s.u, grid) ** 2) * dx),
+                "dux2": float(np.sum(eff.mu * eff.ux**2) * dx),
                 "rudot2": float(np.sum(s.rho * eff.udot**2) * dx),
-                "dudot2": float(np.sum(mu * ddx(eff.udot, grid) ** 2) * dx),
+                "dudot2": float(np.sum(eff.mu * ddx(eff.udot, grid) ** 2) * dx),
             }
         )
     return {name: np.array([row[name] for row in rows]) for name in rows[0]}

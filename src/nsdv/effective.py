@@ -2,7 +2,8 @@
 effective-pressure transport equation.
 
 effective_velocity gives v alone (the effective solver's variable);
-compute_effective_fields gives all four, evaluating P(rho) and du/dx once:
+compute_effective_fields gives all four, evaluating mu(rho), P(rho) and du/dx
+once, and keeps mu and du/dx beside them for the diagnostics:
 
     v    = u + mu(rho)/rho**2 * d rho/dx      (effective velocity)
     w1   = rho**alpha * du/dx - P(rho) + P(1) (effective flux)
@@ -28,32 +29,42 @@ from .stencils import ddx
 
 @dataclass(frozen=True)
 class EffectiveFields:
-    """The four derived fields on the same grid as their source state."""
+    """The four derived fields on the same grid as their source state, with
+    the mu(rho) and du/dx they were formed from."""
 
     v: np.ndarray
     w1: np.ndarray
     y: np.ndarray
     udot: np.ndarray
+    mu: np.ndarray
+    ux: np.ndarray
+
+
+def _velocity(state: FluidState, mu: np.ndarray, grid: Grid1D) -> np.ndarray:
+    return state.u + mu / state.rho**2 * ddx(state.rho, grid)
 
 
 def effective_velocity(state: FluidState, grid: Grid1D, p: ModelParams) -> np.ndarray:
     """v = u + (mu(rho)/rho**2) * ddx(rho)."""
-    mu = model.viscosity(state.rho, p)
-    return state.u + mu / state.rho**2 * ddx(state.rho, grid)
+    return _velocity(state, model.viscosity(state.rho, p), grid)
 
 
 def compute_effective_fields(state: FluidState, grid: Grid1D, p: ModelParams) -> EffectiveFields:
-    """The one definition of w1, y and udot: v from effective_velocity, then
-    mu(rho), P(rho) and the viscous flux mu*ddx(u) once for the other three."""
+    """The one definition of w1, y and udot: mu(rho), du/dx, P(rho) and the
+    viscous flux mu*du/dx once for all four fields."""
     rho = state.rho
-    v = effective_velocity(state, grid, p)
-    flux = model.viscosity(rho, p) * ddx(state.u, grid)
+    mu = model.viscosity(rho, p)
+    ux = ddx(state.u, grid)
+    v = _velocity(state, mu, grid)
+    flux = mu * ux
     pres = model.pressure(rho, p)
     return EffectiveFields(
         v=v,
         w1=flux - pres + model.pressure(model.FARFIELD[0], p),
         y=ddx(v, grid) / rho + model.f2(rho, p),
         udot=(ddx(flux, grid) - ddx(pres, grid)) / rho,
+        mu=mu,
+        ux=ux,
     )
 
 

@@ -19,6 +19,12 @@ factor per step, so it never restricts the step size.
 Boundary nodes are reset to the far-field state after every step.  Density
 reaching RHO_FLOOR raises VacuumBlowup: it is reported, never clamped,
 because clamping would silently violate every monitored estimate.
+
+Each step checks the new density once (finite, positive, above the floor)
+and the new velocity once (finite), and hands the density on as a
+model.CheckedDensity, which no law and no FluidState checks again: DomainError
+is left to initial data and caller-built states.  Through it, stable_dt, the
+in-loop rates and the step of run evaluate each power of rho once per state.
 """
 
 from __future__ import annotations
@@ -31,7 +37,7 @@ import numpy as np
 from . import diagnostics, model
 from .effective import effective_velocity
 from .errors import InputError, NumericalFailure, VacuumBlowup
-from .model import FARFIELD, RHO_FLOOR, FluidState, Grid1D, ModelParams
+from .model import FARFIELD, RHO_FLOOR, CheckedDensity, FluidState, Grid1D, ModelParams
 from .stencils import ddx, ddx_upwind, solve_diffusion
 
 @dataclass(frozen=True)
@@ -79,23 +85,35 @@ class Trajectory:
         return np.array([s.time for s in self.snapshots])
 
 
-def stable_dt(state: FluidState, grid: Grid1D, cfg: SolverConfig, p: ModelParams) -> float:
+def stable_dt(
+    state: FluidState,
+    grid: Grid1D,
+    cfg: SolverConfig,
+    p: ModelParams,
+    density: CheckedDensity | None = None,
+) -> float:
     """CFL-limited step: advective always, dx^2 diffusive bound when the
     diffusion is treated explicitly.
 
     The effective formulation always carries the diffusive bound: recovering
     u = v - ddx(phi(rho)) turns its mass equation into explicit nonlinear
-    diffusion with coefficient rho**(alpha-1), the same bound.
+    diffusion with coefficient rho**(alpha-1), the same bound.  `density`,
+    when given, is the CheckedDensity of state.rho, whose powers are shared.
+    A non-finite u or rho raises NumericalFailure.
     """
     if cfg.dt_override is not None:
         return cfg.dt_override
-    if not (np.all(np.isfinite(state.rho)) and np.all(np.isfinite(state.u))):
+    if density is None:
+        density = CheckedDensity(state.rho)  # checked when the state was built
+    speed = float((np.abs(state.u) + model.sound_speed(density, p)).max())
+    # A NaN or inf in u or rho makes the speed non-finite, except in rho at
+    # gamma = 1, where c = 1 whatever rho is.
+    if not math.isfinite(speed) or (p.gamma == 1.0 and not np.isfinite(state.rho).all()):
         raise NumericalFailure("non-finite state", time=state.time)
-    c = model.sound_speed(state.rho, p)
-    bound = grid.dx / float(np.max(np.abs(state.u) + c))
+    bound = grid.dx / speed
     explicit_diffusion = cfg.diffusion_treatment == "explicit" or cfg.formulation == "effective"
     if explicit_diffusion:
-        nu_max = float(np.max(state.rho ** (p.alpha - 1.0)))
+        nu_max = float(density.power(p.alpha - 1.0).max())
         bound = min(bound, grid.dx**2 / (2.0 * nu_max))
     return cfg.cfl_number * bound
 
@@ -110,22 +128,28 @@ def _upwind_interface(q: np.ndarray, u_ifc: np.ndarray, order: int) -> np.ndarra
     return np.where(u_ifc >= 0.0, left, right)
 
 
+def _non_finite(t_new):
+    return NumericalFailure(f"non-finite fields at t={t_new:.6g}", time=t_new)
+
+
 def _check_finite(field, t_new):
-    if not np.all(np.isfinite(field)):
-        raise NumericalFailure(f"non-finite fields at t={t_new:.6g}", time=t_new)
+    if not np.isfinite(field).all():
+        raise _non_finite(t_new)
 
 
 def _check_density(rho_new, t_new):
     # Non-finite fields or negative density are scheme breakdown; only a
-    # finite density in (0, RHO_FLOOR] is a physical vacuum approach.
-    _check_finite(rho_new, t_new)
-    if np.any(rho_new <= 0.0):
+    # finite density in (0, RHO_FLOOR] is a physical vacuum approach.  One
+    # min and one max decide all three, since a NaN propagates into both.
+    lo, hi = rho_new.min(), rho_new.max()
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise _non_finite(t_new)
+    if lo <= 0.0:
         raise NumericalFailure(
             f"negative density at t={t_new:.6g} (unstable step)", time=t_new
         )
-    bad = rho_new <= RHO_FLOOR
-    if np.any(bad):
-        node = int(np.argmax(bad))
+    if lo <= RHO_FLOOR:
+        node = int(np.argmax(rho_new <= RHO_FLOOR))
         raise VacuumBlowup(
             f"density hit the vacuum floor at node {node}, t={t_new:.6g}",
             time=t_new,
@@ -141,14 +165,19 @@ def step_primitive(
     p: ModelParams,
     forcing=None,
     boundary=(FARFIELD, FARFIELD),
+    density: CheckedDensity | None = None,
 ) -> FluidState:
     """One conservative update of (rho, rho*u).
 
     Upwind fluxes for rho*u and rho*u^2, central pressure gradient, central
     diffusion (tridiagonal solve in u with frozen viscosity when
     semi-implicit).  `forcing`, when given, is a (g_rho, g_mom) pair of source
-    fields; `boundary` the Dirichlet values ((rhoL, uL), (rhoR, uR)).
+    fields; `boundary` the Dirichlet values ((rhoL, uL), (rhoR, uR));
+    `density`, when given, the CheckedDensity of state.rho, whose mu the
+    caller's rates share.
     """
+    if density is None:
+        density = CheckedDensity(state.rho)  # checked when the state was built
     dx = grid.dx
     rho, u = state.rho, state.u
     mom = rho * u
@@ -161,7 +190,7 @@ def step_primitive(
     rho_new = rho.copy()
     rho_new[1:-1] -= (dt / dx) * (f_rho[1:] - f_rho[:-1])
 
-    dpdx = ddx(model.pressure(rho, p), grid)
+    dpdx = ddx(model.pressure(density, p), grid)
     mom_star = mom.copy()
     mom_star[1:-1] -= (dt / dx) * (f_mom[1:] - f_mom[:-1]) + dt * dpdx[1:-1]
 
@@ -174,7 +203,7 @@ def step_primitive(
     rho_new[0], rho_new[-1] = rho_bl, rho_br
     _check_density(rho_new, t_new)
 
-    mu = model.viscosity(rho, p)  # frozen coefficients
+    mu = model.viscosity(density, p)  # frozen coefficients
     mu_ifc = 0.5 * (mu[:-1] + mu[1:])
 
     if cfg.diffusion_treatment == "explicit":
@@ -187,7 +216,7 @@ def step_primitive(
 
     u_new[0], u_new[-1] = u_bl, u_br
     _check_finite(u_new, t_new)
-    return FluidState(time=t_new, rho=rho_new, u=u_new)
+    return FluidState(time=t_new, rho=CheckedDensity(rho_new), u=u_new)
 
 
 def damp_effective_velocity(v, u, rho, dt: float, p: ModelParams) -> np.ndarray:
@@ -202,7 +231,7 @@ def recover_velocity(rho, v, grid: Grid1D, p: ModelParams) -> np.ndarray:
 
 
 def step_effective(
-    rho: np.ndarray,
+    rho: np.ndarray | CheckedDensity,
     v: np.ndarray,
     u: np.ndarray,
     time: float,
@@ -217,25 +246,32 @@ def step_effective(
     advection by v plus conservative central diffusion.  v is advected upwind
     and damped with the exact exponential factor.  Returns the new rho, v and
     their recovered velocity, which the next step takes as its u.
+
+    rho is an array, checked here, or a CheckedDensity; the new rho comes back
+    in the same form, so that run's next stable_dt reuses the rho**(alpha-1)
+    that the recovered u took.
     """
+    density = CheckedDensity.of(rho)
     dx = grid.dx
     t_new = time + dt
 
     v_ifc = 0.5 * (v[:-1] + v[1:])
-    f_adv = _upwind_interface(rho, v_ifc, cfg.advection_order) * v_ifc
-    phi2 = rho**p.alpha / p.alpha
+    f_adv = _upwind_interface(density.rho, v_ifc, cfg.advection_order) * v_ifc
+    phi2 = model.viscosity(density, p) / p.alpha
     f_diff = (phi2[1:] - phi2[:-1]) / dx
 
-    rho_new = rho.copy()
+    rho_new = density.rho.copy()
     rho_new[1:-1] += (dt / dx) * (-(f_adv[1:] - f_adv[:-1]) + (f_diff[1:] - f_diff[:-1]))
     rho_new[0] = rho_new[-1] = FARFIELD[0]
     _check_density(rho_new, t_new)
+    new = CheckedDensity(rho_new)
 
     v_star = v - dt * u * ddx_upwind(v, u, grid)
-    v_new = damp_effective_velocity(v_star, u, rho, dt, p)
+    v_new = damp_effective_velocity(v_star, u, density, dt, p)
     v_new[0] = v_new[-1] = FARFIELD[1]
     _check_finite(v_new, t_new)
-    return rho_new, v_new, recover_velocity(rho_new, v_new, grid, p)
+    u_new = recover_velocity(new, v_new, grid, p)
+    return (new if rho is density else rho_new), v_new, u_new
 
 
 def drive(initial, cfg: SolverConfig, dt, step, rates=(), record=None):
@@ -301,27 +337,32 @@ def run(
     if initial.time != 0.0:
         raise InputError("trajectories start at t=0")
 
+    # the current state's density, whose powers stable_dt, the rates and the
+    # step share; `initial` was checked when it was built
+    density = CheckedDensity(initial.rho)
     effective = cfg.formulation == "effective"
     if effective:
         v = effective_velocity(initial, grid, p)
         # not initial.u: the two differ by the stencil commutation error
-        u = recover_velocity(initial.rho, v, grid, p)
+        u = recover_velocity(density, v, grid, p)
 
     def step(state, t, dt):
-        nonlocal v, u
+        nonlocal density, v, u
         if effective:
-            rho, v, u = step_effective(state.rho, v, u, t, dt, grid, cfg, p)
-            return FluidState(time=t + dt, rho=rho, u=u)
-        return step_primitive(state, dt, grid, cfg, p)
+            density, v, u = step_effective(density, v, u, t, dt, grid, cfg, p)
+            return FluidState(time=t + dt, rho=density, u=u)
+        state = step_primitive(state, dt, grid, cfg, p, density=density)
+        density = CheckedDensity(state.rho)
+        return state
 
     _, snapshots, (e_diss, bd_diss), blowup = drive(
         initial,
         cfg,
-        lambda state: stable_dt(state, grid, cfg, p),
+        lambda state: stable_dt(state, grid, cfg, p, density),
         step,
         [
-            lambda state: diagnostics.energy_dissipation_rate(state, grid, p),
-            lambda state: diagnostics.bd_dissipation_rate(state, grid, p),
+            lambda state: diagnostics.energy_dissipation_rate(state.u, density, grid, p),
+            lambda state: diagnostics.bd_dissipation_rate(density, grid, p),
         ],
         on_snapshot,
     )

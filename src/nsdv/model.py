@@ -10,6 +10,11 @@ auxiliary functions below are elementary consequences of those two powers:
 
 f2 shifts the scaled velocity gradient into the quantity obeying a maximum
 principle; phi couples density gradients into the effective velocity.
+
+Every law checks that its density is strictly positive (DomainError).  The
+five the solvers evaluate every step (P, mu, f1, phi, c) also take a
+CheckedDensity, which a step makes from each new density after its own check:
+they do not check it again, and share the powers of rho it keeps.
 """
 
 from __future__ import annotations
@@ -84,21 +89,46 @@ class Grid1D:
         object.__setattr__(self, "coords", coords)
 
 
+class CheckedDensity:
+    """A density array its maker has checked to be strictly positive, with
+    each power rho**e computed at its first use and kept.  A FluidState built
+    from one keeps only its rho, so no snapshot holds the powers."""
+
+    __slots__ = ("rho", "_powers")
+
+    def __init__(self, rho: np.ndarray):
+        self.rho = rho
+        self._powers = {}
+
+    @classmethod
+    def of(cls, rho) -> CheckedDensity:
+        """rho itself if it is a CheckedDensity; an array is checked first."""
+        return rho if isinstance(rho, cls) else cls(_check_positive(rho))
+
+    def power(self, e: float):
+        """rho**e, evaluated at the first call with this exponent."""
+        if e not in self._powers:
+            self._powers[e] = self.rho**e
+        return self._powers[e]
+
+
 @dataclass(frozen=True)
 class FluidState:
     """Sampled (rho, u) at one time instant.  rho must be strictly positive:
-    vacuum aborts a run, it never silently propagates."""
+    vacuum aborts a run, it never silently propagates.  It is checked here
+    unless it comes as a CheckedDensity, as a solver step passes it."""
 
     time: float
     rho: np.ndarray
     u: np.ndarray
 
     def __post_init__(self):
-        rho = np.asarray(self.rho, dtype=float)
+        checked = isinstance(self.rho, CheckedDensity)
+        rho = self.rho.rho if checked else np.asarray(self.rho, dtype=float)
         u = np.asarray(self.u, dtype=float)
         if rho.shape != u.shape or rho.ndim != 1:
             raise InputError(f"rho/u must be equal-length 1D arrays, got {rho.shape} vs {u.shape}")
-        if np.any(rho <= 0.0):
+        if not checked and (rho <= 0.0).any():
             i = int(np.argmin(rho))
             raise DomainError(f"non-positive density {rho[i]} at node {i} (t={self.time})")
         object.__setattr__(self, "rho", rho)
@@ -118,17 +148,17 @@ def _check_positive(rho):
 
 def pressure(rho, p: ModelParams):
     """P(rho) = rho**gamma."""
-    return _check_positive(rho) ** p.gamma
+    return CheckedDensity.of(rho).rho ** p.gamma
 
 
 def viscosity(rho, p: ModelParams):
     """mu(rho) = rho**alpha."""
-    return _check_positive(rho) ** p.alpha
+    return CheckedDensity.of(rho).power(p.alpha)
 
 
 def f1(rho, p: ModelParams):
     """Damping coefficient P'(rho)*rho/mu(rho) = gamma * rho**(gamma-alpha); >= 0."""
-    return p.gamma * _check_positive(rho) ** (p.gamma - p.alpha)
+    return p.gamma * CheckedDensity.of(rho).rho ** (p.gamma - p.alpha)
 
 
 def f2(rho, p: ModelParams):
@@ -170,10 +200,10 @@ def phi(rho, p: ModelParams):
     rho**(alpha-1)/(alpha-1) for alpha != 1, log(rho) for alpha = 1.  Its spatial
     gradient is exactly the gap between effective and actual velocity.
     """
-    rho = _check_positive(rho)
+    density = CheckedDensity.of(rho)
     if abs(p.alpha - 1.0) <= BRANCH_TOL:
-        return np.log(rho)
-    return rho ** (p.alpha - 1.0) / (p.alpha - 1.0)
+        return np.log(density.rho)
+    return density.power(p.alpha - 1.0) / (p.alpha - 1.0)
 
 
 def internal_energy(rho, p: ModelParams):
@@ -193,4 +223,4 @@ def internal_energy(rho, p: ModelParams):
 
 def sound_speed(rho, p: ModelParams):
     """c(rho) = sqrt(P'(rho)) = sqrt(gamma * rho**(gamma-1))."""
-    return np.sqrt(p.gamma * _check_positive(rho) ** (p.gamma - 1.0))
+    return np.sqrt(p.gamma * CheckedDensity.of(rho).power(p.gamma - 1.0))

@@ -6,7 +6,9 @@ from dataclasses import replace
 
 import nsdv
 from conftest import shipped_scenario, smooth_state
+from nsdv import model
 from nsdv.diagnostics import build_series
+from nsdv.effective import effective_velocity
 from nsdv.errors import InputError, NumericalFailure, VacuumBlowup
 from nsdv.eulerian import (
     SolverConfig,
@@ -18,7 +20,8 @@ from nsdv.eulerian import (
     step_primitive,
 )
 from nsdv.initdata import build_initial
-from nsdv.model import FluidState, Grid1D, ModelParams
+from nsdv.model import RHO_FLOOR, FluidState, Grid1D, ModelParams
+from nsdv.stencils import ddx
 
 
 def mp(alpha, gamma, L=8.0):
@@ -68,6 +71,21 @@ class TestStableDt:
         s = FluidState(time=0.0, rho=np.ones(11), u=u)
         cfg = SolverConfig(t_end=1.0, output_cadence=1.0)
         with pytest.raises(NumericalFailure):
+            stable_dt(s, g, cfg, p)
+
+    @pytest.mark.parametrize(
+        "field, value", [("u", np.inf), ("u", -np.inf), ("rho", np.nan), ("rho", np.inf)]
+    )
+    @pytest.mark.parametrize("gamma", [2.0, 1.0])
+    def test_non_finite_state_raises(self, field, value, gamma):
+        # gamma = 1 makes the sound speed 1 whatever rho is
+        g = Grid1D(11, 1.0)
+        p = mp(0.75, gamma, L=1.0)
+        fields = {"rho": np.ones(11), "u": np.zeros(11)}
+        fields[field][5] = value
+        s = FluidState(time=0.0, **fields)
+        cfg = SolverConfig(t_end=1.0, output_cadence=1.0)
+        with pytest.raises(NumericalFailure, match="non-finite state"):
             stable_dt(s, g, cfg, p)
 
 
@@ -190,6 +208,95 @@ class TestFailures:
             self.drain_node_50(2.0)
         assert err.value.time == pytest.approx(2.0 * 0.02)
 
+    # Each case: the new density a step makes, and the failure it must raise.
+    # Failures come in this order: any NaN or inf, then density <= 0, then
+    # the first node at or below RHO_FLOOR.
+    NEW_DENSITY_FAILURES = {
+        "nan": (NumericalFailure, "non-finite fields at t="),
+        "+inf": (NumericalFailure, "non-finite fields at t="),
+        "-inf": (NumericalFailure, "non-finite fields at t="),
+        "negative": (NumericalFailure, "negative density at t=.* [(]unstable step[)]"),
+        "zero": (NumericalFailure, "negative density at t=.* [(]unstable step[)]"),
+        "below_floor": (VacuumBlowup, "density hit the vacuum floor at node {node}, t="),
+        "at_floor": (VacuumBlowup, "density hit the vacuum floor at node {node}, t="),
+    }
+
+    def assert_new_density_failure(self, case, node, step):
+        cls, message = self.NEW_DENSITY_FAILURES[case]
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(cls, match=message.format(node=node)) as err:
+                step()
+        if cls is VacuumBlowup:
+            assert err.value.node == node
+        return err.value
+
+    @pytest.mark.parametrize("case", list(NEW_DENSITY_FAILURES))
+    def test_new_density_checks_primitive(self, case):
+        # At rest, with unit dt, the new density is 1 + g_rho: the source
+        # alone puts each anomaly into it.  +inf and -inf come with finite
+        # densities <= 0 beside them, so that a check which missed them would
+        # report a negative density instead.
+        g = Grid1D(11, 1.0)
+        p = mp(0.75, 2.0, L=1.0)
+        rho, g_rho = np.ones(11), np.zeros(11)
+        g_rho[[3, 7]] = {
+            "nan": [0.0, np.nan],
+            "+inf": [-2.0, np.inf],
+            "-inf": [-np.inf, -2.0],
+            "negative": [-2.0, -0.5],
+            "zero": [-0.5, -1.0],
+            "below_floor": [-(1.0 - 0.5 * RHO_FLOOR), -(1.0 - 0.2 * RHO_FLOOR)],
+            "at_floor": [0.0, 0.0],
+        }[case]
+        if case == "at_floor":
+            rho[[4, 6]] = RHO_FLOOR
+        s = FluidState(time=0.0, rho=rho, u=np.zeros(11))
+        cfg = SolverConfig(t_end=1.0, output_cadence=1.0)
+        node = {"below_floor": 3, "at_floor": 4}.get(case)
+        err = self.assert_new_density_failure(
+            case, node, lambda: step_primitive(s, 1.0, g, cfg, p, forcing=(g_rho, np.zeros(11)))
+        )
+        assert err.time == 1.0
+
+    @staticmethod
+    def effective_case(case):
+        # The inputs (rho, v, dt) of one first-order effective step on 101
+        # nodes whose new density shows the case; dt = dx = 0.02.
+        rho, v, dt = np.ones(101), np.zeros(101), 0.02
+        big = 1.7e308
+        if case == "nan":
+            v[50] = np.nan
+        elif case in ("+inf", "-inf"):
+            # Opposed velocities of 1.7e308 beside node 50 make interface
+            # fluxes of +-1.7e308 there, whose difference overflows.  Inflow
+            # gives node 50 +inf and its neighbours densities far below 0;
+            # outflow gives it -inf and them densities far above 1.
+            inflow = case == "+inf"
+            rho[[49, 51] if inflow else 50] = 2.0
+            v[49], v[51] = (big, -big) if inflow else (-big, big)
+        elif case == "at_floor":  # a step too short to move a density of RHO_FLOOR
+            rho[[4, 60]] = RHO_FLOOR
+            dt = 1e-300
+        else:
+            # v = -+a beside node 50 drains it to 1 - a; nothing else moves
+            a = 1.0 - {"negative": -0.5, "zero": 0.0, "below_floor": 0.5 * RHO_FLOOR}[case]
+            v[49], v[51] = -a, a
+        return rho, v, dt
+
+    @pytest.mark.parametrize("case", list(NEW_DENSITY_FAILURES))
+    def test_new_density_checks_effective(self, case):
+        g = Grid1D(101, 1.0)
+        p = mp(0.75, 2.0, L=1.0)
+        rho, v, dt = self.effective_case(case)
+        cfg = SolverConfig(
+            t_end=1.0, output_cadence=1.0, formulation="effective", advection_order=1
+        )
+        node = {"below_floor": 50, "at_floor": 4}.get(case)
+        err = self.assert_new_density_failure(
+            case, node, lambda: step_effective(rho, v, np.zeros(101), 0.0, dt, g, cfg, p)
+        )
+        assert err.time == dt
+
     def test_run_records_partial_trajectory_on_blowup(self):
         cfg = shipped_scenario("vacuum_stress")
         s = build_initial(cfg)
@@ -275,6 +382,59 @@ class TestRun:
         for (state, latest), snap in zip(seen, traj.snapshots):
             assert state is snap and latest is snap
         np.testing.assert_allclose([st.time for st, _ in seen], [0.0, 0.05, 0.1, 0.13], atol=1e-12)
+
+    @staticmethod
+    def reference_run(initial, cfg, grid, p):
+        # run written out as a plain loop over the public stable_dt and
+        # steps, with the two dissipation rates spelled out from
+        # model.viscosity, and drive's clipping of each step to the next
+        # cadence multiple and t_end
+        eps = 1e-12 * max(1.0, cfg.t_end)
+        effective = cfg.formulation == "effective"
+        if effective:
+            v = effective_velocity(initial, grid, p)
+            u = recover_velocity(initial.rho, v, grid, p)
+        state, t, k_out, e_acc, bd_acc = initial, 0.0, 1, 0.0, 0.0
+        snapshots, e_diss, bd_diss = [state], [0.0], [0.0]
+        while t < cfg.t_end - eps:
+            next_out = k_out * cfg.output_cadence
+            h = min(stable_dt(state, grid, cfg, p), next_out - t, cfg.t_end - t)
+            rho = state.rho
+            mu = model.viscosity(rho, p)
+            e_acc += h * float(np.sum(mu * ddx(state.u, grid) ** 2) * grid.dx)
+            coeff = mu * p.gamma * rho ** (p.gamma - 1.0) / rho
+            bd_acc += h * float(np.sum(coeff * ddx(rho, grid) ** 2) * grid.dx)
+            if effective:
+                rho, v, u = step_effective(rho, v, u, t, h, grid, cfg, p)
+                state = FluidState(time=t + h, rho=rho, u=u)
+            else:
+                state = step_primitive(state, h, grid, cfg, p)
+            t += h
+            if t >= next_out - eps or t >= cfg.t_end - eps:
+                snapshots.append(state)
+                e_diss.append(e_acc)
+                bd_diss.append(bd_acc)
+                k_out += 1
+        return snapshots, e_diss, bd_diss
+
+    @pytest.mark.parametrize(
+        "formulation, alpha", [("primitive", 0.75), ("effective", 0.75), ("effective", 1.0)]
+    )
+    def test_run_matches_plain_loop_reference(self, formulation, alpha):
+        # alpha = 1 with gamma = 2 takes phi's and f2's log branches
+        cfg = shipped_scenario("smooth_bump", 129, formulation=formulation)
+        cfg = replace(cfg, model=replace(cfg.model, alpha=alpha))
+        g, p = cfg.grid(), cfg.model
+        s = build_initial(cfg)
+        traj = run(s, cfg.solver, g, p)
+        snapshots, e_diss, bd_diss = self.reference_run(s, cfg.solver, g, p)
+        assert len(traj.snapshots) == len(snapshots) == 21
+        for got, want in zip(traj.snapshots, snapshots):
+            assert got.time == want.time
+            np.testing.assert_array_equal(got.rho, want.rho)
+            np.testing.assert_array_equal(got.u, want.u)
+        np.testing.assert_array_equal(traj.energy_diss_accum, e_diss)
+        np.testing.assert_array_equal(traj.bd_diss_accum, bd_diss)
 
     def test_boundary_reset_every_snapshot(self):
         cfg = shipped_scenario("rarefaction", 129)
