@@ -50,9 +50,12 @@ def sigma(t):
     return np.minimum(1.0, t)
 
 
-def energy(state: FluidState, grid: Grid1D, p: ModelParams) -> float:
-    """Instantaneous part sum(rho u^2/2 + Pi_rel(rho)) dx."""
-    e = 0.5 * state.rho * state.u**2 + model.internal_energy(state.rho, p)
+def energy(state: FluidState, grid: Grid1D, p: ModelParams, pi_rel=None) -> float:
+    """Instantaneous part sum(rho u^2/2 + Pi_rel(rho)) dx; `pi_rel`, when
+    given, is model.internal_energy(state.rho)."""
+    if pi_rel is None:
+        pi_rel = model.internal_energy(state.rho, p)
+    e = 0.5 * state.rho * state.u**2 + pi_rel
     return float(np.sum(e) * grid.dx)
 
 
@@ -62,11 +65,12 @@ def energy_dissipation_rate(u, density: CheckedDensity, grid: Grid1D, p: ModelPa
     return float((model.viscosity(density, p) * ddx(u, grid) ** 2).sum() * grid.dx)
 
 
-def bd_entropy(rho, v, grid: Grid1D, p: ModelParams) -> float:
-    """Instantaneous part sum(rho v^2/2 + Pi_rel(rho)) dx with v effective."""
-    return 0.5 * float(np.sum(rho * v**2) * grid.dx) + float(
-        np.sum(model.internal_energy(rho, p)) * grid.dx
-    )
+def bd_entropy(rho, v, grid: Grid1D, p: ModelParams, pi_rel=None) -> float:
+    """Instantaneous part sum(rho v^2/2 + Pi_rel(rho)) dx with v effective;
+    `pi_rel`, when given, is model.internal_energy(rho)."""
+    if pi_rel is None:
+        pi_rel = model.internal_energy(rho, p)
+    return 0.5 * float(np.sum(rho * v**2) * grid.dx) + float(np.sum(pi_rel) * grid.dx)
 
 
 def bd_dissipation_rate(density: CheckedDensity, grid: Grid1D, p: ModelParams) -> float:
@@ -97,18 +101,21 @@ def left_integral(times: np.ndarray, *factors: np.ndarray) -> np.ndarray:
 def _scan(traj) -> dict:
     """Every per-snapshot scalar the series and monitors read, as one array
     per name, from one compute_effective_fields call per snapshot, which also
-    gives mu(rho) and du/dx; the names of the series are those of the
-    DiagnosticSeries fields.  No field array outlives its snapshot: at fine
-    resolution the fields of a whole trajectory would dominate peak memory."""
+    gives mu(rho) and du/dx, and one Pi_rel(rho) that both balances share;
+    the names of the series are those of the DiagnosticSeries fields.  No
+    snapshot density is checked again (its FluidState checked it), and no
+    field array outlives its snapshot: at fine resolution the fields of a
+    whole trajectory would dominate peak memory."""
     p, grid = traj.params, traj.grid
     dx = grid.dx
     rows = []
     for s in traj.snapshots:
         eff = compute_effective_fields(s, grid, p)
+        pi_rel = model.internal_energy(CheckedDensity(s.rho), p)
         rows.append(
             {
-                "energy": energy(s, grid, p),
-                "bd_entropy": bd_entropy(s.rho, eff.v, grid, p),
+                "energy": energy(s, grid, p, pi_rel),
+                "bd_entropy": bd_entropy(s.rho, eff.v, grid, p, pi_rel),
                 "y_max": float(np.max(eff.y)),
                 "oleinik_slope": float(np.max(ddx(eff.v, grid))),
                 "rho_max": float(np.max(s.rho)),

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import model
 from .errors import InputError
-from .model import FluidState, Grid1D, ModelParams
+from .model import CheckedDensity, FluidState, Grid1D, ModelParams
 from .stencils import ddx
 
 
@@ -53,15 +53,16 @@ def compute_effective_fields(state: FluidState, grid: Grid1D, p: ModelParams) ->
     """The one definition of w1, y and udot: mu(rho), du/dx, P(rho) and the
     viscous flux mu*du/dx once for all four fields."""
     rho = state.rho
-    mu = model.viscosity(rho, p)
+    density = CheckedDensity(rho)  # checked when the state was built
+    mu = model.viscosity(density, p)
     ux = ddx(state.u, grid)
     v = _velocity(state, mu, grid)
     flux = mu * ux
-    pres = model.pressure(rho, p)
+    pres = model.pressure(density, p)
     return EffectiveFields(
         v=v,
-        w1=flux - pres + model.pressure(model.FARFIELD[0], p),
-        y=ddx(v, grid) / rho + model.f2(rho, p),
+        w1=flux - pres + model.pressure(CheckedDensity(model.FARFIELD[0]), p),
+        y=ddx(v, grid) / rho + model.f2(density, p),
         udot=(ddx(flux, grid) - ddx(pres, grid)) / rho,
         mu=mu,
         ux=ux,

@@ -118,14 +118,16 @@ def stable_dt(
     return cfg.cfl_number * bound
 
 
-def _upwind_interface(q: np.ndarray, u_ifc: np.ndarray, order: int) -> np.ndarray:
-    """Value of q at interfaces i+1/2, reconstructed from the upwind side."""
+def _upwind_interface(q: np.ndarray, up: np.ndarray, order: int) -> np.ndarray:
+    """Value of q at interfaces i+1/2, reconstructed from the upwind side:
+    the left one where `up` (the interface velocity is >= 0), else the right."""
     left = q[:-1].copy()
     right = q[1:].copy()
     if order == 2:
-        left[1:] += 0.5 * (q[1:-1] - q[:-2])
-        right[:-1] -= 0.5 * (q[2:] - q[1:-1])
-    return np.where(u_ifc >= 0.0, left, right)
+        d = q[1:] - q[:-1]
+        left[1:] += 0.5 * d[:-1]
+        right[:-1] -= 0.5 * d[1:]
+    return np.where(up, left, right)
 
 
 def _non_finite(t_new):
@@ -184,8 +186,9 @@ def step_primitive(
     t_new = state.time + dt
 
     u_ifc = 0.5 * (u[:-1] + u[1:])
-    f_rho = _upwind_interface(rho, u_ifc, cfg.advection_order) * u_ifc
-    f_mom = _upwind_interface(mom, u_ifc, cfg.advection_order) * u_ifc
+    up = u_ifc >= 0.0
+    f_rho = _upwind_interface(rho, up, cfg.advection_order) * u_ifc
+    f_mom = _upwind_interface(mom, up, cfg.advection_order) * u_ifc
 
     rho_new = rho.copy()
     rho_new[1:-1] -= (dt / dx) * (f_rho[1:] - f_rho[:-1])
@@ -256,7 +259,7 @@ def step_effective(
     t_new = time + dt
 
     v_ifc = 0.5 * (v[:-1] + v[1:])
-    f_adv = _upwind_interface(density.rho, v_ifc, cfg.advection_order) * v_ifc
+    f_adv = _upwind_interface(density.rho, v_ifc >= 0.0, cfg.advection_order) * v_ifc
     phi2 = model.viscosity(density, p) / p.alpha
     f_diff = (phi2[1:] - phi2[:-1]) / dx
 

@@ -24,7 +24,7 @@ import numpy as np
 from . import model
 from .errors import DomainExitError, HomeomorphismError, InputError
 from .eulerian import _check_density, _check_finite, drive
-from .model import FluidState, Grid1D, ModelParams
+from .model import CheckedDensity, FluidState, Grid1D, ModelParams
 from .stencils import ddx, solve_diffusion
 
 
@@ -144,7 +144,7 @@ class LagrangianTrajectory:
 
 
 def step_lagrangian(
-    rho_lag: np.ndarray,
+    rho_lag: np.ndarray | CheckedDensity,
     u_lag: np.ndarray,
     jac: np.ndarray,
     dt: float,
@@ -159,12 +159,17 @@ def step_lagrangian(
     rho_lag*mu(rho_lag)/rho0, the Jacobian through d(dX/dx)/dt = du/dx, and
     the density is recomputed from the mass identity.  The new state passes
     the same density and finite checks as an Eulerian step.
+
+    rho_lag is an array, checked here, or a CheckedDensity; the new density
+    comes back in the same form, so that run_lagrangian's next stable dt and
+    step check it no more.
     """
     if np.any(jac <= 0.0):
         raise HomeomorphismError(f"non-positive Jacobian entering step at t={time:.6g}")
-    w = rho_lag * model.viscosity(rho_lag, p) / rho0
+    density = CheckedDensity.of(rho_lag)
+    w = density.rho * model.viscosity(density, p) / rho0
     w_ifc = 0.5 * (w[:-1] + w[1:])
-    dpdx = ddx(model.pressure(rho_lag, p), grid)
+    dpdx = ddx(model.pressure(density, p), grid)
     rhs = rho0 * u_lag - dt * dpdx
     far = model.FARFIELD[1]
     u_new = solve_diffusion(rho0, w_ifc, dt / grid.dx**2, rhs, far, far)
@@ -176,14 +181,15 @@ def step_lagrangian(
     rho_new = rho0 / jac_new
     _check_density(rho_new, t_new)
     _check_finite(u_new, t_new)
-    return rho_new, u_new, jac_new
+    return (CheckedDensity(rho_new) if rho_lag is density else rho_new), u_new, jac_new
 
 
 def lagrangian_stable_dt(rho_lag, u_lag, jac, rho0, grid, p, cfl: float) -> float:
     """Sound CFL in material coordinates (wave speed c*rho_lag/rho0) plus a
-    Jacobian-positivity guard."""
-    c = model.sound_speed(rho_lag, p)
-    speed = float(np.max(c * rho_lag / rho0))
+    Jacobian-positivity guard.  rho_lag is an array or a CheckedDensity."""
+    density = CheckedDensity.of(rho_lag)
+    c = model.sound_speed(density, p)
+    speed = float(np.max(c * density.rho / rho0))
     dt = grid.dx / speed
     dudx_max = float(np.max(np.abs(ddx(u_lag, grid))))
     if dudx_max > 0.0:
@@ -198,19 +204,24 @@ def run_lagrangian(initial: FluidState, cfg, grid: Grid1D, p: ModelParams) -> La
     if initial.n != grid.n_cells:
         raise InputError("initial state does not match the grid")
     rho0 = initial.rho.copy()
+    start = (initial.rho.copy(), initial.u.copy(), np.ones(grid.n_cells), grid.coords.copy())
+    # the current state's density, whose powers its stable dt and its step
+    # share, kept beside the state (as eulerian.run does) so that no recorded
+    # state holds them; `initial` was checked when it was built
+    density = CheckedDensity(start[0])
 
     def propose_dt(state):
         if cfg.dt_override is not None:
             return cfg.dt_override
-        rho_lag, u_lag, jac, _ = state
-        return lagrangian_stable_dt(rho_lag, u_lag, jac, rho0, grid, p, cfg.cfl_number)
+        _, u_lag, jac, _ = state
+        return lagrangian_stable_dt(density, u_lag, jac, rho0, grid, p, cfg.cfl_number)
 
     def step(state, t, dt):
-        rho_lag, u_lag, jac, x = state
-        rho_lag, u_lag, jac = step_lagrangian(rho_lag, u_lag, jac, dt, rho0, grid, p, time=t)
-        return rho_lag, u_lag, jac, x + dt * u_lag
+        nonlocal density
+        _, u_lag, jac, x = state
+        density, u_lag, jac = step_lagrangian(density, u_lag, jac, dt, rho0, grid, p, time=t)
+        return density.rho, u_lag, jac, x + dt * u_lag
 
-    start = (initial.rho.copy(), initial.u.copy(), np.ones(grid.n_cells), grid.coords.copy())
     times, states, _, blowup = drive(start, cfg, propose_dt, step)
     if blowup is not None:
         raise blowup
@@ -218,4 +229,3 @@ def run_lagrangian(initial: FluidState, cfg, grid: Grid1D, p: ModelParams) -> La
     return LagrangianTrajectory(
         params=p, grid=grid, rho0=rho0, times=times, rho=rho, u=u, jacobian=jacobian, x=x
     )
-

@@ -12,9 +12,11 @@ f2 shifts the scaled velocity gradient into the quantity obeying a maximum
 principle; phi couples density gradients into the effective velocity.
 
 Every law checks that its density is strictly positive (DomainError).  The
-five the solvers evaluate every step (P, mu, f1, phi, c) also take a
-CheckedDensity, which a step makes from each new density after its own check:
-they do not check it again, and share the powers of rho it keeps.
+five the solvers evaluate every step (P, mu, f1, phi, c) and the two the
+diagnostics evaluate per snapshot (f2, Pi_rel) also take a CheckedDensity,
+which a step makes from each new density after its own check, and the
+diagnostics from the density a FluidState checked: they do not check it
+again, and share the powers of rho it keeps.
 """
 
 from __future__ import annotations
@@ -167,11 +169,11 @@ def f2(rho, p: ModelParams):
     gamma/(gamma-alpha-1) * rho**(gamma-alpha-1) off the degenerate line,
     gamma*log(rho) on it.
     """
-    rho = _check_positive(rho)
+    density = CheckedDensity.of(rho)
     if p.log_branch:
-        return p.gamma * np.log(rho)
+        return p.gamma * np.log(density.rho)
     e = p.gamma - p.alpha - 1.0
-    return (p.gamma / e) * rho**e
+    return (p.gamma / e) * density.power(e)
 
 
 def f1f2(rho, p: ModelParams):
@@ -214,7 +216,7 @@ def internal_energy(rho, p: ModelParams):
     rho*Pi''(rho) = P'(rho), nonnegative and vanishing only at rho = 1, so the
     integral over the line converges with the (1, 0) far field.
     """
-    rho = _check_positive(rho)
+    rho = CheckedDensity.of(rho).rho
     if abs(p.gamma - 1.0) <= BRANCH_TOL:
         return rho * np.log(rho) - rho + 1.0
     g = p.gamma

@@ -56,24 +56,50 @@ def ddx_upwind(field, vel, grid: Grid1D) -> np.ndarray:
     return np.where(v >= 0.0, bwd, fwd)
 
 
+_flapack = None  # scipy's LAPACK extension module, loaded by the first solve
+
+
+def _gtsv():
+    """LAPACK dgtsv from scipy's compiled `_flapack` module, found in the
+    scipy.linalg package directory and loaded there once, on its own:
+    importing scipy.linalg would also load its array-API layer, which the
+    solve does not use.  scipy.linalg.lapack.dgtsv is this same routine."""
+    global _flapack
+    if _flapack is None:
+        import importlib.machinery
+        import importlib.util
+        import os
+
+        import scipy
+
+        where = os.path.join(os.path.dirname(scipy.__file__), "linalg")
+        spec = importlib.machinery.PathFinder.find_spec("_flapack", [where])
+        if spec is None:
+            raise ImportError(f"scipy's LAPACK module _flapack not found in {where}")
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        _flapack = module
+    return _flapack.dgtsv
+
+
 def solve_tridiagonal(lower, diag, upper, rhs) -> np.ndarray:
     """Solve the tridiagonal system with the given bands.
 
     lower[i] multiplies x[i-1] (lower[0] ignored), upper[i] multiplies x[i+1]
     (upper[-1] ignored).  Backed by LAPACK gtsv (partial pivoting), the
-    routine scipy's banded solver uses for one band on each side.  scipy is
-    imported here, at the first solve, so that runs that never solve (the
-    effective formulation) and the snapshot writer do not load it.
+    routine scipy's banded solver uses for one band on each side, taken from
+    `_gtsv` at the first solve: runs that never solve (the effective
+    formulation) and the snapshot writer load no scipy, and no run loads
+    scipy.linalg.
     """
-    import scipy.linalg.lapack
-
+    gtsv = _gtsv()
     n = len(diag)
     if not (len(lower) == len(upper) == len(rhs) == n):
         raise ShapeError("tridiagonal bands must share one length")
     bands = (lower[1:], diag, upper[:-1], rhs)
     if not all(np.isfinite(band).all() for band in bands):
         raise NumericalFailure("non-finite tridiagonal system")
-    *_, x, info = scipy.linalg.lapack.dgtsv(*bands)
+    *_, x, info = gtsv(*bands)
     if info != 0:
         raise NumericalFailure(f"singular tridiagonal system (gtsv info {info})")
     return x
@@ -88,12 +114,15 @@ def solve_diffusion(a, w_ifc, r, rhs, left, right) -> np.ndarray:
     the implicit half of the momentum diffusion d/dx(mu du/dx) in both frames.
     """
     n = len(a)
-    diag = np.ones(n)
-    lower = np.zeros(n)
-    upper = np.zeros(n)
+    diag = np.empty(n)
+    lower = np.empty(n)
+    upper = np.empty(n)
     diag[1:-1] = a[1:-1] + r * (w_ifc[1:] + w_ifc[:-1])
     lower[1:-1] = -r * w_ifc[:-1]
     upper[1:-1] = -r * w_ifc[1:]
+    # identity rows at the ends; lower[0] and upper[-1] are never read
+    diag[0] = diag[-1] = 1.0
+    upper[0] = lower[-1] = 0.0
     rhs = np.array(rhs, dtype=float)
     rhs[0], rhs[-1] = left, right
     x = solve_tridiagonal(lower, diag, upper, rhs)

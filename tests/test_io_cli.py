@@ -602,19 +602,40 @@ def test_package_import_loads_no_submodule():
 
 def test_only_the_tridiagonal_solve_imports_scipy():
     """The snapshot writer child (its own code, stdin at end of file) and
-    the command line load no scipy module; the first solve loads it."""
+    the command line load no scipy module; the first solve loads scipy, but
+    not the scipy.linalg package."""
     scipy_modules = "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     code = "\n".join([
         io._CHILD, scipy_modules,
         "import nsdv.cli", scipy_modules,
         "import numpy as np; from nsdv.stencils import solve_tridiagonal",
         "solve_tridiagonal(np.zeros(3), np.ones(3), np.zeros(3), np.ones(3))",
-        "print('scipy.linalg' in sys.modules)",
+        "print('scipy' in sys.modules)",
+        "assert 'scipy.linalg' not in sys.modules",
     ])
     out = subprocess.run([sys.executable, "-c", code, str(REPO / "src")],
                          stdin=subprocess.DEVNULL, capture_output=True, text=True,
                          check=True, timeout=60).stdout
     assert out.split("\n") == ["[]", "[]", "True", ""]
+
+
+def test_primitive_verify_loads_no_scipy_linalg(tmp_path):
+    """A semi-implicit verify in a fresh interpreter solves at every step
+    and still ends with no scipy.linalg module loaded."""
+    primitive = tmp_path / "primitive.cfg"
+    io.save_config(small_cfg(), primitive)
+    code = "\n".join([
+        "import sys",
+        "from nsdv.cli import main",
+        "assert main(sys.argv[1:]) == 0",
+        "print('scipy' in sys.modules, 'scipy.linalg' in sys.modules)",
+    ])
+    out = subprocess.run(
+        [sys.executable, "-c", code,
+         "verify", "--config", str(primitive), "--out", str(tmp_path / "out")],
+        env=SRC_ENV, capture_output=True, text=True, check=True, timeout=60,
+    ).stdout
+    assert out.splitlines()[-1] == "True False"
 
 
 def test_without_scipy_only_the_implicit_solve_fails(tmp_path, capsys):

@@ -101,6 +101,29 @@ def test_tridiagonal_bitwise_equal_to_solve_banded(n):
     np.testing.assert_array_equal(solve_tridiagonal(lower, diag, upper, rhs), reference)
 
 
+@pytest.mark.parametrize("n", [3, 129])
+def test_tridiagonal_bitwise_equal_to_gtsv_when_it_pivots(n):
+    # the bands solve_diffusion builds at r = 240: an identity first row
+    # above a lower band entry larger than 1, so gtsv swaps the first rows
+    rng = np.random.default_rng(n)
+    r = 240.0
+    a = rng.uniform(0.5, 2.0, n)
+    w_ifc = rng.uniform(0.5, 1.0, n - 1)
+    diag, lower, upper = np.ones(n), np.zeros(n), np.zeros(n)
+    diag[1:-1] = a[1:-1] + r * (w_ifc[1:] + w_ifc[:-1])
+    lower[1:-1] = -r * w_ifc[:-1]
+    upper[1:-1] = -r * w_ifc[1:]
+    rhs = rng.standard_normal(n)
+    assert abs(lower[1]) > 1.0 == diag[0] and upper[0] == 0.0
+    bands = (lower, diag, upper, rhs)
+    kept = [band.copy() for band in bands]
+    *_, reference, info = scipy.linalg.lapack.dgtsv(lower[1:], diag, upper[:-1], rhs)
+    assert info == 0
+    np.testing.assert_array_equal(solve_tridiagonal(*bands), reference)
+    for band, copy in zip(bands, kept):
+        np.testing.assert_array_equal(band, copy)  # the solve works on copies
+
+
 @pytest.mark.parametrize(
     "diag, rhs",
     [(np.full(4, 4.0), np.array([1.0, np.nan, 0.0, 0.0])), (np.zeros(4), np.ones(4))],
