@@ -283,19 +283,19 @@ def drive(initial, cfg: SolverConfig, dt, step, rates=(), record=None):
     `dt(state)` proposes a step, clipped so that every multiple of
     cfg.output_cadence and t_end are hit exactly; `step(state, t, dt)` returns
     the next state; each `rate(state)` is integrated in time by left
-    rectangles.  Records t=0, every cadence multiple and t_end, and hands each
-    recorded state to `record(state)`, when given, as soon as it is recorded.
-    Returns (times, states, one array of accumulated integrals per rate, and
-    the VacuumBlowup that ended the loop early or None).
+    rectangles.  Records t=0, every cadence multiple and t_end: hands each
+    recorded state to `record(state)`, when given, as soon as it is recorded,
+    and keeps none of them, so a caller holds only the states it keeps.
+    Returns (times, one array of accumulated integrals per rate, and the
+    VacuumBlowup that ended the loop early or None).
     """
     eps = 1e-12 * max(1.0, cfg.t_end)
     state, t, k_out, blowup = initial, 0.0, 1, None
     acc = [0.0] * len(rates)
-    times, states, accum = [], [], []
+    times, accum = [], []
 
     def keep():
         times.append(t)
-        states.append(state)
         accum.append(list(acc))
         if record is not None:
             record(state)
@@ -317,7 +317,7 @@ def drive(initial, cfg: SolverConfig, dt, step, rates=(), record=None):
         if t >= next_out - eps or t >= cfg.t_end - eps:
             keep()
             k_out += 1
-    return times, states, [np.array(a) for a in zip(*accum)], blowup
+    return times, [np.array(a) for a in zip(*accum)], blowup
 
 
 def run(
@@ -358,7 +358,14 @@ def run(
         density = CheckedDensity(state.rho)
         return state
 
-    _, snapshots, (e_diss, bd_diss), blowup = drive(
+    snapshots = []
+
+    def record(state):
+        snapshots.append(state)
+        if on_snapshot is not None:
+            on_snapshot(state)
+
+    _, (e_diss, bd_diss), blowup = drive(
         initial,
         cfg,
         lambda state: stable_dt(state, grid, cfg, p, density),
@@ -367,7 +374,7 @@ def run(
             lambda state: diagnostics.energy_dissipation_rate(state.u, density, grid, p),
             lambda state: diagnostics.bd_dissipation_rate(density, grid, p),
         ],
-        on_snapshot,
+        record,
     )
     return Trajectory(
         params=p,

@@ -80,30 +80,32 @@ def integrate_flow(
     an exit a configuration problem, not physics).
     """
     times = np.asarray(sampler.times, dtype=float)
-    x = grid.coords.copy()
-    jac = np.ones_like(x)
-    xs = [x.copy()]
-    js = [jac.copy()]
-    limit = grid.half_length * (1.0 + 1e-9) + grid.dx
-
+    xs = [grid.coords.copy()]
+    js = [np.ones_like(xs[0])]
     for k in range(len(times) - 1):
-        t0, t1 = times[k], times[k + 1]
-        h = (t1 - t0) / substeps
-        t = t0
-        for _ in range(substeps):
-            x_mid = x + 0.5 * h * sampler(t, x)
-            x = x + h * sampler(t + 0.5 * h, x_mid)
-            jac = jac * np.exp(h * sampler.dudx(t + 0.5 * h, x_mid))
-            t += h
-            if enforce_domain and np.any(np.abs(x) > limit):
-                i = int(np.argmax(np.abs(x)))
-                raise DomainExitError(
-                    f"particle {i} left the domain at t={t:.6g} (x={x[i]:.6g})"
-                )
-        xs.append(x.copy())
-        js.append(jac.copy())
-
+        x, jac = _advance_flow(
+            sampler, times[k], times[k + 1], xs[-1], js[-1], grid, substeps, enforce_domain
+        )
+        xs.append(x)
+        js.append(jac)
     return FlowMap(times=times, x_map=np.array(xs), jacobian=np.array(js), grid=grid)
+
+
+def _advance_flow(sampler, t0, t1, x, jac, grid, substeps=4, enforce_domain=True):
+    """X and dX/dx at t0, `x` and `jac`, advanced to t1 as integrate_flow
+    does; returns new arrays."""
+    limit = grid.half_length * (1.0 + 1e-9) + grid.dx
+    h = (t1 - t0) / substeps
+    t = t0
+    for _ in range(substeps):
+        x_mid = x + 0.5 * h * sampler(t, x)
+        x = x + h * sampler(t + 0.5 * h, x_mid)
+        jac = jac * np.exp(h * sampler.dudx(t + 0.5 * h, x_mid))
+        t += h
+        if enforce_domain and np.any(np.abs(x) > limit):
+            i = int(np.argmax(np.abs(x)))
+            raise DomainExitError(f"particle {i} left the domain at t={t:.6g} (x={x[i]:.6g})")
+    return x, jac
 
 
 def _check_monotone(xk: np.ndarray, t: float):
@@ -222,7 +224,8 @@ def run_lagrangian(initial: FluidState, cfg, grid: Grid1D, p: ModelParams) -> La
         density, u_lag, jac = step_lagrangian(density, u_lag, jac, dt, rho0, grid, p, time=t)
         return density.rho, u_lag, jac, x + dt * u_lag
 
-    times, states, _, blowup = drive(start, cfg, propose_dt, step)
+    states = []
+    times, _, blowup = drive(start, cfg, propose_dt, step, record=states.append)
     if blowup is not None:
         raise blowup
     rho, u, jacobian, x = (list(fields) for fields in zip(*states))

@@ -21,6 +21,14 @@ Testing with delta_u and bounding the flux terms by Cauchy-Schwarz gives
 with kappa the measured infimum of the diffusion weight and K(t) the measured
 flux-to-dissipation ratio.  The crossing time where t*K(t) reaches kappa is
 the horizon of the local-uniqueness contraction.
+
+The twin is streamed.  Each recorded pair is measured as it is recorded:
+both flow maps advance over the last cadence interval from the previous pair
+and this one alone, u is transported, and the pair's terms of the check are
+kept as scalars.  The older pair is then dropped, so the experiment holds
+O(N) arrays whatever the number of snapshots, and a failure (the two runs
+coinciding, a particle leaving the domain, a flow map that stops increasing)
+is raised at the pair where it shows, in time order.
 """
 
 from __future__ import annotations
@@ -34,7 +42,7 @@ from .diagnostics import left_integral
 from .errors import ConfigError, InputError, NumericalFailure, VacuumBlowup
 from .eulerian import SolverConfig, drive, stable_dt, step_primitive
 from .initdata import ScenarioConfig, build_initial
-from .lagrangian import TrajectorySampler, integrate_flow, to_lagrangian
+from .lagrangian import FlowMap, TrajectorySampler, _advance_flow, to_lagrangian
 from .model import FluidState
 from .stencils import ddx
 
@@ -58,9 +66,9 @@ class TwinReport:
         return float(np.interp(t, self.times, self.delta_l2))
 
 
-def _lockstep_pair(initial_a, initial_b, cfg: SolverConfig, grid, p):
-    """Advance two primitive runs with a shared dt sequence; returns the two
-    lists of states recorded at the cadence."""
+def _lockstep_pair(initial_a, initial_b, cfg: SolverConfig, grid, p, record):
+    """Advance two primitive runs with a shared dt sequence, handing each pair
+    of states recorded at the cadence to `record(pair)` as it is recorded."""
 
     def step(pair, t, dt):
         out = []
@@ -72,15 +80,24 @@ def _lockstep_pair(initial_a, initial_b, cfg: SolverConfig, grid, p):
                 raise
         return tuple(out)
 
-    _, pairs, _, blowup = drive(
+    _, _, blowup = drive(
         (initial_a, initial_b),
         cfg,
         lambda pair: min(stable_dt(pair[0], grid, cfg, p), stable_dt(pair[1], grid, cfg, p)),
         step,
+        record=record,
     )
     if blowup is not None:
         raise blowup
-    return [a for a, _ in pairs], [b for _, b in pairs]
+
+
+def _advance(last, flow, state):
+    """A twin run's flow map at `last`, its last recorded state, moved on to
+    `state`, its next one, through the velocity sampled from those two alone;
+    returns `state` and the flow map at its time."""
+    sampler = TrajectorySampler(flow.grid, (last, state))
+    x, jac = _advance_flow(sampler, *sampler.times, flow.x_map[0], flow.jacobian[0], flow.grid)
+    return state, FlowMap(sampler.times[1:], x[None], jac[None], flow.grid)
 
 
 def default_perturbation(grid) -> np.ndarray:
@@ -92,7 +109,8 @@ def default_perturbation(grid) -> np.ndarray:
 def twin_run_stability(scenario: ScenarioConfig, epsilon: float) -> TwinReport:
     """Run the twin experiment at perturbation size `epsilon` (of u0 only),
     along default_perturbation.  The scenario's formulation must be
-    primitive: the twin compares primitive runs."""
+    primitive: the twin compares primitive runs.  Each recorded pair is
+    measured as it is recorded and then dropped (see the module docstring)."""
     # epsilon = 0 steps two identical runs, whose difference passes every
     # Gronwall check vacuously
     if not np.isfinite(epsilon) or epsilon == 0.0:
@@ -112,45 +130,52 @@ def twin_run_stability(scenario: ScenarioConfig, epsilon: float) -> TwinReport:
     if 0.5 * np.sum(base.rho * (pert.u - base.u) ** 2) * grid.dx == 0.0:
         raise InputError(f"epsilon {epsilon:g} gives a perturbation of zero energy")
 
-    states1, states2 = _lockstep_pair(base, pert, cfg, grid, p)
-    # A perturbation that rounding erases during stepping leaves two equal
-    # runs from then on, as vacuous as one that never started.
-    for a, b in zip(states1[1:], states2[1:]):
-        if np.array_equal(a.u, b.u) and np.array_equal(a.rho, b.rho):
-            raise InputError(f"epsilon {epsilon:g} is lost to rounding: the two runs "
-                             f"coincide from t={a.time:g}")
-    flow1 = integrate_flow(TrajectorySampler(grid, states1), grid)
-    flow2 = integrate_flow(TrajectorySampler(grid, states2), grid)
-
-    times = flow1.times
     rho0 = base.rho
     dx = grid.dx
-    n_t = len(times)
-
-    delta_l2 = np.empty(n_t)
-    weighted_half = np.empty(n_t)  # 1/2 ||sqrt(rho0) delta_u||^2
-    ddelta_sq = np.empty(n_t)  # ||d delta_u/dx||^2
-    g_cs = np.empty(n_t)  # ||G1+G2|| * ||d delta_u/dx||
     kappa = np.inf
+    # per recorded pair: t, ||delta_u||_L2 on the particle grid,
+    # 1/2||sqrt(rho0) delta_u||^2, ||d delta_u/dx||^2 and ||G1+G2||*||d delta_u/dx||
+    rows = []
+    # per run: its last recorded state and its flow map at that state's time
+    start = FlowMap(np.zeros(1), grid.coords[None].copy(), np.ones((1, grid.n_cells)), grid)
+    runs = [(base, start), (pert, start)]
 
-    for k in range(n_t):
-        u1 = to_lagrangian(states1[k].u, flow1, k)
-        u2 = to_lagrangian(states2[k].u, flow2, k)
-        rho1 = rho0 / flow1.jacobian[k]
-        rho2 = rho0 / flow2.jacobian[k]
+    def measure(pair):
+        """Everything the Gronwall check reads at one recorded pair; the pair
+        is dropped once the next one is recorded."""
+        nonlocal runs, kappa
+        a, b = pair
+        if rows:
+            # A perturbation that rounding erases during stepping leaves two
+            # equal runs from then on, as vacuous as one that never started.
+            if np.array_equal(a.u, b.u) and np.array_equal(a.rho, b.rho):
+                raise InputError(f"epsilon {epsilon:g} is lost to rounding: the two "
+                                 f"runs coincide from t={a.time:g}")
+            runs = [_advance(*run, state) for run, state in zip(runs, pair)]
+        (_, flow1), (_, flow2) = runs
+        u1 = to_lagrangian(a.u, flow1, 0)
+        u2 = to_lagrangian(b.u, flow2, 0)
+        rho1 = rho0 / flow1.jacobian[0]
+        rho2 = rho0 / flow2.jacobian[0]
         du = u1 - u2
         ddu = ddx(du, grid)
-        delta_l2[k] = np.sqrt(np.sum(du**2) * dx)
-        weighted_half[k] = 0.5 * np.sum(rho0 * du**2) * dx
-        ddelta_sq[k] = np.sum(ddu**2) * dx
+        ddu_sq = np.sum(ddu**2) * dx
 
         w1 = rho1 * model.viscosity(rho1, p) / rho0
         kappa = min(kappa, float(np.min(w1)))
         g1 = model.pressure(rho2, p) - model.pressure(rho1, p)
         w2 = rho2 * model.viscosity(rho2, p) / rho0
         g2 = (w1 - w2) * ddx(u2, grid)
-        g_cs[k] = np.sqrt(np.sum((g1 + g2) ** 2) * dx) * np.sqrt(ddelta_sq[k])
+        rows.append((
+            a.time,
+            np.sqrt(np.sum(du**2) * dx),
+            0.5 * np.sum(rho0 * du**2) * dx,
+            ddu_sq,
+            np.sqrt(np.sum((g1 + g2) ** 2) * dx) * np.sqrt(ddu_sq),
+        ))
 
+    _lockstep_pair(base, pert, cfg, grid, p, measure)
+    times, delta_l2, weighted_half, ddelta_sq, g_cs = map(np.array, zip(*rows))
     diss_accum = left_integral(times, ddelta_sq)
     cs_accum = left_integral(times, g_cs)
 

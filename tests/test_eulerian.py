@@ -1,5 +1,7 @@
 """Eulerian steppers: step control, fixed points, conservation, failures."""
 
+import weakref
+
 import numpy as np
 import pytest
 from dataclasses import replace
@@ -13,6 +15,7 @@ from nsdv.errors import InputError, NumericalFailure, VacuumBlowup
 from nsdv.eulerian import (
     SolverConfig,
     damp_effective_velocity,
+    drive,
     recover_velocity,
     run,
     stable_dt,
@@ -382,6 +385,25 @@ class TestRun:
         for (state, latest), snap in zip(seen, traj.snapshots):
             assert state is snap and latest is snap
         np.testing.assert_allclose([st.time for st, _ in seen], [0.0, 0.05, 0.1, 0.13], atol=1e-12)
+
+    def test_drive_keeps_no_recorded_state(self, grid):
+        # a record that keeps nothing leaves every recorded state, the
+        # initial one included, unreferenced once drive returns
+        p = mp(0.75, 2.0)
+        cfg = SolverConfig(t_end=0.3, output_cadence=0.1)
+        n = grid.n_cells
+        refs = []
+        times, accum, blowup = drive(
+            FluidState(time=0.0, rho=1.0 + 0.1 * np.exp(-grid.coords**2), u=np.zeros(n)),
+            cfg,
+            lambda state: stable_dt(state, grid, cfg, p),
+            lambda state, t, h: step_primitive(state, h, grid, cfg, p),
+            record=lambda state: refs.append(weakref.ref(state)),
+        )
+        np.testing.assert_allclose(times, [0.0, 0.1, 0.2, 0.3], atol=1e-12)
+        assert accum == [] and blowup is None
+        assert len(refs) == 4
+        assert all(ref() is None for ref in refs)
 
     @staticmethod
     def reference_run(initial, cfg, grid, p):

@@ -1,13 +1,27 @@
 """Twin-run stability experiment: continuous dependence and the Gronwall
 structure of the difference equation in material coordinates."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from dataclasses import replace
 
 from conftest import shipped_scenario
+from nsdv import model, stencils
+from nsdv.diagnostics import left_integral
 from nsdv.errors import ConfigError, InputError
-from nsdv.stability import twin_run_stability
+from nsdv.eulerian import drive, stable_dt, step_primitive
+from nsdv.initdata import build_initial
+from nsdv.lagrangian import TrajectorySampler, integrate_flow, to_lagrangian
+from nsdv.model import FluidState
+from nsdv.stability import (
+    GRONWALL_SLACK,
+    TwinReport,
+    default_perturbation,
+    twin_run_stability,
+)
+from nsdv.stencils import ddx
 
 
 @pytest.fixture(scope="module")
@@ -53,3 +67,88 @@ def test_effective_formulation_config_is_config_error(twin_cfg):
     cfg = replace(twin_cfg, solver=replace(twin_cfg.solver, formulation="effective"))
     with pytest.raises(ConfigError, match="not formulation = effective"):
         twin_run_stability(cfg, 1e-6)
+
+
+def reference_twin(scenario, epsilon):
+    """The twin computed from whole runs: every recorded pair kept, each
+    run's flow map integrated over all of them, then every Gronwall term."""
+    p, grid, cfg = scenario.model, scenario.grid(), scenario.solver
+    base = build_initial(scenario)
+    pert = FluidState(
+        time=0.0, rho=base.rho.copy(), u=base.u + epsilon * default_perturbation(grid)
+    )
+    pairs = []
+    drive(
+        (base, pert),
+        cfg,
+        lambda pair: min(stable_dt(pair[0], grid, cfg, p), stable_dt(pair[1], grid, cfg, p)),
+        lambda pair, t, h: tuple(step_primitive(s, h, grid, cfg, p) for s in pair),
+        record=pairs.append,
+    )
+    runs = list(zip(*pairs))
+    flows = [integrate_flow(TrajectorySampler(grid, states), grid) for states in runs]
+    rho0, dx = base.rho, grid.dx
+    delta_l2, half, ddelta_sq, g_cs, kappa = [], [], [], [], np.inf
+    for k in range(len(pairs)):
+        u1, u2 = (to_lagrangian(states[k].u, flow, k) for states, flow in zip(runs, flows))
+        rho1, rho2 = (rho0 / flow.jacobian[k] for flow in flows)
+        du = u1 - u2
+        delta_l2.append(np.sqrt(np.sum(du**2) * dx))
+        half.append(0.5 * np.sum(rho0 * du**2) * dx)
+        ddelta_sq.append(np.sum(ddx(du, grid) ** 2) * dx)
+        w1 = rho1 * model.viscosity(rho1, p) / rho0
+        w2 = rho2 * model.viscosity(rho2, p) / rho0
+        kappa = min(kappa, float(np.min(w1)))
+        g = model.pressure(rho2, p) - model.pressure(rho1, p) + (w1 - w2) * ddx(u2, grid)
+        g_cs.append(np.sqrt(np.sum(g**2) * dx) * np.sqrt(ddelta_sq[-1]))
+    times = flows[0].times
+    half = np.array(half)
+    diss = left_integral(times, np.array(ddelta_sq))
+    cs = left_integral(times, np.array(g_cs))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        K = np.where(times * diss > 0.0, cs / (times * diss), 0.0)
+    lhs = half + kappa * diss
+    rhs = half[0] + cs
+    crossing = times[times * K >= kappa]
+    return TwinReport(
+        epsilon=epsilon,
+        times=times,
+        delta_l2=np.array(delta_l2),
+        diss_accum=diss,
+        kappa=kappa,
+        lhs=lhs,
+        rhs=rhs,
+        gronwall_ok=lhs <= rhs * (1.0 + GRONWALL_SLACK) + 1e-9 * max(half[0], 1e-300),
+        crossing_time=float(crossing[0]) if len(crossing) else None,
+    )
+
+
+def test_streamed_twin_equals_whole_run_reference():
+    # the shipped config as it is, not resized
+    cfg = shipped_scenario("twin_smooth_bump")
+    got = twin_run_stability(cfg, 1e-6)
+    want = reference_twin(cfg, 1e-6)
+    assert len(got.times) == 13
+    for name in ("times", "delta_l2", "diss_accum", "lhs", "rhs", "gronwall_ok"):
+        np.testing.assert_array_equal(getattr(got, name), getattr(want, name), err_msg=name)
+    assert got.kappa == want.kappa
+    assert got.crossing_time == want.crossing_time
+    assert got.epsilon == want.epsilon
+
+
+def test_twin_memory_does_not_grow_with_snapshot_count():
+    # the shipped config at cadence 0.01 (13 snapshots) and 0.002 (61); the
+    # twin holds O(N) arrays whatever the count, so its traced peak grows by
+    # far less than one N=512 array per added snapshot
+    stencils._gtsv()  # LAPACK's module, loaded once, outside the traced peaks
+    peaks = {}
+    for cadence, count in ((0.01, 13), (0.002, 61)):
+        cfg = shipped_scenario("twin_smooth_bump", output_cadence=cadence)
+        tracemalloc.start()
+        try:
+            report = twin_run_stability(cfg, 1e-6)
+            peaks[count] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(report.times) == count
+    assert peaks[61] - peaks[13] < 64 * 1024, peaks
