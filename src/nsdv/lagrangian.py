@@ -3,6 +3,9 @@ material coordinates.
 
 The flow map X solves dX/dt = u(t, X), X(0, x) = x; its space derivative
 obeys dX/dx = exp(int_0^t du/dx(tau, X) dtau), which is what we accumulate.
+A FlowMap is X at one recorded state of a run; start_flow gives the identity
+at the first, and integrate_flow moves a map on to the next recorded state,
+so a caller holds one map per run whatever the number of snapshots.
 Composition with X moves fields between frames; X^{-1} is obtained by
 monotone inversion of the sampled map rather than by integrating the
 backward flow, so the inverse-pair property is exact up to interpolation.
@@ -30,82 +33,53 @@ from .stencils import ddx, solve_diffusion
 
 @dataclass(frozen=True)
 class FlowMap:
-    """X(t, .) and its Jacobian, the exponential-identity product, sampled
-    at the recorded times."""
+    """X(t, .) and its Jacobian, the exponential-identity product, at one
+    recorded time t, with the u and du/dx of the state recorded then."""
 
-    times: np.ndarray
-    x_map: np.ndarray  # (n_times, n_nodes)
-    jacobian: np.ndarray
     grid: Grid1D
+    time: float
+    x: np.ndarray
+    jacobian: np.ndarray
+    u: np.ndarray
+    dudx: np.ndarray
 
 
-class TrajectorySampler:
-    """Velocity sampler over a run's recorded states on `grid`: linear
-    interpolation in time between states and linear interpolation in space."""
-
-    def __init__(self, grid: Grid1D, states):
-        self.grid = grid
-        self.times = np.array([s.time for s in states])
-        self._u = [s.u for s in states]
-        self._dudx = [ddx(s.u, grid) for s in states]
-
-    def _pair(self, t):
-        k = int(np.searchsorted(self.times, t, side="right")) - 1
-        k = min(max(k, 0), len(self.times) - 2)
-        w = (t - self.times[k]) / (self.times[k + 1] - self.times[k])
-        return k, min(max(w, 0.0), 1.0)
-
-    def __call__(self, t, x):
-        k, w = self._pair(t)
-        c = self.grid.coords
-        return (1.0 - w) * np.interp(x, c, self._u[k]) + w * np.interp(x, c, self._u[k + 1])
-
-    def dudx(self, t, x):
-        k, w = self._pair(t)
-        c = self.grid.coords
-        return (1.0 - w) * np.interp(x, c, self._dudx[k]) + w * np.interp(
-            x, c, self._dudx[k + 1]
-        )
+def start_flow(state: FluidState, grid: Grid1D) -> FlowMap:
+    """The identity map at a run's first recorded state."""
+    return FlowMap(grid, state.time, grid.coords.copy(), np.ones(grid.n_cells), state.u,
+                   ddx(state.u, grid))
 
 
 def integrate_flow(
-    sampler, grid: Grid1D, substeps: int = 4, enforce_domain: bool = True
+    flow: FlowMap, state: FluidState, substeps: int = 4, enforce_domain: bool = True
 ) -> FlowMap:
-    """Per-particle midpoint RK2 along the sampled velocity, recorded at the
-    sampler's snapshot times.
+    """`flow` moved on to `state`, the run's next recorded state: per-particle
+    midpoint RK2 along u, linear in time between the two states and in
+    space between nodes, with du/dx feeding the exponential Jacobian
+    identity.  Particles leaving [-L, L] raise DomainExitError unless
+    `enforce_domain` is False (far-field u = 0 makes an exit a configuration
+    problem, not physics)."""
+    grid = flow.grid
+    c = grid.coords
+    t0, t1 = flow.time, state.time
+    dudx = ddx(state.u, grid)
 
-    `sampler(t, x)` returns velocities; `sampler.dudx(t, x)` feeds the
-    exponential Jacobian identity.  Particles leaving [-L, L] raise
-    DomainExitError unless `enforce_domain` is False (far-field u = 0 makes
-    an exit a configuration problem, not physics).
-    """
-    times = np.asarray(sampler.times, dtype=float)
-    xs = [grid.coords.copy()]
-    js = [np.ones_like(xs[0])]
-    for k in range(len(times) - 1):
-        x, jac = _advance_flow(
-            sampler, times[k], times[k + 1], xs[-1], js[-1], grid, substeps, enforce_domain
-        )
-        xs.append(x)
-        js.append(jac)
-    return FlowMap(times=times, x_map=np.array(xs), jacobian=np.array(js), grid=grid)
+    def sample(f0, f1, t, x):
+        w = min(max((t - t0) / (t1 - t0), 0.0), 1.0)
+        return (1.0 - w) * np.interp(x, c, f0) + w * np.interp(x, c, f1)
 
-
-def _advance_flow(sampler, t0, t1, x, jac, grid, substeps=4, enforce_domain=True):
-    """X and dX/dx at t0, `x` and `jac`, advanced to t1 as integrate_flow
-    does; returns new arrays."""
     limit = grid.half_length * (1.0 + 1e-9) + grid.dx
     h = (t1 - t0) / substeps
-    t = t0
+    t, x, jac = t0, flow.x, flow.jacobian
     for _ in range(substeps):
-        x_mid = x + 0.5 * h * sampler(t, x)
-        x = x + h * sampler(t + 0.5 * h, x_mid)
-        jac = jac * np.exp(h * sampler.dudx(t + 0.5 * h, x_mid))
+        x_mid = x + 0.5 * h * sample(flow.u, state.u, t, x)
+        x = x + h * sample(flow.u, state.u, t + 0.5 * h, x_mid)
+        jac = jac * np.exp(h * sample(flow.dudx, dudx, t + 0.5 * h, x_mid))
         t += h
         if enforce_domain and np.any(np.abs(x) > limit):
             i = int(np.argmax(np.abs(x)))
             raise DomainExitError(f"particle {i} left the domain at t={t:.6g} (x={x[i]:.6g})")
-    return x, jac
+    return FlowMap(grid, t1, x, jac, state.u, dudx)
 
 
 def _check_monotone(xk: np.ndarray, t: float):
@@ -113,11 +87,11 @@ def _check_monotone(xk: np.ndarray, t: float):
         raise HomeomorphismError(f"flow map not strictly increasing at t={t:.6g}")
 
 
-def to_lagrangian(field, flow: FlowMap, k: int) -> np.ndarray:
-    """field composed with X(t_k, .) at the flow's k-th recorded time: values
-    the Eulerian field takes at the current particle positions."""
-    _check_monotone(flow.x_map[k], flow.times[k])
-    return np.interp(flow.x_map[k], flow.grid.coords, np.asarray(field, dtype=float))
+def to_lagrangian(field, flow: FlowMap) -> np.ndarray:
+    """field composed with X at the flow's time: values the Eulerian field
+    takes at the current particle positions."""
+    _check_monotone(flow.x, flow.time)
+    return np.interp(flow.x, flow.grid.coords, np.asarray(field, dtype=float))
 
 
 @dataclass

@@ -48,6 +48,9 @@ class ModelParams:
     half_length: float
 
     def __post_init__(self):
+        for name in ("alpha", "gamma", "half_length"):
+            if not np.isfinite(getattr(self, name)):
+                raise InputError(f"{name} must be finite, got {getattr(self, name)}")
         if not self.alpha > 0.5:
             raise InputError(f"alpha must exceed 1/2, got {self.alpha}")
         if self.gamma < max(1.0, self.alpha):
@@ -82,8 +85,8 @@ class Grid1D:
     def __post_init__(self):
         if self.n_cells < 3:
             raise InputError(f"need at least 3 nodes, got {self.n_cells}")
-        if not self.half_length > 0:
-            raise InputError("half_length must be positive")
+        if not 0 < self.half_length < np.inf:
+            raise InputError(f"half_length must be positive and finite, got {self.half_length}")
         dx = 2.0 * self.half_length / (self.n_cells - 1)
         coords = -self.half_length + dx * np.arange(self.n_cells)
         coords[-1] = self.half_length  # pin the last node exactly at +L

@@ -23,9 +23,10 @@ flux-to-dissipation ratio.  The crossing time where t*K(t) reaches kappa is
 the horizon of the local-uniqueness contraction.
 
 The twin is streamed.  Each recorded pair is measured as it is recorded:
-both flow maps advance over the last cadence interval from the previous pair
-and this one alone, u is transported, and the pair's terms of the check are
-kept as scalars.  The older pair is then dropped, so the experiment holds
+each run's flow map, which keeps the u and du/dx of the run's last recorded
+state, is moved on to this one (lagrangian.integrate_flow), u is
+transported, and the pair's terms of the check are kept as scalars.  The
+older maps are then dropped, so the experiment holds
 O(N) arrays whatever the number of snapshots, and a failure (the two runs
 coinciding, a particle leaving the domain, a flow map that stops increasing)
 is raised at the pair where it shows, in time order.
@@ -42,7 +43,7 @@ from .diagnostics import left_integral
 from .errors import ConfigError, InputError, NumericalFailure, VacuumBlowup
 from .eulerian import SolverConfig, drive, stable_dt, step_primitive
 from .initdata import ScenarioConfig, build_initial
-from .lagrangian import FlowMap, TrajectorySampler, _advance_flow, to_lagrangian
+from .lagrangian import integrate_flow, start_flow, to_lagrangian
 from .model import FluidState
 from .stencils import ddx
 
@@ -91,15 +92,6 @@ def _lockstep_pair(initial_a, initial_b, cfg: SolverConfig, grid, p, record):
         raise blowup
 
 
-def _advance(last, flow, state):
-    """A twin run's flow map at `last`, its last recorded state, moved on to
-    `state`, its next one, through the velocity sampled from those two alone;
-    returns `state` and the flow map at its time."""
-    sampler = TrajectorySampler(flow.grid, (last, state))
-    x, jac = _advance_flow(sampler, *sampler.times, flow.x_map[0], flow.jacobian[0], flow.grid)
-    return state, FlowMap(sampler.times[1:], x[None], jac[None], flow.grid)
-
-
 def default_perturbation(grid) -> np.ndarray:
     bump = np.exp(-grid.coords**2)
     bump[0] = bump[-1] = 0.0
@@ -136,14 +128,13 @@ def twin_run_stability(scenario: ScenarioConfig, epsilon: float) -> TwinReport:
     # per recorded pair: t, ||delta_u||_L2 on the particle grid,
     # 1/2||sqrt(rho0) delta_u||^2, ||d delta_u/dx||^2 and ||G1+G2||*||d delta_u/dx||
     rows = []
-    # per run: its last recorded state and its flow map at that state's time
-    start = FlowMap(np.zeros(1), grid.coords[None].copy(), np.ones((1, grid.n_cells)), grid)
-    runs = [(base, start), (pert, start)]
+    # per run: its flow map at its last recorded state
+    flows = [start_flow(base, grid), start_flow(pert, grid)]
 
     def measure(pair):
         """Everything the Gronwall check reads at one recorded pair; the pair
         is dropped once the next one is recorded."""
-        nonlocal runs, kappa
+        nonlocal flows, kappa
         a, b = pair
         if rows:
             # A perturbation that rounding erases during stepping leaves two
@@ -151,12 +142,12 @@ def twin_run_stability(scenario: ScenarioConfig, epsilon: float) -> TwinReport:
             if np.array_equal(a.u, b.u) and np.array_equal(a.rho, b.rho):
                 raise InputError(f"epsilon {epsilon:g} is lost to rounding: the two "
                                  f"runs coincide from t={a.time:g}")
-            runs = [_advance(*run, state) for run, state in zip(runs, pair)]
-        (_, flow1), (_, flow2) = runs
-        u1 = to_lagrangian(a.u, flow1, 0)
-        u2 = to_lagrangian(b.u, flow2, 0)
-        rho1 = rho0 / flow1.jacobian[0]
-        rho2 = rho0 / flow2.jacobian[0]
+            flows = [integrate_flow(flow, state) for flow, state in zip(flows, pair)]
+        flow1, flow2 = flows
+        u1 = to_lagrangian(a.u, flow1)
+        u2 = to_lagrangian(b.u, flow2)
+        rho1 = rho0 / flow1.jacobian
+        rho2 = rho0 / flow2.jacobian
         du = u1 - u2
         ddu = ddx(du, grid)
         ddu_sq = np.sum(ddu**2) * dx

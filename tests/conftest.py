@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from nsdv import io
+from nsdv.lagrangian import integrate_flow, start_flow
 from nsdv.model import FluidState, Grid1D, ModelParams
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -48,3 +49,18 @@ def smooth_state(grid, rho_amp=0.1, u_amp=0.05):
     rho = 1.0 + rho_amp * np.exp(-(x**2))
     u = u_amp * x * np.exp(-(x**2))
     return FluidState(time=0.0, rho=rho, u=u)
+
+
+def velocity_states(grid, times, u):
+    """States at `times` with unit density and velocity u(t, x) on the
+    grid's nodes, for driving flow maps with a known field."""
+    return [FluidState(time=t, rho=np.ones(grid.n_cells), u=u(t, grid.coords)) for t in times]
+
+
+def flow_series(grid, states, **kw):
+    """The flow map at each of a run's recorded `states`, moved on one state
+    at a time from the identity at the first."""
+    flows = [start_flow(states[0], grid)]
+    for state in states[1:]:
+        flows.append(integrate_flow(flows[-1], state, **kw))
+    return flows

@@ -468,9 +468,12 @@ class TestCLI:
             # InitialData's own ConfigError, not wrapped as a bad value
             ("kind = equilibrium", "kind = manufactured",
              "config error: unknown initial-data kind 'manufactured'\n"),
+            # non-finite model parameters, refused before the solver sees them
+            ("gamma = 2.0", "gamma = inf", "gamma must be finite, got inf"),
+            ("half_length = 10.0", "half_length = inf", "half_length must be finite, got inf"),
         ],
         ids=["key-typo", "unknown-section", "infinite-t_end", "duplicate-key",
-             "manufactured-kind"],
+             "manufactured-kind", "gamma-inf", "half_length-inf"],
     )
     def test_rejected_config_exits_2(self, tmp_path, capsys, old, new, message):
         text = (CONFIG_DIR / "equilibrium.cfg").read_text(encoding="ascii")

@@ -177,6 +177,13 @@ class TestParams:
         with pytest.raises(InputError):
             ModelParams(alpha=0.75, gamma=2.0, half_length=0.0)
 
+    @pytest.mark.parametrize("name", ["alpha", "gamma", "half_length"])
+    @pytest.mark.parametrize("value", [np.inf, np.nan])
+    def test_non_finite_rejected(self, name, value):
+        kw = {"alpha": 0.75, "gamma": 2.0, "half_length": 1.0, name: value}
+        with pytest.raises(InputError, match=f"{name} must be finite"):
+            ModelParams(**kw)
+
     def test_farfield_pinned(self):
         # a fourth value was the far-field density, a field no longer
         with pytest.raises(TypeError):
@@ -199,6 +206,10 @@ class TestParams:
 
 
 class TestContainers:
+    def test_grid_half_length_finite(self):
+        with pytest.raises(InputError, match="positive and finite"):
+            Grid1D(5, np.inf)
+
     def test_grid_nodes(self):
         g = Grid1D(5, 2.0)
         assert g.dx == 1.0

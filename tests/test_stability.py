@@ -7,13 +7,13 @@ import numpy as np
 import pytest
 from dataclasses import replace
 
-from conftest import shipped_scenario
-from nsdv import model, stencils
+from conftest import flow_series, shipped_scenario
+from nsdv import lagrangian, model, stencils
 from nsdv.diagnostics import left_integral
 from nsdv.errors import ConfigError, InputError
 from nsdv.eulerian import drive, stable_dt, step_primitive
 from nsdv.initdata import build_initial
-from nsdv.lagrangian import TrajectorySampler, integrate_flow, to_lagrangian
+from nsdv.lagrangian import to_lagrangian
 from nsdv.model import FluidState
 from nsdv.stability import (
     GRONWALL_SLACK,
@@ -85,13 +85,12 @@ def reference_twin(scenario, epsilon):
         lambda pair, t, h: tuple(step_primitive(s, h, grid, cfg, p) for s in pair),
         record=pairs.append,
     )
-    runs = list(zip(*pairs))
-    flows = [integrate_flow(TrajectorySampler(grid, states), grid) for states in runs]
+    flows = [flow_series(grid, states) for states in zip(*pairs)]
     rho0, dx = base.rho, grid.dx
     delta_l2, half, ddelta_sq, g_cs, kappa = [], [], [], [], np.inf
-    for k in range(len(pairs)):
-        u1, u2 = (to_lagrangian(states[k].u, flow, k) for states, flow in zip(runs, flows))
-        rho1, rho2 = (rho0 / flow.jacobian[k] for flow in flows)
+    for (a, b), f1, f2 in zip(pairs, *flows):
+        u1, u2 = to_lagrangian(a.u, f1), to_lagrangian(b.u, f2)
+        rho1, rho2 = rho0 / f1.jacobian, rho0 / f2.jacobian
         du = u1 - u2
         delta_l2.append(np.sqrt(np.sum(du**2) * dx))
         half.append(0.5 * np.sum(rho0 * du**2) * dx)
@@ -101,7 +100,7 @@ def reference_twin(scenario, epsilon):
         kappa = min(kappa, float(np.min(w1)))
         g = model.pressure(rho2, p) - model.pressure(rho1, p) + (w1 - w2) * ddx(u2, grid)
         g_cs.append(np.sqrt(np.sum(g**2) * dx) * np.sqrt(ddelta_sq[-1]))
-    times = flows[0].times
+    times = np.array([flow.time for flow in flows[0]])
     half = np.array(half)
     diss = left_integral(times, np.array(ddelta_sq))
     cs = left_integral(times, np.array(g_cs))
@@ -134,6 +133,22 @@ def test_streamed_twin_equals_whole_run_reference():
     assert got.kappa == want.kappa
     assert got.crossing_time == want.crossing_time
     assert got.epsilon == want.epsilon
+
+
+@pytest.mark.parametrize("cadence, count", [(0.01, 13), (0.002, 61)])
+def test_twin_flow_maps_take_ddx_once_per_recorded_state(monkeypatch, cadence, count):
+    # each run's flow map differentiates each of its recorded velocities once,
+    # the first one in start_flow
+    calls = []
+
+    def counting_ddx(field, grid):
+        calls.append(1)
+        return ddx(field, grid)
+
+    monkeypatch.setattr(lagrangian, "ddx", counting_ddx)
+    report = twin_run_stability(shipped_scenario("twin_smooth_bump", output_cadence=cadence), 1e-6)
+    assert len(report.times) == count
+    assert len(calls) == 2 * count
 
 
 def test_twin_memory_does_not_grow_with_snapshot_count():
