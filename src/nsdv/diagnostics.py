@@ -5,7 +5,7 @@ balances while it accumulates their dissipation integrals step by step; this
 module turns a finished trajectory into the full monitored series:
 
   energy      sum(rho u^2/2 + Pi_rel) dx    with dissipation mu (du/dx)^2
-  bd_entropy  same with the effective velocity v, dissipation (mu P'/rho)(drho/dx)^2
+  bd_entropy  same with the effective velocity v, dissipation (mu P'/rho^2)(drho/dx)^2
   hoff_A/B    sigma-weighted functionals of du/dx, udot, d(udot)/dx
   y monitor   measured max y against the comparison-ODE envelope
   oleinik     one-sided slope bound on v derived from the y envelope
@@ -74,11 +74,12 @@ def bd_entropy(rho, v, grid: Grid1D, p: ModelParams, pi_rel=None) -> float:
 
 
 def bd_dissipation_rate(density: CheckedDensity, grid: Grid1D, p: ModelParams) -> float:
-    """sum (mu(rho) P'(rho)/rho) (drho/dx)^2 dx, accumulated in time by the
+    """sum (mu(rho) P'(rho)/rho^2) (drho/dx)^2 dx, accumulated in time by the
     runner, which shares the powers of rho in `density` with its step and
-    stable_dt."""
+    stable_dt.  It closes the BD balance: rho D_t v + P_x = 0, tested with
+    v = u + phi(rho)_x, phi' = mu/rho^2."""
     rho = density.rho
-    coeff = model.viscosity(density, p) * p.gamma * density.power(p.gamma - 1.0) / rho
+    coeff = model.viscosity(density, p) * p.gamma * density.power(p.gamma - 1.0) / (rho * rho)
     return float((coeff * ddx(rho, grid) ** 2).sum() * grid.dx)
 
 

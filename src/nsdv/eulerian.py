@@ -12,9 +12,9 @@ Two formulations of the same dynamics:
 Discretization: conservative fluxes with upwind-biased reconstruction
 (second order by default, first order available), central pressure gradient
 and central diffusion, forward Euler in time with the diffusion optionally
-solved implicitly (tridiagonal, frozen viscosity coefficients).  The damping
-term of the effective formulation is integrated with an exact exponential
-factor per step, so it never restricts the step size.
+solved implicitly (symmetric positive definite tridiagonal, frozen viscosity
+coefficients).  The damping term of the effective formulation is integrated
+with an exact exponential factor per step, so it never restricts the step size.
 
 Boundary nodes are reset to the far-field state after every step.  Density
 reaching RHO_FLOOR raises VacuumBlowup: it is reported, never clamped,

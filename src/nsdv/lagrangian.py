@@ -179,6 +179,8 @@ def run_lagrangian(initial: FluidState, cfg, grid: Grid1D, p: ModelParams) -> La
     one, so `initial` seeds both rho0 and the fields."""
     if initial.n != grid.n_cells:
         raise InputError("initial state does not match the grid")
+    if initial.time != 0.0:
+        raise InputError("trajectories start at t=0")
     rho0 = initial.rho.copy()
     start = (initial.rho.copy(), initial.u.copy(), np.ones(grid.n_cells), grid.coords.copy())
     # the current state's density, whose powers its stable dt and its step

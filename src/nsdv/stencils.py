@@ -4,6 +4,9 @@ Central second order in the interior, one-sided second order at the ends
 (exact for quadratics everywhere).  The upwind variant biases the stencil by
 the sign of the local advecting velocity and degrades to first order on the
 two nodes next to each boundary where the biased 3-point stencil does not fit.
+
+The implicit diffusion a x - r D(w D x) = rhs is symmetric positive definite:
+a is a checked positive density and w a positive viscosity in both frames.
 """
 
 from __future__ import annotations
@@ -59,11 +62,11 @@ def ddx_upwind(field, vel, grid: Grid1D) -> np.ndarray:
 _flapack = None  # scipy's LAPACK extension module, loaded by the first solve
 
 
-def _gtsv():
-    """LAPACK dgtsv from scipy's compiled `_flapack` module, found in the
+def _ptsv():
+    """LAPACK dptsv from scipy's compiled `_flapack` module, found in the
     scipy.linalg package directory and loaded there once, on its own:
     importing scipy.linalg would also load its array-API layer, which the
-    solve does not use.  scipy.linalg.lapack.dgtsv is this same routine."""
+    solve does not use.  scipy.linalg.lapack.dptsv is this same routine."""
     global _flapack
     if _flapack is None:
         import importlib.machinery
@@ -79,29 +82,26 @@ def _gtsv():
         module = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(module)
         _flapack = module
-    return _flapack.dgtsv
+    return _flapack.dptsv
 
 
-def solve_tridiagonal(lower, diag, upper, rhs) -> np.ndarray:
-    """Solve the tridiagonal system with the given bands.
+def solve_tridiagonal(diag, off, rhs) -> np.ndarray:
+    """Solve the symmetric positive definite tridiagonal system with main band
+    `diag` and off-diagonal band `off` (off[i] couples x[i] and x[i+1]), in
+    place: float64 bands are overwritten and x comes back in `rhs`.
 
-    lower[i] multiplies x[i-1] (lower[0] ignored), upper[i] multiplies x[i+1]
-    (upper[-1] ignored).  Backed by LAPACK gtsv (partial pivoting), the
-    routine scipy's banded solver uses for one band on each side, taken from
-    `_gtsv` at the first solve: runs that never solve (the effective
-    formulation) and the snapshot writer load no scipy, and no run loads
-    scipy.linalg.
+    Backed by LAPACK ptsv (LDL^T, no pivoting), as scipy's solveh_banded is for
+    one off-diagonal band, taken from `_ptsv` at the first solve: runs that
+    never solve (the effective formulation) and the snapshot writer load no
+    scipy, and no run loads scipy.linalg.
     """
-    gtsv = _gtsv()
-    n = len(diag)
-    if not (len(lower) == len(upper) == len(rhs) == n):
-        raise ShapeError("tridiagonal bands must share one length")
-    bands = (lower[1:], diag, upper[:-1], rhs)
-    if not all(np.isfinite(band).all() for band in bands):
+    if not len(diag) == len(off) + 1 == len(rhs):
+        raise ShapeError("tridiagonal bands must have lengths n, n-1 and n")
+    if not all(np.isfinite(band).all() for band in (diag, off, rhs)):
         raise NumericalFailure("non-finite tridiagonal system")
-    *_, x, info = gtsv(*bands)
+    *_, x, info = _ptsv()(diag, off, rhs, overwrite_d=1, overwrite_e=1, overwrite_b=1)
     if info != 0:
-        raise NumericalFailure(f"singular tridiagonal system (gtsv info {info})")
+        raise NumericalFailure(f"tridiagonal system not positive definite (ptsv info {info})")
     return x
 
 
@@ -112,19 +112,15 @@ def solve_diffusion(a, w_ifc, r, rhs, left, right) -> np.ndarray:
     D is the undivided difference and w_ifc the coefficient at the n-1
     interfaces; a and rhs are nodal (their end values are not used).  This is
     the implicit half of the momentum diffusion d/dx(mu du/dx) in both frames.
+    The end couplings move into the right-hand side, which leaves identity end
+    rows and a symmetric system.
     """
-    n = len(a)
-    diag = np.empty(n)
-    lower = np.empty(n)
-    upper = np.empty(n)
+    diag = np.ones(len(a))
     diag[1:-1] = a[1:-1] + r * (w_ifc[1:] + w_ifc[:-1])
-    lower[1:-1] = -r * w_ifc[:-1]
-    upper[1:-1] = -r * w_ifc[1:]
-    # identity rows at the ends; lower[0] and upper[-1] are never read
-    diag[0] = diag[-1] = 1.0
-    upper[0] = lower[-1] = 0.0
+    off = -r * w_ifc
+    off[0] = off[-1] = 0.0
     rhs = np.array(rhs, dtype=float)
     rhs[0], rhs[-1] = left, right
-    x = solve_tridiagonal(lower, diag, upper, rhs)
-    x[0], x[-1] = left, right
-    return x
+    rhs[1] += r * w_ifc[0] * left
+    rhs[-2] += r * w_ifc[-1] * right
+    return solve_tridiagonal(diag, off, rhs)

@@ -93,6 +93,22 @@ class TestEnergy:
         d = build_series(traj)
         assert np.max(d.bd_entropy) <= 1.05 * d.bd_entropy[0] + d.bd_diss_accum[-1]
 
+    @pytest.mark.parametrize("name", ["smooth_bump", "constantin"])
+    def test_bd_residual_decays_at_first_order(self, name):
+        # the final residual bd(T) + int_0^T bd dissipation - bd(0) of the BD
+        # balance is discretization error, so it halves with dx; with the
+        # dissipation off by a factor of rho it stalls at an O(1) remainder
+        residuals = []
+        for n in (257, 513, 1025):
+            cfg = shipped_scenario(name, n)
+            g, p = cfg.grid(), cfg.model
+            traj = run(build_initial(cfg), cfg.solver, g, p)
+            first, last = (bd_entropy(s.rho, effective_velocity(s, g, p), g, p)
+                           for s in (traj.snapshots[0], traj.snapshots[-1]))
+            residuals.append(last + traj.bd_diss_accum[-1] - first)
+        orders = np.log2(np.array(residuals[:-1]) / np.array(residuals[1:]))
+        assert np.all(orders > 0.85), (residuals, orders)
+
 
 class TestHoff:
     def test_sigma_weight(self):

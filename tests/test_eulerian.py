@@ -424,7 +424,7 @@ class TestRun:
             rho = state.rho
             mu = model.viscosity(rho, p)
             e_acc += h * float(np.sum(mu * ddx(state.u, grid) ** 2) * grid.dx)
-            coeff = mu * p.gamma * rho ** (p.gamma - 1.0) / rho
+            coeff = mu * p.gamma * rho ** (p.gamma - 1.0) / (rho * rho)
             bd_acc += h * float(np.sum(coeff * ddx(rho, grid) ** 2) * grid.dx)
             if effective:
                 rho, v, u = step_effective(rho, v, u, t, h, grid, cfg, p)

@@ -270,6 +270,13 @@ class TestCLI:
         assert code == 5
         assert "blow-up detected at t=" in out
 
+    def test_three_node_run_ok(self, tmp_path):
+        # the smallest grid: one interior node, which the implicit diffusion
+        # solve couples to both Dirichlet ends
+        path = tmp_path / "three_nodes.cfg"
+        io.save_config(shipped_scenario("smooth_bump", 3), path)
+        assert main(["run", "--config", str(path), "--out", str(tmp_path)]) == 0
+
     def test_monitor_violation_exits_4(self, tmp_path, capsys):
         # deep density dip: w1(0) = 1 - rho^gamma exceeds the sign tolerance
         # while the Constantin hypothesis on du0/dx still holds
@@ -612,7 +619,7 @@ def test_only_the_tridiagonal_solve_imports_scipy():
         io._CHILD, scipy_modules,
         "import nsdv.cli", scipy_modules,
         "import numpy as np; from nsdv.stencils import solve_tridiagonal",
-        "solve_tridiagonal(np.zeros(3), np.ones(3), np.zeros(3), np.ones(3))",
+        "solve_tridiagonal(np.ones(3), np.zeros(2), np.ones(3))",
         "print('scipy' in sys.modules)",
         "assert 'scipy.linalg' not in sys.modules",
     ])

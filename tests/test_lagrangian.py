@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from conftest import flow_series, shipped_scenario, velocity_states
-from nsdv.errors import DomainExitError, HomeomorphismError, VacuumBlowup
+from nsdv.errors import DomainExitError, HomeomorphismError, InputError, VacuumBlowup
 from nsdv.eulerian import SolverConfig, run
 from nsdv.initdata import build_initial
 from nsdv.lagrangian import FlowMap, run_lagrangian, step_lagrangian, to_lagrangian
-from nsdv.model import RHO_FLOOR, Grid1D, ModelParams
+from nsdv.model import RHO_FLOOR, FluidState, Grid1D, ModelParams
 from nsdv.stencils import ddx
 
 
@@ -149,6 +149,13 @@ class TestStepLagrangian:
         traj = run_lagrangian(s, SolverConfig(t_end=1.0, output_cadence=0.1), g, p)
         for jac_k in traj.jacobian:
             assert np.all(jac_k > 0.0)
+
+    def test_initial_time_must_be_zero(self):
+        # as eulerian.run: a start at t=0.5 is rejected, not relabelled t=0
+        g = Grid1D(65, 4.0)
+        s = FluidState(time=0.5, rho=np.ones(65), u=np.zeros(65))
+        with pytest.raises(InputError, match="start at t=0"):
+            run_lagrangian(s, SolverConfig(t_end=1.0, output_cadence=0.5), g, mp(0.75, 2.0, L=4.0))
 
     def test_cross_solver_agreement(self):
         cfg = shipped_scenario("smooth_bump", 257)

@@ -155,7 +155,7 @@ def test_twin_memory_does_not_grow_with_snapshot_count():
     # the shipped config at cadence 0.01 (13 snapshots) and 0.002 (61); the
     # twin holds O(N) arrays whatever the count, so its traced peak grows by
     # far less than one N=512 array per added snapshot
-    stencils._gtsv()  # LAPACK's module, loaded once, outside the traced peaks
+    stencils._ptsv()  # LAPACK's module, loaded once, outside the traced peaks
     peaks = {}
     for cadence, count in ((0.01, 13), (0.002, 61)):
         cfg = shipped_scenario("twin_smooth_bump", output_cadence=cadence)
