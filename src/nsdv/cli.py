@@ -1,12 +1,14 @@
 """Command line entry points: run, verify, convergence, twin.
 
 Exit codes follow the exception classes: 0 ok; 2 config error (InputError,
-whose ConfigError includes DomainExitError when a flow-map particle leaves
-the domain; a missing config file; DomainError when the data leave a
-constitutive law's domain); 3 numerical failure (NumericalFailure, which
-includes HomeomorphismError); 4 monitor violation; 5 blow-up detected
-(VacuumBlowup).  The default output root is $NSDV_OUT_DIR or ./out;
-concurrent runs land in distinct directories keyed by the config hash.
+which includes an output root that is not a directory, and its ConfigError,
+which includes DomainExitError when a flow-map particle leaves the domain and
+a config file that is missing, unreadable or not ASCII text; DomainError
+when the data leave a constitutive law's domain); 3 numerical failure
+(NumericalFailure, which includes HomeomorphismError); 4 monitor violation;
+5 blow-up detected (VacuumBlowup).  The default output root is $NSDV_OUT_DIR
+or ./out; concurrent runs land in distinct directories keyed by the config
+hash.
 """
 
 from __future__ import annotations
@@ -48,9 +50,15 @@ EXIT_BLOWUP = 5
 
 
 def _out_root(args) -> Path:
-    root = args.out or os.environ.get("NSDV_OUT_DIR") or "out"
-    path = Path(root)
-    path.mkdir(parents=True, exist_ok=True)
+    """The output root, which the command makes when it writes its outputs.
+    A path there, or above it, that is not a directory is an input error,
+    raised before the command does any work."""
+    path = Path(args.out or os.environ.get("NSDV_OUT_DIR") or "out")
+    for above in (path, *path.parents):
+        if above.exists():
+            if not above.is_dir():
+                raise InputError(f"output root {path}: {above} is not a directory")
+            break
     return path
 
 
@@ -168,11 +176,13 @@ def mms_convergence(
 
 
 def cmd_convergence(args) -> int:
+    out_root = _out_root(args)
     rows = mms_convergence(args.id, args.levels)
     print(f"{'n':>7} {'dx':>12} {'dt':>12} {'l2_error':>14} {'order':>7}")
     for r in rows:
         print(f"{r['n']:7d} {r['dx']:12.5e} {r['dt']:12.5e} {r['err']:14.6e} {r['order']:7.3f}")
-    out = _out_root(args) / f"convergence-{args.id}.dat"
+    out_root.mkdir(parents=True, exist_ok=True)
+    out = out_root / f"convergence-{args.id}.dat"
     cols = [[r[k] for r in rows] for k in ("n", "dx", "dt", "err", "order")]
     foot = io.footer(args.id, io.build_id())
     io.write_table(out, "# n dx dt l2_error order", cols, foot, sep=" ")
@@ -182,6 +192,7 @@ def cmd_convergence(args) -> int:
 
 def cmd_twin(args) -> int:
     cfg = _load_scenario(args)
+    out_root = _out_root(args)
     report = twin_run_stability(cfg, args.epsilon)
     print(f"twin: epsilon={report.epsilon:g} kappa={report.kappa:.6g}")
     cross = "none" if report.crossing_time is None else f"{report.crossing_time:.6g}"
@@ -194,7 +205,8 @@ def cmd_twin(args) -> int:
             f"{report.diss_accum[k]:14.6e} {ok:>9}"
         )
     h = io.config_hash(cfg)
-    out = _out_root(args) / f"twin-{h}-eps{args.epsilon:g}.dat"
+    out_root.mkdir(parents=True, exist_ok=True)
+    out = out_root / f"twin-{h}-eps{args.epsilon:g}.dat"
     cols = (report.times, report.delta_l2, report.diss_accum, report.lhs, report.rhs)
     foot = io.footer(h, io.build_id())
     io.write_table(out, "# t delta_l2 diss_accum lhs rhs", cols, foot, sep=" ")
@@ -241,7 +253,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, FileNotFoundError, DomainError) as exc:
+    except (ConfigError, DomainError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except InputError as exc:

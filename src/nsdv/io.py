@@ -14,7 +14,6 @@ child process writes the snapshot CSVs while the solver steps.
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import json
 import os
 import pickle
@@ -34,6 +33,17 @@ from .errors import ConfigError
 from .eulerian import SolverConfig
 from .initdata import InitialData, ScenarioConfig
 from .model import FluidState, ModelParams
+
+# CPython's built-in SHA-256 for the config hash: hashlib would load OpenSSL's
+# libcrypto (~3.6 MB resident) into every nsdv process for this one call.
+# hashlib stays the fallback for an interpreter built without it.
+try:
+    from _sha2 import sha256  # CPython 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # CPython 3.10-3.11
+    except ImportError:
+        from hashlib import sha256
 
 # The diagnostics.csv columns before `flags`: header name, DiagnosticSeries
 # field, and whether plots/<field>.dat holds that series against t.
@@ -170,7 +180,15 @@ def parse_config(text: str) -> ScenarioConfig:
 
 
 def load_config(path) -> ScenarioConfig:
-    return parse_config(Path(path).read_text(encoding="ascii"))
+    try:
+        text = Path(path).read_text(encoding="ascii")
+    except OSError as exc:
+        raise ConfigError(f"cannot read config {path}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(
+            f"config {path} is not ASCII: byte {exc.object[exc.start]:#04x} at offset {exc.start}"
+        ) from None
+    return parse_config(text)
 
 
 def save_config(cfg: ScenarioConfig, path) -> None:
@@ -178,7 +196,7 @@ def save_config(cfg: ScenarioConfig, path) -> None:
 
 
 def config_hash(cfg: ScenarioConfig) -> str:
-    return hashlib.sha256(serialize_config(cfg).encode("ascii")).hexdigest()[:12]
+    return sha256(serialize_config(cfg).encode("ascii")).hexdigest()[:12]
 
 
 # ------------------------------------------------------------------- outputs

@@ -1,5 +1,6 @@
 """Config round-trip, output file formats, CLI exit codes."""
 
+import hashlib
 import json
 import os
 import re
@@ -240,6 +241,27 @@ class TestOutputs:
         b = small_cfg(cfl_number=0.3)
         assert io.config_hash(a) != io.config_hash(b)
 
+    def test_config_hash_is_sha256_of_the_config_text(self):
+        for path in SHIPPED:
+            cfg = io.load_config(path)
+            text = io.serialize_config(cfg).encode("ascii")
+            assert io.config_hash(cfg) == hashlib.sha256(text).hexdigest()[:12], path.name
+        assert io.config_hash(io.load_config(CONFIG_DIR / "smooth_bump.cfg")) == "4ac24a513df5"
+
+    def test_config_hash_falls_back_to_hashlib(self):
+        """Without CPython's built-in SHA-256 the hash comes from hashlib,
+        and is the same."""
+        code = "\n".join([
+            "import sys",
+            "sys.modules['_sha2'] = sys.modules['_sha256'] = None",
+            "from nsdv import io",
+            "print(io.config_hash(io.load_config(sys.argv[1])), '_hashlib' in sys.modules)",
+        ])
+        out = subprocess.run([sys.executable, "-c", code, str(CONFIG_DIR / "smooth_bump.cfg")],
+                             env=SRC_ENV, capture_output=True, text=True, check=True,
+                             timeout=60).stdout
+        assert out == "4ac24a513df5 True\n"
+
 
 class TestCLI:
     def test_run_equilibrium_ok(self, tmp_path):
@@ -255,8 +277,42 @@ class TestCLI:
         assert code == 0
         assert "monitor energy" in out and "ok" in out
 
-    def test_missing_config_is_config_error(self, tmp_path):
-        assert main(["run", "--config", str(tmp_path / "nope.cfg"), "--out", str(tmp_path)]) == 2
+    @pytest.mark.parametrize("kind", ["missing", "directory", "non_ascii"])
+    def test_missing_config_is_config_error(self, tmp_path, capsys, kind):
+        """A config that cannot be read as ASCII text exits 2 with one line
+        that names it, and writes nothing."""
+        path = tmp_path / "scenario.cfg"
+        if kind == "directory":
+            path.mkdir()
+        elif kind == "non_ascii":
+            text = (CONFIG_DIR / "smooth_bump.cfg").read_text(encoding="ascii")
+            path.write_bytes(("# \u03b1 = 0.75\n" + text).encode("utf-8"))
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and str(path) in err
+        assert len(err.splitlines()) == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["run", "verify", "convergence", "twin"])
+    def test_out_naming_a_file_is_input_error(self, tmp_path, capsys, monkeypatch, command):
+        """An output root that is a file, or lies under one, exits 2 before
+        the command integrates anything, and leaves the file as it was."""
+        def never(*args, **kwargs):
+            raise AssertionError("the command went past its output root")
+
+        for name in ("run", "mms_convergence", "twin_run_stability"):
+            monkeypatch.setattr(nsdv.cli, name, never)
+        afile = tmp_path / "afile"
+        afile.write_text("kept\n")
+        args = (["--levels", "1"] if command == "convergence"
+                else ["--config", str(CONFIG_DIR / "twin_smooth_bump.cfg")])
+        for out in (afile, afile / "sub"):
+            assert main([command, *args, "--out", str(out)]) == 2
+            err = capsys.readouterr().err
+            assert err == f"input error: output root {out}: {afile} is not a directory\n"
+        assert afile.read_text() == "kept\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["afile"]
 
     def test_bad_config_is_config_error(self, tmp_path):
         bad = tmp_path / "bad.cfg"
@@ -612,12 +668,14 @@ def test_package_import_loads_no_submodule():
 
 def test_only_the_tridiagonal_solve_imports_scipy():
     """The snapshot writer child (its own code, stdin at end of file) and
-    the command line load no scipy module; the first solve loads scipy, but
-    not the scipy.linalg package."""
+    the command line load no scipy module, and no hashlib (which loads
+    OpenSSL); the first solve loads scipy, but not the scipy.linalg
+    package."""
     scipy_modules = "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    no_hashlib = "assert not {'hashlib', '_hashlib'} & set(sys.modules)"
     code = "\n".join([
-        io._CHILD, scipy_modules,
-        "import nsdv.cli", scipy_modules,
+        io._CHILD, scipy_modules, no_hashlib,
+        "import nsdv.cli", scipy_modules, no_hashlib,
         "import numpy as np; from nsdv.stencils import solve_tridiagonal",
         "solve_tridiagonal(np.ones(3), np.zeros(2), np.ones(3))",
         "print('scipy' in sys.modules)",
@@ -631,21 +689,21 @@ def test_only_the_tridiagonal_solve_imports_scipy():
 
 def test_primitive_verify_loads_no_scipy_linalg(tmp_path):
     """A semi-implicit verify in a fresh interpreter solves at every step
-    and still ends with no scipy.linalg module loaded."""
+    and still ends with no scipy.linalg module loaded, and no hashlib."""
     primitive = tmp_path / "primitive.cfg"
     io.save_config(small_cfg(), primitive)
     code = "\n".join([
         "import sys",
         "from nsdv.cli import main",
         "assert main(sys.argv[1:]) == 0",
-        "print('scipy' in sys.modules, 'scipy.linalg' in sys.modules)",
+        "print(*(m in sys.modules for m in ('scipy', 'scipy.linalg', 'hashlib', '_hashlib')))",
     ])
     out = subprocess.run(
         [sys.executable, "-c", code,
          "verify", "--config", str(primitive), "--out", str(tmp_path / "out")],
         env=SRC_ENV, capture_output=True, text=True, check=True, timeout=60,
     ).stdout
-    assert out.splitlines()[-1] == "True False"
+    assert out.splitlines()[-1] == "True False False False"
 
 
 def test_without_scipy_only_the_implicit_solve_fails(tmp_path, capsys):
