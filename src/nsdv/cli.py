@@ -78,12 +78,12 @@ def _run_with_outputs(args):
         initial = build_initial(cfg)
         traj = run(initial, cfg.solver, cfg.grid(), cfg.model, on_snapshot=writer.record)
         series = build_series(traj)
-        return traj, series, writer.finish(traj, series)
+        return traj, series, writer.finish(series)
 
 
 def cmd_run(args) -> int:
     traj, _, run_dir = _run_with_outputs(args)
-    print(f"run: {len(traj.snapshots)} snapshots -> {run_dir}")
+    print(f"run: {len(traj.times)} snapshots -> {run_dir}")
     if traj.blowup is not None:
         print(f"blow-up detected at t={traj.blowup.time:.6g} (node {traj.blowup.node})")
         return EXIT_BLOWUP

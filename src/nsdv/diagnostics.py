@@ -1,8 +1,9 @@
 """Scalar functionals and estimate monitors.
 
-Per snapshot the runner records the instantaneous halves of the two entropy
-balances while it accumulates their dissipation integrals step by step; this
-module turns a finished trajectory into the full monitored series:
+Per recorded state the runner keeps only the scalars of snapshot_scalars,
+the instantaneous halves of the two entropy balances among them, while it
+accumulates their dissipation integrals step by step; build_series turns
+them into the full monitored series:
 
   energy      sum(rho u^2/2 + Pi_rel) dx    with dissipation mu (du/dx)^2
   bd_entropy  same with the effective velocity v, dissipation (mu P'/rho^2)(drho/dx)^2
@@ -30,7 +31,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import model
-from .effective import compute_effective_fields
 from .model import RHO_FLOOR, CheckedDensity, FluidState, Grid1D, ModelParams
 from .stencils import ddx
 
@@ -99,38 +99,31 @@ def left_integral(times: np.ndarray, *factors: np.ndarray) -> np.ndarray:
     return np.concatenate(([0.0], np.cumsum(terms)))
 
 
-def _scan(traj) -> dict:
-    """Every per-snapshot scalar the series and monitors read, as one array
-    per name, from one compute_effective_fields call per snapshot, which also
-    gives mu(rho) and du/dx, and one Pi_rel(rho) that both balances share;
-    the names of the series are those of the DiagnosticSeries fields.  No
-    snapshot density is checked again (its FluidState checked it), and no
-    field array outlives its snapshot: at fine resolution the fields of a
-    whole trajectory would dominate peak memory."""
-    p, grid = traj.params, traj.grid
+def snapshot_scalars(state: FluidState, eff, grid: Grid1D, p: ModelParams) -> dict:
+    """Every per-snapshot scalar the series and monitors read, from one
+    recorded state and its compute_effective_fields `eff` (whose mu(rho) and
+    du/dx it shares), with one Pi_rel(rho) for both balances; the names of
+    the series are those of the DiagnosticSeries fields.  The runner keeps
+    these, not the state: at fine resolution the states of a whole
+    trajectory would dominate peak memory.  The density is not checked
+    again (its FluidState checked it)."""
     dx = grid.dx
-    rows = []
-    for s in traj.snapshots:
-        eff = compute_effective_fields(s, grid, p)
-        pi_rel = model.internal_energy(CheckedDensity(s.rho), p)
-        rows.append(
-            {
-                "energy": energy(s, grid, p, pi_rel),
-                "bd_entropy": bd_entropy(s.rho, eff.v, grid, p, pi_rel),
-                "y_max": float(np.max(eff.y)),
-                "oleinik_slope": float(np.max(ddx(eff.v, grid))),
-                "rho_max": float(np.max(s.rho)),
-                "inv_rho_max": float(np.max(1.0 / s.rho)),
-                "bv_norm_v": bv_norm(eff.v),
-                "w1_max": float(np.max(eff.w1)),
-                # read by the monitors and Hoff functionals, not series themselves
-                "rho_min": float(np.min(s.rho)),
-                "dux2": float(np.sum(eff.mu * eff.ux**2) * dx),
-                "rudot2": float(np.sum(s.rho * eff.udot**2) * dx),
-                "dudot2": float(np.sum(eff.mu * ddx(eff.udot, grid) ** 2) * dx),
-            }
-        )
-    return {name: np.array([row[name] for row in rows]) for name in rows[0]}
+    pi_rel = model.internal_energy(CheckedDensity(state.rho), p)
+    return {
+        "energy": energy(state, grid, p, pi_rel),
+        "bd_entropy": bd_entropy(state.rho, eff.v, grid, p, pi_rel),
+        "y_max": float(np.max(eff.y)),
+        "oleinik_slope": float(np.max(ddx(eff.v, grid))),
+        "rho_max": float(np.max(state.rho)),
+        "inv_rho_max": float(np.max(1.0 / state.rho)),
+        "bv_norm_v": bv_norm(eff.v),
+        "w1_max": float(np.max(eff.w1)),
+        # read by the monitors and Hoff functionals, not series themselves
+        "rho_min": float(np.min(state.rho)),
+        "dux2": float(np.sum(eff.mu * eff.ux**2) * dx),
+        "rudot2": float(np.sum(state.rho * eff.udot**2) * dx),
+        "dudot2": float(np.sum(eff.mu * ddx(eff.udot, grid) ** 2) * dx),
+    }
 
 
 def _hoff_series(times: np.ndarray, half: np.ndarray, integrand: np.ndarray) -> np.ndarray:
@@ -218,20 +211,20 @@ class DiagnosticSeries:
 
 
 def build_series(traj) -> DiagnosticSeries:
-    """Evaluate every functional and monitor on a finished trajectory, from
-    one pass over its snapshots."""
+    """Evaluate every functional and monitor on a finished trajectory from
+    the scalars its runner recorded; no field is evaluated here."""
     p, grid = traj.params, traj.grid
     times = traj.times
     tol = TOL_FACTOR * grid.dx
 
-    sc = _scan(traj)
+    sc = {name: np.array([row[name] for row in traj.scalars]) for name in traj.scalars[0]}
     rho_min, dux2, rudot2, dudot2 = (sc.pop(k) for k in ("rho_min", "dux2", "rudot2", "dudot2"))
     y_env = _y_envelope(p, times, sc)
     z = sc["inv_rho_max"]
     z_env = None
     if p.gamma < p.alpha + 1.0 - model.BRANCH_TOL:
         z_env = _vacuum_envelope(p, times, z[0], float(y_env[0]))
-    w1_active = constantin_condition_holds(traj.snapshots[0], grid, p)
+    w1_active = constantin_condition_holds(traj.initial, grid, p)
     energy_budget = sc["energy"][0] * (1.0 + BALANCE_REL) + tol * times
     bd_budget = sc["bd_entropy"][0] * (1.0 + BALANCE_REL) + tol * times
 

@@ -25,6 +25,8 @@ and the new velocity once (finite), and hands the density on as a
 model.CheckedDensity, which no law and no FluidState checks again: DomainError
 is left to initial data and caller-built states.  Through it, stable_dt, the
 in-loop rates and the step of run evaluate each power of rho once per state.
+run evaluates each recorded state's effective fields once and keeps only its
+diagnostics.snapshot_scalars, no state but the initial one.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import diagnostics, model
-from .effective import effective_velocity
+from .effective import compute_effective_fields, effective_velocity
 from .errors import InputError, NumericalFailure, VacuumBlowup
 from .model import FARFIELD, RHO_FLOOR, CheckedDensity, FluidState, Grid1D, ModelParams
 from .stencils import ddx, ddx_upwind, solve_diffusion
@@ -71,18 +73,17 @@ class SolverConfig:
 
 @dataclass
 class Trajectory:
-    """Snapshots at the diagnostic cadence plus runner-accumulated dissipation."""
+    """What the diagnostics read of a run: the initial state, the recorded
+    times and each one's scalars, and the runner-accumulated dissipation."""
 
     params: ModelParams
     grid: Grid1D
-    snapshots: list[FluidState]
+    initial: FluidState
+    times: np.ndarray
+    scalars: list[dict]  # one snapshot_scalars dict per recorded time
     energy_diss_accum: np.ndarray
     bd_diss_accum: np.ndarray
     blowup: VacuumBlowup | None = None  # the one that ended the run early
-
-    @property
-    def times(self) -> np.ndarray:
-        return np.array([s.time for s in self.snapshots])
 
 
 def stable_dt(
@@ -327,12 +328,14 @@ def run(
     p: ModelParams,
     on_snapshot=None,
 ) -> Trajectory:
-    """Integrate to t_end, recording snapshots and dissipation at the cadence.
+    """Integrate to t_end, recording scalars and dissipation at the cadence.
 
-    The system is unforced, with far-field ends.  `on_snapshot(state)`, when
-    given, receives each snapshot as soon as it is recorded (the CLI streams
-    them to its output writer while stepping goes on).  A VacuumBlowup ends
-    the run early and is recorded on the returned partial trajectory; other
+    The system is unforced, with far-field ends.  Each recorded state's
+    effective fields are evaluated once, for its snapshot_scalars and for
+    `on_snapshot(state, eff)`, when given, which receives both as soon as the
+    state is recorded (the CLI streams them to its output writer while
+    stepping goes on); then the state is dropped.  A VacuumBlowup ends the
+    run early and is recorded on the returned partial trajectory; other
     failures propagate.
     """
     if initial.n != grid.n_cells:
@@ -358,14 +361,15 @@ def run(
         density = CheckedDensity(state.rho)
         return state
 
-    snapshots = []
+    scalars = []
 
     def record(state):
-        snapshots.append(state)
+        eff = compute_effective_fields(state, grid, p)
+        scalars.append(diagnostics.snapshot_scalars(state, eff, grid, p))
         if on_snapshot is not None:
-            on_snapshot(state)
+            on_snapshot(state, eff)
 
-    _, (e_diss, bd_diss), blowup = drive(
+    times, (e_diss, bd_diss), blowup = drive(
         initial,
         cfg,
         lambda state: stable_dt(state, grid, cfg, p, density),
@@ -379,7 +383,9 @@ def run(
     return Trajectory(
         params=p,
         grid=grid,
-        snapshots=snapshots,
+        initial=initial,
+        times=np.array(times),
+        scalars=scalars,
         energy_diss_accum=e_diss,
         bd_diss_accum=bd_diss,
         blowup=blowup,

@@ -30,7 +30,14 @@ from .model import FluidState, Grid1D, ModelParams
 FARFIELD_TOL = 1e-8
 FARFIELD_BAND = 0.05  # fraction of the domain on each side that must be at far field
 
-_KINDS = ("equilibrium", "smooth_bump", "shock_like", "rarefaction", "from_v0")
+# Each initial-data kind and the InitialData fields it requires; it uses no other.
+_KINDS = {
+    "equilibrium": (),
+    "smooth_bump": ("amplitude", "width"),
+    "shock_like": ("jump", "steepness"),
+    "rarefaction": ("amplitude",),
+    "from_v0": ("profile", "mollifier_n"),
+}
 
 
 @dataclass(frozen=True)
@@ -48,13 +55,7 @@ class InitialData:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ConfigError(f"unknown initial-data kind {self.kind!r}")
-        need = {
-            "equilibrium": (),
-            "smooth_bump": ("amplitude", "width"),
-            "shock_like": ("jump", "steepness"),
-            "rarefaction": ("amplitude",),
-            "from_v0": ("profile", "mollifier_n"),
-        }[self.kind]
+        need = _KINDS[self.kind]
         for name in need:
             if getattr(self, name) is None:
                 raise ConfigError(f"{self.kind} initial data needs {name}")

@@ -8,7 +8,8 @@ file ends with a footer line carrying a git-describe build id and the config
 hash, so results are traceable to the exact inputs.  Floats are written with
 shortest round-trip formatting, ASCII, LF line endings; every text table goes
 through `write_table`.  A run directory is written by `RunWriter`, whose one
-child process writes the snapshot CSVs while the solver steps.
+child process writes the snapshot CSVs while the solver steps.  The solver
+evaluates each snapshot's fields; the child only formats them.
 """
 
 from __future__ import annotations
@@ -28,11 +29,10 @@ import numpy as np
 
 from . import __version__
 from .diagnostics import FLAG_ORDER, DiagnosticSeries
-from .effective import compute_effective_fields
 from .errors import ConfigError
 from .eulerian import SolverConfig
 from .initdata import InitialData, ScenarioConfig
-from .model import FluidState, ModelParams
+from .model import ModelParams
 
 # CPython's built-in SHA-256 for the config hash: hashlib would load OpenSSL's
 # libcrypto (~3.6 MB resident) into every nsdv process for this one call.
@@ -214,11 +214,6 @@ def write_table(path, header: str, columns, footer_line: str, sep: str = ",") ->
         fh.write(footer_line + "\n")
 
 
-def write_snapshot_csv(path, grid, state, eff, footer_line: str) -> None:
-    cols = (grid.coords, state.rho, state.u, eff.v, eff.w1, eff.y, eff.udot)
-    write_table(path, SNAP_HEADER, cols, footer_line)
-
-
 def write_diagnostics(directory, series: DiagnosticSeries, footer_line: str) -> None:
     """diagnostics.csv and plots/*.dat of `series` in `directory`."""
     cols = [getattr(series, field) for _, field, _ in DIAG_COLUMNS]
@@ -295,24 +290,23 @@ def _state_file(directory, k) -> Path:
 
 def _write_snapshots(requests, report) -> None:
     """Body of the writer's child process.  Reads pickled messages from
-    `requests`: first (directory, cfg, footer line), then (k, time) for each
-    state the parent saved as _state_file(directory, k), until None.  Writes
-    state k to directory/SNAP_NAME.format(k), with its effective fields, and
-    deletes its state file.  Then pickles None to `report`, or (exception,
-    traceback text) after the first failure.  When `requests` reaches end of
+    `requests`: first (directory, cfg, footer line), then k for each
+    snapshot whose columns after x the parent saved as _state_file(directory,
+    k), until None.  Formats snapshot k, after the grid's x, as
+    directory/SNAP_NAME.format(k), evaluating nothing, and deletes its state
+    file.  Then pickles None to `report`, or (exception, traceback text)
+    after the first failure.  When `requests` reaches end of
     file the parent process is gone: removes its staging directory, the
     parent of `directory`, and returns."""
     directory = None
     try:
         directory, cfg, footer_line = pickle.load(requests)
-        grid = cfg.grid()
-        while (request := pickle.load(requests)) is not None:
-            k, time = request
+        x = cfg.grid().coords
+        while (k := pickle.load(requests)) is not None:
             path = _state_file(directory, k)
             with open(path, "rb") as fh:
-                state = FluidState(time=time, rho=np.load(fh), u=np.load(fh))
-            eff = compute_effective_fields(state, grid, cfg.model)
-            write_snapshot_csv(directory / SNAP_NAME.format(k), grid, state, eff, footer_line)
+                cols = [np.load(fh) for _ in range(SNAP_HEADER.count(","))]  # all but x
+            write_table(directory / SNAP_NAME.format(k), SNAP_HEADER, (x, *cols), footer_line)
             path.unlink()
     except EOFError:
         if directory is not None:
@@ -328,10 +322,10 @@ def _write_snapshots(requests, report) -> None:
 class RunWriter:
     """Writes one run directory, out_dir/run-<config hash>/.
 
-    Use it as a context manager.  `record(state)` saves each snapshot's state
-    and hands it to one child process, which computes its effective fields
-    and writes its CSV while the caller goes on stepping; `finish(traj,
-    series)` writes config.cfg, manifest.json, diagnostics.csv and
+    Use it as a context manager.  `record(state, eff)` saves each snapshot's
+    state and effective fields and hands them to one child process, which
+    only formats them as its CSV while the caller goes on stepping;
+    `finish(series)` writes config.cfg, manifest.json, diagnostics.csv and
     plots/*.dat here, waits for the child and puts the new tree in place of
     the run directory as a whole.  Until then the tree grows in a staging
     directory beside it, which leaving the block removes, after stopping the
@@ -381,22 +375,22 @@ class RunWriter:
             self._child.stdout.close()
         shutil.rmtree(self._stage, ignore_errors=True)
 
-    def record(self, state) -> None:
-        """Save one snapshot for the child; it becomes SNAP_NAME.format(k)
-        for the k-th call."""
+    def record(self, state, eff) -> None:
+        """Save one recorded state with its effective fields for the child;
+        it becomes SNAP_NAME.format(k) for the k-th call."""
         with open(_state_file(self._tree, self._count), "wb") as fh:
-            np.save(fh, state.rho)
-            np.save(fh, state.u)
-        self._send((self._count, state.time))
+            for col in (state.rho, state.u, eff.v, eff.w1, eff.y, eff.udot):
+                np.save(fh, col)
+        self._send(self._count)
         self._count += 1
 
-    def finish(self, traj, series: DiagnosticSeries) -> Path:
+    def finish(self, series: DiagnosticSeries) -> Path:
         """Write the rest of the run directory, with `series` the diagnostics
-        of `traj`, wait for the snapshot CSVs, swap the new tree in and
-        return the run directory."""
-        if self._count != len(traj.snapshots):
+        of the recorded snapshots, wait for the snapshot CSVs, swap the new
+        tree in and return the run directory."""
+        if self._count != len(series.times):
             raise ValueError(
-                f"{self._count} snapshots recorded, the trajectory has {len(traj.snapshots)}"
+                f"{self._count} snapshots recorded, the series has {len(series.times)} times"
             )
         self._send(None)
         tree, foot = self._tree, self._footer
@@ -404,7 +398,7 @@ class RunWriter:
             serialize_config(self._cfg) + foot + "\n", encoding="ascii", newline="\n"
         )
         files = [SNAP_NAME.format(k) for k in range(self._count)]
-        write_manifest(tree / "manifest.json", traj.times, files, self._hash, self._build)
+        write_manifest(tree / "manifest.json", series.times, files, self._hash, self._build)
         write_diagnostics(tree, series, foot)
         self._await_child()
         # Whole directories only, so the run directory is never part old and

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from nsdv import io
+from nsdv.eulerian import run
 from nsdv.lagrangian import integrate_flow, start_flow
 from nsdv.model import FluidState, Grid1D, ModelParams
 
@@ -64,3 +65,11 @@ def flow_series(grid, states, **kw):
     for state in states[1:]:
         flows.append(integrate_flow(flows[-1], state, **kw))
     return flows
+
+
+def run_states(initial, solver, grid, p):
+    """run(...) and every state it recorded, in order, collected through
+    its on_snapshot hook: the trajectory keeps none of them."""
+    states = []
+    traj = run(initial, solver, grid, p, on_snapshot=lambda state, eff: states.append(state))
+    return traj, states

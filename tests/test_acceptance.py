@@ -12,13 +12,12 @@ import numpy as np
 import pytest
 from dataclasses import replace
 
-from conftest import REGRESSION, flow_series, shipped_scenario
+from conftest import REGRESSION, flow_series, run_states, shipped_scenario
 from nsdv import diagnostics
 from nsdv.diagnostics import build_series
 from nsdv.eulerian import (
     SolverConfig,
     recover_velocity,
-    run,
     stable_dt,
     step_effective,
     step_primitive,
@@ -39,13 +38,13 @@ def report(num, ok, desc, detail=""):
 
 @pytest.fixture(scope="module")
 def scenario_runs():
-    """The four pinned regression scenarios at N=1024, full monitors."""
+    """The four pinned regression scenarios at N=1024, full monitors, with
+    the states each run recorded."""
     out = {}
     for name in REGRESSION:
         cfg = shipped_scenario(name)
         state = build_initial(cfg)
-        traj = run(state, cfg.solver, cfg.grid(), cfg.model)
-        out[name] = (cfg, traj)
+        out[name] = (cfg, *run_states(state, cfg.solver, cfg.grid(), cfg.model))
     return out
 
 
@@ -116,17 +115,17 @@ def test_criterion_02_equilibrium_fixed_point():
 
 
 def test_criterion_03_mass_conservation(scenario_runs):
-    cfg, traj = scenario_runs["smooth_bump"]
+    cfg, _, snaps = scenario_runs["smooth_bump"]
     g = cfg.grid()
-    m0 = float(np.sum(traj.snapshots[0].rho) * g.dx)
-    drift = max(abs(float(np.sum(s.rho) * g.dx) - m0) for s in traj.snapshots) / m0
+    m0 = float(np.sum(snaps[0].rho) * g.dx)
+    drift = max(abs(float(np.sum(s.rho) * g.dx) - m0) for s in snaps) / m0
     report(3, drift <= 1e-10, "mass conservation, primitive N=1024 over T=1", f"rel drift {drift:.2e}")
 
 
 def test_criterion_04_energy_and_bd_balances(scenario_runs):
     worst = {}
     ok = True
-    for name, (cfg, traj) in scenario_runs.items():
+    for name, (cfg, traj, _) in scenario_runs.items():
         d = build_series(traj)
         ok &= not np.any(d.violation_flags["energy"])
         ok &= not np.any(d.violation_flags["bd"])
@@ -147,7 +146,7 @@ def test_criterion_04_energy_and_bd_balances(scenario_runs):
 def test_criterion_05_effective_pressure_envelope(scenario_runs):
     ok = True
     details = []
-    for name, (cfg, traj) in scenario_runs.items():
+    for name, (cfg, traj, _) in scenario_runs.items():
         d = build_series(traj)
         assert d.monitors_available["y_env"], name  # all scenarios off the log branch
         ok &= not np.any(d.violation_flags["y_env"])
@@ -161,7 +160,7 @@ def test_criterion_05_effective_pressure_envelope(scenario_runs):
 
 def test_criterion_06_oleinik_persistence(scenario_runs):
     ok = True
-    for name, (cfg, traj) in scenario_runs.items():
+    for name, (cfg, traj, _) in scenario_runs.items():
         d = build_series(traj)
         ok &= d.monitors_available["oleinik"]
         ok &= not np.any(d.violation_flags["oleinik"])
@@ -172,10 +171,10 @@ def test_criterion_07_vacuum_bound(scenario_runs):
     ok = True
     details = []
     n_active = 0
-    for name, (cfg, traj) in scenario_runs.items():
+    for name, (cfg, traj, snaps) in scenario_runs.items():
         d = build_series(traj)
         ok &= not np.any(d.violation_flags["blowup"]) and traj.blowup is None
-        ok &= min(float(np.min(s.rho)) for s in traj.snapshots) > 0.5
+        ok &= min(float(np.min(s.rho)) for s in snaps) > 0.5
         if d.monitors_available["vacuum"]:
             n_active += 1
             ok &= not np.any(d.violation_flags["vacuum"])
@@ -192,14 +191,14 @@ def test_criterion_08_lagrangian_mass_identity():
         cfg = shipped_scenario("smooth_bump", n, t_end=0.5, output_cadence=0.05)
         state = build_initial(cfg)
         g, p = cfg.grid(), cfg.model
-        traj = run(state, cfg.solver, g, p)
-        flows = flow_series(g, traj.snapshots)
+        _, snaps = run_states(state, cfg.solver, g, p)
+        flows = flow_series(g, snaps)
         ok &= bool(all(np.all(flow.jacobian > 0.0) for flow in flows))
         err = max(
             float(np.max(np.abs(flow.jacobian * to_lagrangian(snap.rho, flow) - state.rho)))
-            for flow, snap in zip(flows, traj.snapshots)
+            for flow, snap in zip(flows, snaps)
         )
-        mean_dt = 0.5 / max(1, len(traj.snapshots) - 1) / 8  # cadence/substep scale
+        mean_dt = 0.5 / max(1, len(snaps) - 1) / 8  # cadence/substep scale
         c = err / (g.dx + mean_dt)
         details.append(f"N={n} C={c:.3f}")
         ok &= c <= 5.0
@@ -212,10 +211,8 @@ def test_criterion_09_cross_formulation_agreement():
         cfg = shipped_scenario("smooth_bump", n, t_end=0.5, output_cadence=0.25)
         state = build_initial(cfg)
         g, p = cfg.grid(), cfg.model
-        fp = run(state, cfg.solver, g, p).snapshots[-1]
-        fe = run(
-            state, replace(cfg.solver, formulation="effective"), g, p
-        ).snapshots[-1]
+        fp = run_states(state, cfg.solver, g, p)[1][-1]
+        fe = run_states(state, replace(cfg.solver, formulation="effective"), g, p)[1][-1]
         lag = run_lagrangian(state, cfg.solver, g, p)
         fl = lag.eulerian_state(len(lag.times) - 1)
 
@@ -276,7 +273,7 @@ def test_criterion_11_twin_run_stability():
 
 
 def test_criterion_12_constantin_sign_persistence(scenario_runs):
-    cfg, traj = scenario_runs["constantin"]
+    cfg, traj, _ = scenario_runs["constantin"]
     d = build_series(traj)
     assert cfg.model.alpha == 1.5 and cfg.model.gamma == 2.0
     ok = d.monitors_available["w1_sign"] and not np.any(d.violation_flags["w1_sign"])

@@ -1,9 +1,11 @@
 """Scalar functionals, envelopes, and monitor flags."""
 
+import sys
+
 import numpy as np
 import pytest
 
-from conftest import REGRESSION, shipped_scenario, smooth_state
+from conftest import REGRESSION, run_states, shipped_scenario, smooth_state
 from nsdv.diagnostics import (
     FLAG_ORDER,
     bd_entropy,
@@ -12,8 +14,9 @@ from nsdv.diagnostics import (
     constantin_condition_holds,
     energy,
     sigma,
+    snapshot_scalars,
 )
-from nsdv.effective import effective_velocity
+from nsdv.effective import compute_effective_fields, effective_velocity
 from nsdv.eulerian import SolverConfig, Trajectory, run
 from nsdv.initdata import build_initial
 from nsdv.model import FluidState, Grid1D, ModelParams, f2
@@ -28,28 +31,34 @@ def mp(alpha, gamma, L=8.0):
     return ModelParams(alpha=alpha, gamma=gamma, half_length=L)
 
 
-def synthetic_traj(g, p, states, cadence=0.1):
+def synthetic_traj(g, p, states):
+    """The trajectory `run` would return for recorded `states`, without
+    dissipation: their scalars come from the per-state function it calls."""
     n = len(states)
     zeros = np.zeros(n)
-    return Trajectory(p, g, states, zeros, zeros.copy())
+    scalars = [snapshot_scalars(s, compute_effective_fields(s, g, p), g, p) for s in states]
+    times = np.array([s.time for s in states])
+    return Trajectory(p, g, states[0], times, scalars, zeros, zeros.copy())
 
 
 def test_build_series_evaluates_each_snapshot_once(monkeypatch):
-    import nsdv.diagnostics
-
     cfg = shipped_scenario("smooth_bump", 129)
     s = build_initial(cfg)
-    traj = run(s, cfg.solver, cfg.grid(), cfg.model)
     calls = []
-    real = nsdv.diagnostics.compute_effective_fields
+    real = compute_effective_fields
 
     def counting(*args, **kwargs):
         calls.append(1)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(nsdv.diagnostics, "compute_effective_fields", counting)
+    # every binding of it in the package, as a profiler would wrap them
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "nsdv" and getattr(module, "compute_effective_fields", None) is real:
+            monkeypatch.setattr(module, "compute_effective_fields", counting)
+    traj = run(s, cfg.solver, cfg.grid(), cfg.model)
+    assert len(calls) == len(traj.times) == 21  # once per recorded state, inside run
     build_series(traj)
-    assert len(calls) == len(traj.snapshots)
+    assert len(calls) == len(traj.times)  # none in build_series
 
 
 class TestEnergy:
@@ -102,9 +111,9 @@ class TestEnergy:
         for n in (257, 513, 1025):
             cfg = shipped_scenario(name, n)
             g, p = cfg.grid(), cfg.model
-            traj = run(build_initial(cfg), cfg.solver, g, p)
+            traj, snaps = run_states(build_initial(cfg), cfg.solver, g, p)
             first, last = (bd_entropy(s.rho, effective_velocity(s, g, p), g, p)
-                           for s in (traj.snapshots[0], traj.snapshots[-1]))
+                           for s in (snaps[0], snaps[-1]))
             residuals.append(last + traj.bd_diss_accum[-1] - first)
         orders = np.log2(np.array(residuals[:-1]) / np.array(residuals[1:]))
         assert np.all(orders > 0.85), (residuals, orders)
@@ -193,12 +202,10 @@ class TestOleinik:
         cfg = shipped_scenario("steepening", 257)
         s = build_initial(cfg)
         g, p = cfg.grid(), cfg.model
-        traj = run(s, cfg.solver, g, p)
+        traj, snaps = run_states(s, cfg.solver, g, p)
         series = build_series(traj)
         assert np.all(~series.violation_flags["oleinik"])
-        min_slope = min(
-            float(np.min(ddx(effective_velocity(sn, g, p), g))) for sn in traj.snapshots
-        )
+        min_slope = min(float(np.min(ddx(effective_velocity(sn, g, p), g))) for sn in snaps)
         assert min_slope < -0.3  # steep negative side, unconstrained
 
 
@@ -251,9 +258,9 @@ class TestSeries:
     def test_inv_rho_max_identity(self):
         cfg = shipped_scenario("rarefaction", 257)
         s = build_initial(cfg)
-        traj = run(s, cfg.solver, cfg.grid(), cfg.model)
+        traj, snaps = run_states(s, cfg.solver, cfg.grid(), cfg.model)
         d = build_series(traj)
-        for k, snap in enumerate(traj.snapshots):
+        for k, snap in enumerate(snaps):
             assert d.inv_rho_max[k] * float(np.min(snap.rho)) == pytest.approx(1.0, rel=1e-14)
 
     def test_flag_layout(self):

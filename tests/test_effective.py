@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
-from conftest import shipped_scenario, smooth_state
+from conftest import run_states, shipped_scenario, smooth_state
 from nsdv.effective import compute_effective_fields, effective_velocity, y_residual
 from nsdv.errors import InputError
-from nsdv.eulerian import SolverConfig, run, step_primitive
+from nsdv.eulerian import SolverConfig, step_primitive
 from nsdv.initdata import build_initial, manufactured_exact
 from nsdv.model import FluidState, Grid1D, ModelParams, f2, phi, viscosity
 from nsdv.stencils import ddx
@@ -165,12 +165,10 @@ class TestYResidual:
             )
             state = build_initial(cfg)
             g, p = cfg.grid(), cfg.model
-            traj = run(state, cfg.solver, g, p)
+            _, snaps = run_states(state, cfg.solver, g, p)
             r = max(
-                y_residual(
-                    traj.snapshots[k - 1], traj.snapshots[k], traj.snapshots[k + 1], g, p
-                ).max_norm
-                for k in range(1, len(traj.snapshots) - 1)
+                y_residual(snaps[k - 1], snaps[k], snaps[k + 1], g, p).max_norm
+                for k in range(1, len(snaps) - 1)
             )
             worst[n] = r
             cs[n] = r / (g.dx**2 + cad**2)

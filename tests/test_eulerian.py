@@ -1,5 +1,6 @@
 """Eulerian steppers: step control, fixed points, conservation, failures."""
 
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -7,10 +8,10 @@ import pytest
 from dataclasses import replace
 
 import nsdv
-from conftest import shipped_scenario, smooth_state
-from nsdv import model
+from conftest import run_states, shipped_scenario, smooth_state
+from nsdv import model, stencils
 from nsdv.diagnostics import build_series
-from nsdv.effective import effective_velocity
+from nsdv.effective import compute_effective_fields, effective_velocity
 from nsdv.errors import InputError, NumericalFailure, VacuumBlowup
 from nsdv.eulerian import (
     SolverConfig,
@@ -306,7 +307,7 @@ class TestFailures:
         traj = run(s, cfg.solver, cfg.grid(), cfg.model)
         assert traj.blowup is not None
         assert 0.0 < traj.blowup.time < 3.0
-        assert traj.snapshots[-1].time < 3.0
+        assert traj.times[-1] < 3.0
         assert build_series(traj).violation_flags["blowup"][-1]
 
 
@@ -314,19 +315,19 @@ class TestRun:
     def test_equilibrium_trajectory(self, grid, equilibrium):
         p = mp(0.75, 2.0)
         cfg = SolverConfig(t_end=0.3, output_cadence=0.1)
-        traj = run(equilibrium, cfg, grid, p)
+        traj, snaps = run_states(equilibrium, cfg, grid, p)
         np.testing.assert_allclose(traj.times, [0.0, 0.1, 0.2, 0.3], atol=1e-12)
-        for s in traj.snapshots:
+        for s in snaps:
             assert np.max(np.abs(s.rho - 1.0)) <= 1e-13
             assert np.max(np.abs(s.u)) <= 1e-13
 
     def test_smooth_bump_completes(self):
         cfg = shipped_scenario("smooth_bump", 257)
         s = build_initial(cfg)
-        traj = run(s, cfg.solver, cfg.grid(), cfg.model)
+        traj, snaps = run_states(s, cfg.solver, cfg.grid(), cfg.model)
         assert traj.blowup is None
-        assert traj.snapshots[-1].time == pytest.approx(1.0, rel=1e-9)
-        assert min(float(np.min(x.rho)) for x in traj.snapshots) > 0.5
+        assert snaps[-1].time == pytest.approx(1.0, rel=1e-9)
+        assert min(float(np.min(x.rho)) for x in snaps) > 0.5
 
     def test_smooth_bump_regression_fixture(self):
         # frozen reference values for the N=257 smooth-bump run; any scheme
@@ -350,7 +351,7 @@ class TestRun:
         np.testing.assert_allclose(traj.times, [0.0, 0.1, 0.2, 0.25], atol=1e-12)
         assert np.all(np.diff(traj.times) > 0)
         assert traj.times[0] == 0.0
-        assert len(traj.energy_diss_accum) == len(traj.snapshots)
+        assert len(traj.energy_diss_accum) == len(traj.scalars) == len(traj.times)
 
     def test_every_solver_shares_the_cadence_contract(self):
         # t=0, each cadence multiple, and t_end when it is not one
@@ -378,13 +379,18 @@ class TestRun:
 
         monkeypatch.setattr(nsdv.eulerian, "step_primitive", counting_step)
         seen = []
-        # each state is handed over right after the step that made it, before the next step
+        # each state is handed over with its effective fields right after the
+        # step that made it, before the next step
         traj = run(s, cfg.solver, cfg.grid(), cfg.model,
-                   on_snapshot=lambda state: seen.append((state, stepped[-1])))
-        assert len(seen) == len(traj.snapshots) == 4
-        for (state, latest), snap in zip(seen, traj.snapshots):
-            assert state is snap and latest is snap
-        np.testing.assert_allclose([st.time for st, _ in seen], [0.0, 0.05, 0.1, 0.13], atol=1e-12)
+                   on_snapshot=lambda state, eff: seen.append((state, eff, stepped[-1])))
+        assert len(seen) == len(traj.times) == 4
+        for state, eff, latest in seen:
+            assert latest is state
+            want = compute_effective_fields(state, cfg.grid(), cfg.model)
+            for name in ("v", "w1", "y", "udot"):
+                np.testing.assert_array_equal(getattr(eff, name), getattr(want, name))
+        np.testing.assert_array_equal([st.time for st, _, _ in seen], traj.times)
+        np.testing.assert_allclose(traj.times, [0.0, 0.05, 0.1, 0.13], atol=1e-12)
 
     def test_drive_keeps_no_recorded_state(self, grid):
         # a record that keeps nothing leaves every recorded state, the
@@ -404,6 +410,25 @@ class TestRun:
         assert accum == [] and blowup is None
         assert len(refs) == 4
         assert all(ref() is None for ref in refs)
+
+    def test_run_memory_does_not_grow_with_snapshot_count(self):
+        # the shipped config at cadence 0.05 (21 snapshots) and 0.01 (101);
+        # run keeps a dozen scalars per recorded state, not the state, so
+        # its traced peak grows by far less than one N=1024 array per added
+        # snapshot
+        stencils._ptsv()  # LAPACK's module, loaded once, outside the traced peaks
+        peaks = {}
+        for cadence, count in ((0.05, 21), (0.01, 101)):
+            cfg = shipped_scenario("smooth_bump", output_cadence=cadence)
+            s = build_initial(cfg)
+            tracemalloc.start()
+            try:
+                traj = run(s, cfg.solver, cfg.grid(), cfg.model)
+                peaks[count] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert len(traj.times) == count
+        assert peaks[101] - peaks[21] < 80 * cfg.n_cells * 8 // 4, peaks
 
     @staticmethod
     def reference_run(initial, cfg, grid, p):
@@ -448,10 +473,11 @@ class TestRun:
         cfg = replace(cfg, model=replace(cfg.model, alpha=alpha))
         g, p = cfg.grid(), cfg.model
         s = build_initial(cfg)
-        traj = run(s, cfg.solver, g, p)
+        traj, got_snapshots = run_states(s, cfg.solver, g, p)
         snapshots, e_diss, bd_diss = self.reference_run(s, cfg.solver, g, p)
-        assert len(traj.snapshots) == len(snapshots) == 21
-        for got, want in zip(traj.snapshots, snapshots):
+        assert len(got_snapshots) == len(snapshots) == 21
+        np.testing.assert_array_equal(traj.times, [want.time for want in snapshots])
+        for got, want in zip(got_snapshots, snapshots):
             assert got.time == want.time
             np.testing.assert_array_equal(got.rho, want.rho)
             np.testing.assert_array_equal(got.u, want.u)
@@ -461,8 +487,8 @@ class TestRun:
     def test_boundary_reset_every_snapshot(self):
         cfg = shipped_scenario("rarefaction", 129)
         s = build_initial(cfg)
-        traj = run(s, cfg.solver, cfg.grid(), cfg.model)
-        for snap in traj.snapshots:
+        _, snaps = run_states(s, cfg.solver, cfg.grid(), cfg.model)
+        for snap in snaps:
             assert snap.rho[0] == 1.0 and snap.rho[-1] == 1.0
             assert snap.u[0] == 0.0 and snap.u[-1] == 0.0
 
@@ -476,13 +502,13 @@ class TestRun:
         ref_cfg = shipped_scenario("smooth_bump", 1025, t_end=0.25, output_cadence=0.25)
         p = ref_cfg.model
         sref = build_initial(ref_cfg)
-        ref = run(sref, ref_cfg.solver, ref_cfg.grid(), p).snapshots[-1]
+        ref = run_states(sref, ref_cfg.solver, ref_cfg.grid(), p)[1][-1]
         errs = {}
         for n in (129, 257):
             cfg = replace(ref_cfg, n_cells=n)
             s0 = build_initial(cfg)
             g = cfg.grid()
-            fin = run(s0, cfg.solver, g, p).snapshots[-1]
+            fin = run_states(s0, cfg.solver, g, p)[1][-1]
             stride = 1024 // (n - 1)
             err = np.sqrt(np.sum((fin.rho - ref.rho[::stride]) ** 2) * g.dx) + np.sqrt(
                 np.sum((fin.u - ref.u[::stride]) ** 2) * g.dx
@@ -496,10 +522,8 @@ class TestRun:
         s = build_initial(cfg)
         g, p = cfg.grid(), cfg.model
         sol = SolverConfig(t_end=0.5, output_cadence=0.5)
-        fp = run(s, sol, g, p).snapshots[-1]
-        fe = run(
-            s, replace(sol, formulation="effective"), g, p
-        ).snapshots[-1]
+        fp = run_states(s, sol, g, p)[1][-1]
+        fe = run_states(s, replace(sol, formulation="effective"), g, p)[1][-1]
         dist = np.sqrt(np.sum((fp.rho - fe.rho) ** 2) * g.dx) + np.sqrt(
             np.sum((fp.u - fe.u) ** 2) * g.dx
         )

@@ -3,11 +3,13 @@
 import hashlib
 import json
 import os
+import pickle
 import re
 import subprocess
 import sys
 import threading
 from dataclasses import replace
+from io import BytesIO
 from pathlib import Path
 
 import numpy as np
@@ -125,8 +127,9 @@ class TestConfigRoundTrip:
 
 @pytest.fixture(scope="module")
 def run_dir(tmp_path_factory):
-    """The run directory `nsdv run` writes for small_cfg(), that config, and
-    the trajectory `run` computes for it."""
+    """The run directory `nsdv run` writes for small_cfg(), that config, the
+    trajectory `run` computes for it, and the (state, effective fields)
+    pairs that run hands to its on_snapshot hook."""
     cfg = small_cfg()
     path = tmp_path_factory.mktemp("cfg") / "small.cfg"
     io.save_config(cfg, path)
@@ -134,22 +137,25 @@ def run_dir(tmp_path_factory):
     assert main(["run", "--config", str(path), "--out", str(out)]) == 0
     (d,) = out.iterdir()
     state = build_initial(cfg)
-    return d, cfg, run(state, cfg.solver, cfg.grid(), cfg.model)
+    recorded = []
+    traj = run(state, cfg.solver, cfg.grid(), cfg.model,
+               on_snapshot=lambda state, eff: recorded.append((state, eff)))
+    return d, cfg, traj, recorded
 
 
 class TestOutputs:
     def test_layout(self, run_dir):
-        d, cfg, traj = run_dir
+        d, cfg, traj, _ = run_dir
         assert d.name == f"run-{io.config_hash(cfg)}"
         assert (d / "manifest.json").exists()
         assert (d / "diagnostics.csv").exists()
         assert (d / "config.cfg").exists()
         snaps = sorted((d / "snapshots").glob("snap_*.csv"))
-        assert len(snaps) == len(traj.snapshots)
+        assert len(snaps) == len(traj.times)
         assert (d / "plots" / "energy.dat").exists()
 
     def test_every_file_has_footer(self, run_dir):
-        d, cfg, _ = run_dir
+        d, cfg, _, _ = run_dir
         h = io.config_hash(cfg)
         for path in d.rglob("*"):
             if path.is_file():
@@ -157,33 +163,36 @@ class TestOutputs:
                 assert last.startswith("# build "), path
                 assert last.endswith(f"config {h}"), path
 
-    def test_snapshot_roundtrip_exact(self, run_dir):
-        d, cfg, traj = run_dir
-        header, rows = io.read_csv_table(d / "snapshots" / "snap_00000.csv")
+    @pytest.mark.parametrize("which", ["first", "last"])
+    def test_snapshot_roundtrip_exact(self, run_dir, which):
+        # the CSV holds bitwise the state and fields handed to on_snapshot;
+        # at t=0 u is 0, the last snapshot is a moving state
+        d, cfg, _, recorded = run_dir
+        k = 0 if which == "first" else len(recorded) - 1
+        header, rows = io.read_csv_table(d / io.SNAP_NAME.format(k))
         assert header == io.SNAP_HEADER.split(",")
         arr = np.array(rows)
-        grid = cfg.grid()
-        s = traj.snapshots[0]
-        eff = compute_effective_fields(s, grid, cfg.model)
+        s, eff = recorded[k]
+        assert (which == "last") == bool(np.any(s.u != 0.0))
         # repr round-trips every column bitwise
-        expected = (grid.coords, s.rho, s.u, eff.v, eff.w1, eff.y, eff.udot)
+        expected = (cfg.grid().coords, s.rho, s.u, eff.v, eff.w1, eff.y, eff.udot)
         for col, want in enumerate(expected):
             np.testing.assert_array_equal(arr[:, col], want, err_msg=header[col])
 
     def test_diagnostics_csv_schema(self, run_dir):
-        d, _, traj = run_dir
+        d, _, traj, _ = run_dir
         header, rows = io.read_csv_table(d / "diagnostics.csv")
         assert header == io.DIAG_HEADER.split(",")
-        assert len(rows) == len(traj.snapshots)
+        assert len(rows) == len(traj.times)
         flags = rows[0][-1]
         assert isinstance(flags, str) and len(flags) == len(FLAG_ORDER)
         np.testing.assert_array_equal([r[0] for r in rows], traj.times)
 
     def test_manifest_readable(self, run_dir):
-        d, cfg, traj = run_dir
+        d, cfg, traj, _ = run_dir
         m = io.read_manifest(d / "manifest.json")
         assert m["config_hash"] == io.config_hash(cfg)
-        assert len(m["times"]) == len(traj.snapshots)
+        assert m["times"] == traj.times.tolist()
         assert m["files"][0] == "snapshots/snap_00000.csv"
         assert m["flag_order"] == list(FLAG_ORDER)
         # raw text minus footer is strict JSON
@@ -211,7 +220,7 @@ class TestOutputs:
         with pytest.raises(ValueError) as info:
             with io.RunWriter(tmp_path, replace(cfg, n_cells=257)) as writer:
                 traj = run(state, cfg.solver, cfg.grid(), cfg.model, on_snapshot=writer.record)
-                writer.finish(traj, build_series(traj))
+                writer.finish(build_series(traj))
         assert "snapshot writer process" in str(info.value.__cause__)
         assert not list(tmp_path.iterdir())  # staging removed, no run directory
         assert_writers_reaped(started)
@@ -230,11 +239,45 @@ class TestOutputs:
         cfg = small_cfg()
         state = build_initial(cfg)
         with io.RunWriter(tmp_path, cfg) as writer:
-            writer.record(state)
+            writer.record(state, compute_effective_fields(state, cfg.grid(), cfg.model))
             # what the child sees when the command is killed outright
             writer._child.stdin.close()
             assert writer._child.wait(timeout=120) == 0
             assert not list(tmp_path.iterdir())
+
+    def test_writer_child_only_formats(self, tmp_path, monkeypatch):
+        """The child's body, driven in this process from the state files
+        `record` saves, writes every snapshot CSV without evaluating a
+        field: compute_effective_fields raises wherever nsdv binds it."""
+        cfg = small_cfg()
+        recorded = []
+        run(build_initial(cfg), cfg.solver, cfg.grid(), cfg.model,
+            on_snapshot=lambda state, eff: recorded.append((state, eff)))
+
+        def boom(*args, **kwargs):
+            raise AssertionError("the snapshot writer evaluated a field")
+
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "nsdv" and hasattr(module, "compute_effective_fields"):
+                monkeypatch.setattr(module, "compute_effective_fields", boom)
+        # a writer without its child: what record sends is kept here instead
+        tree = tmp_path / "run"
+        (tree / "snapshots").mkdir(parents=True)
+        writer = io.RunWriter(tmp_path, cfg)
+        writer._tree, sent = tree, [(tree, cfg, "# footer")]
+        writer._send = sent.append
+        for state, eff in recorded:
+            writer.record(state, eff)
+        requests = b"".join(pickle.dumps(message) for message in [*sent, None])
+        report = BytesIO()
+        io._write_snapshots(BytesIO(requests), report)
+        assert pickle.loads(report.getvalue()) is None
+        assert not list(tree.glob(".state_*"))
+        assert len(recorded) == len(list((tree / "snapshots").iterdir())) == 3
+        for k, (s, eff) in enumerate(recorded):
+            _, rows = io.read_csv_table(tree / io.SNAP_NAME.format(k))
+            expected = (cfg.grid().coords, s.rho, s.u, eff.v, eff.w1, eff.y, eff.udot)
+            np.testing.assert_array_equal(np.array(rows).T, expected)
 
     def test_config_hash_distinguishes(self):
         a = small_cfg()

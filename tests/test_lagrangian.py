@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from conftest import flow_series, shipped_scenario, velocity_states
+from conftest import flow_series, run_states, shipped_scenario, velocity_states
 from nsdv.errors import DomainExitError, HomeomorphismError, InputError, VacuumBlowup
-from nsdv.eulerian import SolverConfig, run
+from nsdv.eulerian import SolverConfig
 from nsdv.initdata import build_initial
 from nsdv.lagrangian import FlowMap, run_lagrangian, step_lagrangian, to_lagrangian
 from nsdv.model import RHO_FLOOR, FluidState, Grid1D, ModelParams
@@ -60,8 +60,8 @@ class TestIntegrateFlow:
         cfg = shipped_scenario("smooth_bump", 257)
         s = build_initial(cfg)
         g, p = cfg.grid(), cfg.model
-        traj = run(s, SolverConfig(t_end=0.5, output_cadence=0.05), g, p)
-        for flow in flow_series(g, traj.snapshots):
+        _, snaps = run_states(s, SolverConfig(t_end=0.5, output_cadence=0.05), g, p)
+        for flow in flow_series(g, snaps):
             # the exponential identity against the centered difference of X
             assert np.max(np.abs(flow.jacobian - ddx(flow.x, g))) <= 1e-4
             assert np.all(np.diff(flow.x) > 0)  # discrete homeomorphism
@@ -162,7 +162,7 @@ class TestStepLagrangian:
         s = build_initial(cfg)
         g, p = cfg.grid(), cfg.model
         sol = SolverConfig(t_end=0.5, output_cadence=0.25)
-        fp = run(s, sol, g, p).snapshots[-1]
+        fp = run_states(s, sol, g, p)[1][-1]
         lag = run_lagrangian(s, sol, g, p)
         fl = lag.eulerian_state(len(lag.times) - 1)
         dist = np.sqrt(np.sum((fp.rho - fl.rho) ** 2) * g.dx) + np.sqrt(
