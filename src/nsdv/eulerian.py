@@ -121,13 +121,18 @@ def stable_dt(
 
 def _upwind_interface(q: np.ndarray, up: np.ndarray, order: int) -> np.ndarray:
     """Value of q at interfaces i+1/2, reconstructed from the upwind side:
-    the left one where `up` (the interface velocity is >= 0), else the right."""
-    left = q[:-1].copy()
-    right = q[1:].copy()
-    if order == 2:
-        d = q[1:] - q[:-1]
-        left[1:] += 0.5 * d[:-1]
-        right[:-1] -= 0.5 * d[1:]
+    the left one where `up` (the interface velocity is >= 0), else the right.
+    Second order adds half the upwind side's neighbour difference."""
+    if order == 1:
+        return np.where(up, q[:-1], q[1:])
+    half = np.subtract(q[1:], q[:-1])
+    half *= 0.5
+    left = np.empty_like(half)
+    left[0] = q[0]
+    np.add(q[1:-1], half[:-1], out=left[1:])
+    right = np.empty_like(half)
+    right[-1] = q[-1]
+    np.subtract(q[1:-1], half[1:], out=right[:-1])
     return np.where(up, left, right)
 
 
@@ -186,34 +191,57 @@ def step_primitive(
     mom = rho * u
     t_new = state.time + dt
 
-    u_ifc = 0.5 * (u[:-1] + u[1:])
+    u_ifc = np.add(u[:-1], u[1:])
+    u_ifc *= 0.5
     up = u_ifc >= 0.0
-    f_rho = _upwind_interface(rho, up, cfg.advection_order) * u_ifc
-    f_mom = _upwind_interface(mom, up, cfg.advection_order) * u_ifc
+    f_rho = _upwind_interface(rho, up, cfg.advection_order)
+    f_rho *= u_ifc
+    f_mom = _upwind_interface(mom, up, cfg.advection_order)
+    f_mom *= u_ifc
 
-    rho_new = rho.copy()
-    rho_new[1:-1] -= (dt / dx) * (f_rho[1:] - f_rho[:-1])
+    # rho_new = rho - (dt/dx) (f_rho[1:] - f_rho[:-1]) inside, built in place
+    rho_new = np.empty_like(rho)
+    inner = np.subtract(f_rho[1:], f_rho[:-1], out=rho_new[1:-1])
+    inner *= dt / dx
+    np.subtract(rho[1:-1], inner, out=inner)
 
+    # mom_star = mom - ((dt/dx) (f_mom[1:] - f_mom[:-1]) + dt dpdx) inside,
+    # in mom's own array, which is read no more
     dpdx = ddx(model.pressure(density, p), grid)
-    mom_star = mom.copy()
-    mom_star[1:-1] -= (dt / dx) * (f_mom[1:] - f_mom[:-1]) + dt * dpdx[1:-1]
+    dpdx *= dt
+    flux = np.subtract(f_mom[1:], f_mom[:-1])
+    flux *= dt / dx
+    flux += dpdx[1:-1]
+    mom_star = mom
+    mom_star[1:-1] -= flux
 
-    if forcing is not None:
+    if forcing is not None:  # dt g, in flux's array, which is read no more
         g_rho, g_mom = forcing
-        rho_new[1:-1] += dt * g_rho[1:-1]
-        mom_star[1:-1] += dt * g_mom[1:-1]
+        np.multiply(g_rho[1:-1], dt, out=flux)
+        rho_new[1:-1] += flux
+        np.multiply(g_mom[1:-1], dt, out=flux)
+        mom_star[1:-1] += flux
 
+    # read no more: released before the solve allocates its bands, which
+    # keeps the step's peak memory at large N below the allocating form's
+    del u_ifc, up, f_rho, f_mom, dpdx
     (rho_bl, u_bl), (rho_br, u_br) = boundary
     rho_new[0], rho_new[-1] = rho_bl, rho_br
     _check_density(rho_new, t_new)
 
     mu = model.viscosity(density, p)  # frozen coefficients
-    mu_ifc = 0.5 * (mu[:-1] + mu[1:])
+    mu_ifc = np.add(mu[:-1], mu[1:])
+    mu_ifc *= 0.5
 
     if cfg.diffusion_treatment == "explicit":
-        visc = mu_ifc * (u[1:] - u[:-1]) / dx
-        mom_star[1:-1] += (dt / dx) * (visc[1:] - visc[:-1])
-        u_new = mom_star / rho_new
+        visc = np.subtract(u[1:], u[:-1])
+        visc *= mu_ifc
+        visc /= dx
+        np.subtract(visc[1:], visc[:-1], out=flux)
+        flux *= dt / dx
+        mom_star[1:-1] += flux
+        u_new = mom_star
+        u_new /= rho_new
     else:
         # rho_new*u_new - dt*d/dx(mu du_new/dx) = mom_star, Dirichlet ends
         u_new = solve_diffusion(rho_new, mu_ifc, dt / dx**2, mom_star, u_bl, u_br)

@@ -161,9 +161,6 @@ def _mms(mms_id: str) -> MMSProfile:
         raise InputError(f"unknown manufactured-solution id {mms_id!r}") from None
 
 
-_ENDS = [0, -1]  # the two boundary nodes
-
-
 @lru_cache(maxsize=8)
 def _mms_factors(p_half_length: float, n_cells: int, half_length: float):
     """The x-only factors cos(kx), sin(kx), k = pi/p_half_length, on the nodes
@@ -186,13 +183,22 @@ def manufactured_exact(mms_id: str, t: float, grid: Grid1D, p: ModelParams):
     return _exact_fields(prof, np.exp(-t), c, s)
 
 
-def manufactured_source(mms_id: str, t: float, grid: Grid1D, p: ModelParams):
+def manufactured_source(mms_id: str, t, grid: Grid1D, p: ModelParams):
     """Closed-form residual of the homogeneous system at the exact fields:
-    add it as a source and the exact fields solve the forced system."""
+    add it as a source and the exact fields solve the forced system.
+
+    `t` is one time, for which (g_rho, g_mom) are nodal arrays, or a 1-D
+    array of times, for which they hold one row per time.  Each row is
+    bitwise the one time's evaluation: its decay comes from the scalar
+    np.exp(-t) and broadcasts along the row, elementwise as for one time.
+    """
     prof = _mms(mms_id)
     k = np.pi / p.half_length
     c, s = _mms_factors(p.half_length, grid.n_cells, grid.half_length)
-    decay = np.exp(-t)
+    if np.ndim(t) == 0:
+        decay = np.exp(-t)
+    else:
+        decay = np.array([[np.exp(-ti)] for ti in np.asarray(t, dtype=float).tolist()])
 
     rho, u = _exact_fields(prof, decay, c, s)
     rho_t = -prof.a * decay * c
@@ -201,27 +207,46 @@ def manufactured_source(mms_id: str, t: float, grid: Grid1D, p: ModelParams):
     u_x = prof.b * k * decay * c
     u_xx = -prof.b * k**2 * decay * s
 
-    g_rho = rho_t + rho_x * u + rho * u_x
-    mu = rho**p.alpha
-    mu_x = p.alpha * rho ** (p.alpha - 1.0) * rho_x
-    press_x = p.gamma * rho ** (p.gamma - 1.0) * rho_x
-    g_mom = (
-        rho_t * u
-        + rho * u_t
-        + rho_x * u**2
-        + 2.0 * rho * u * u_x
-        - (mu_x * u_x + mu * u_xx)
-        + press_x
-    )
+    # g_rho = rho_t + rho_x u + rho u_x,
+    # g_mom = rho_t u + rho u_t + rho_x u^2 + 2 rho u u_x - (mu_x u_x + mu u_xx) + P_x,
+    # mu = rho^alpha, mu_x = alpha rho^(alpha-1) rho_x, P_x = gamma rho^(gamma-1) rho_x;
+    # accumulated left to right in place: the same roundings, fewer temporaries
+    g_rho = rho_x * u
+    g_rho += rho_t
+    g_rho += rho * u_x
+    mu_x = rho ** (p.alpha - 1.0)
+    mu_x *= p.alpha
+    mu_x *= rho_x
+    press_x = rho ** (p.gamma - 1.0)
+    press_x *= p.gamma
+    press_x *= rho_x
+    g_mom = rho_t * u
+    g_mom += rho * u_t
+    work = u * u
+    work *= rho_x
+    g_mom += work
+    np.multiply(rho, 2.0, out=work)
+    work *= u
+    work *= u_x
+    g_mom += work
+    np.multiply(mu_x, u_x, out=work)
+    mu_u_xx = rho**p.alpha
+    mu_u_xx *= u_xx
+    work += mu_u_xx
+    g_mom -= work
+    g_mom += press_x
     return g_rho, g_mom
 
 
 def manufactured_boundary(mms_id: str, t: float, grid: Grid1D, p: ModelParams):
-    """The exact (rho, u) at the two end nodes, evaluated there only."""
+    """The exact (rho, u) at the two end nodes, evaluated there only, in
+    Python floats."""
     prof = _mms(mms_id)
     c, s = _mms_factors(p.half_length, grid.n_cells, grid.half_length)
-    rho, u = _exact_fields(prof, np.exp(-t), c[_ENDS], s[_ENDS])
-    return (float(rho[0]), float(u[0])), (float(rho[1]), float(u[1]))
+    decay = float(np.exp(-t))
+    left = _exact_fields(prof, decay, float(c[0]), float(s[0]))
+    right = _exact_fields(prof, decay, float(c[-1]), float(s[-1]))
+    return left, right
 
 
 def build_initial(cfg: ScenarioConfig) -> FluidState:

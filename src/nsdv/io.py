@@ -201,16 +201,26 @@ def config_hash(cfg: ScenarioConfig) -> str:
 
 # ------------------------------------------------------------------- outputs
 
+TABLE_BLOCK_ROWS = 4096  # rows whose cells write_table holds as Python values at once
+
+
 def write_table(path, header: str, columns, footer_line: str, sep: str = ",") -> None:
     """Write `header`, then one `sep`-joined row per index of the equal-length
     `columns`, then `footer_line`; ASCII, LF.  Cells are printed with `str` of
     the Python values `tolist()` yields: the shortest round-trip repr for a
-    float, the digits of an int, the text of a string."""
-    cols = [np.asarray(col).tolist() for col in columns]
+    float, the digits of an int, the text of a string.  The columns are
+    converted TABLE_BLOCK_ROWS rows at a time, so a snapshot table holds a
+    block of its Python values, not all of them."""
+    cols = [np.asarray(col) for col in columns]
+    n_rows = len(cols[0])
+    if any(len(col) != n_rows for col in cols):
+        raise ValueError("table columns of unequal length")
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write(header + "\n")
-        for row in zip(*cols, strict=True):
-            fh.write(sep.join(map(str, row)) + "\n")
+        for lo in range(0, n_rows, TABLE_BLOCK_ROWS):
+            block = [col[lo : lo + TABLE_BLOCK_ROWS].tolist() for col in cols]
+            for row in zip(*block):
+                fh.write(sep.join(map(str, row)) + "\n")
         fh.write(footer_line + "\n")
 
 
@@ -301,7 +311,9 @@ def _write_snapshots(requests, report) -> None:
     directory = None
     try:
         directory, cfg, footer_line = pickle.load(requests)
-        x = cfg.grid().coords
+        # the grid's x cells, the same in every snapshot, formatted once: as
+        # an object array of str, write_table prints them as they are
+        x = np.array(list(map(str, cfg.grid().coords.tolist())), dtype=object)
         while (k := pickle.load(requests)) is not None:
             path = _state_file(directory, k)
             with open(path, "rb") as fh:

@@ -29,9 +29,12 @@ def ddx(field, grid: Grid1D) -> np.ndarray:
     f = _check(field, grid)
     out = np.empty_like(f)
     inv2dx = 0.5 / grid.dx
-    out[1:-1] = (f[2:] - f[:-2]) * inv2dx
-    out[0] = (-3.0 * f[0] + 4.0 * f[1] - f[2]) * inv2dx
-    out[-1] = (3.0 * f[-1] - 4.0 * f[-2] + f[-3]) * inv2dx
+    inner = np.subtract(f[2:], f[:-2], out=out[1:-1])
+    inner *= inv2dx
+    f0, f1, f2 = f[:3].tolist()
+    g2, g1, g0 = f[-3:].tolist()
+    out[0] = (-3.0 * f0 + 4.0 * f1 - f2) * inv2dx
+    out[-1] = (3.0 * g0 - 4.0 * g1 + g2) * inv2dx
     return out
 
 
@@ -97,7 +100,7 @@ def solve_tridiagonal(diag, off, rhs) -> np.ndarray:
     """
     if not len(diag) == len(off) + 1 == len(rhs):
         raise ShapeError("tridiagonal bands must have lengths n, n-1 and n")
-    if not all(np.isfinite(band).all() for band in (diag, off, rhs)):
+    if not (np.isfinite(diag).all() and np.isfinite(off).all() and np.isfinite(rhs).all()):
         raise NumericalFailure("non-finite tridiagonal system")
     *_, x, info = _ptsv()(diag, off, rhs, overwrite_d=1, overwrite_e=1, overwrite_b=1)
     if info != 0:
@@ -115,12 +118,16 @@ def solve_diffusion(a, w_ifc, r, rhs, left, right) -> np.ndarray:
     The end couplings move into the right-hand side, which leaves identity end
     rows and a symmetric system.
     """
-    diag = np.ones(len(a))
-    diag[1:-1] = a[1:-1] + r * (w_ifc[1:] + w_ifc[:-1])
-    off = -r * w_ifc
+    diag = np.empty(len(a))
+    diag[0] = diag[-1] = 1.0
+    inner = np.add(w_ifc[1:], w_ifc[:-1], out=diag[1:-1])
+    inner *= r
+    inner += a[1:-1]
+    off = np.multiply(w_ifc, -r)
     off[0] = off[-1] = 0.0
+    w_left, w_right = float(w_ifc[0]), float(w_ifc[-1])
     rhs = np.array(rhs, dtype=float)
     rhs[0], rhs[-1] = left, right
-    rhs[1] += r * w_ifc[0] * left
-    rhs[-2] += r * w_ifc[-1] * right
+    rhs[1] += r * w_left * left
+    rhs[-2] += r * w_right * right
     return solve_tridiagonal(diag, off, rhs)

@@ -644,27 +644,30 @@ def test_mms_convergence_monotone():
     assert rows[1]["order"] >= 1.0
 
 
-def test_mms_convergence_matches_run_reference():
-    # reference: each level stepped by a plain loop of step_primitive, with
-    # the source at t and the exact boundary at t + h, and the same clipping
-    # of the last step to t_end as drive()
-    rows = mms_convergence("manufactured-1", 2, base_n=65, t_end=0.25)
+def study_reference(base_n, levels, t_end):
+    """The study's rows from a plain loop of step_primitive per level, with
+    the source evaluated at each step's start time t on its own, the exact
+    boundary at t + h, and the same clipping of the last step to t_end as
+    drive().  Also returns each level's step count and last step."""
     p = ModelParams(alpha=0.75, gamma=2.0, half_length=np.pi)
-    ref = []
-    for n in (65, 129):
+    ref, steps = [], []
+    for lvl in range(levels):
+        n = (base_n - 1) * 2**lvl + 1
         grid = Grid1D(n, np.pi)
         dt = 0.25 * grid.dx**2
-        cfg = SolverConfig(t_end=0.25, output_cadence=0.25, dt_override=dt)
+        cfg = SolverConfig(t_end=t_end, output_cadence=t_end, dt_override=dt)
         final = FluidState(0.0, *manufactured_exact("manufactured-1", 0.0, grid, p))
-        t = 0.0
-        while t < 0.25 - 1e-12:
-            h = min(dt, 0.25 - t)
+        t, count = 0.0, 0
+        while t < t_end - 1e-12 * max(1.0, t_end):
+            h = min(dt, t_end - t)
             final = step_primitive(
                 final, h, grid, cfg, p,
                 forcing=manufactured_source("manufactured-1", t, grid, p),
                 boundary=manufactured_boundary("manufactured-1", t + h, grid, p),
             )
             t += h
+            count += 1
+        steps.append((count, h, dt))
         rho_ex, u_ex = manufactured_exact("manufactured-1", final.time, grid, p)
         err = float(
             np.sqrt(np.sum((final.rho - rho_ex) ** 2) * grid.dx)
@@ -672,8 +675,27 @@ def test_mms_convergence_matches_run_reference():
         )
         order = np.log2(ref[-1][3] / err) if ref else float("nan")
         ref.append([n, grid.dx, dt, err, order])
-    keys = ("n", "dx", "dt", "err", "order")
-    np.testing.assert_array_equal([[r[k] for k in keys] for r in rows], ref)
+    return ref, steps
+
+
+STUDY_KEYS = ("n", "dx", "dt", "err", "order")
+
+
+def test_mms_convergence_matches_run_reference():
+    rows = mms_convergence("manufactured-1", 2, base_n=65, t_end=0.25)
+    ref, _ = study_reference(65, 2, 0.25)
+    np.testing.assert_array_equal([[r[k] for k in STUDY_KEYS] for r in rows], ref)
+
+
+def test_mms_convergence_blocked_source_matches_per_step_source():
+    # the study evaluates its source eight step times at once; a t_end that
+    # is no multiple of dt clips the last step, and step counts that are no
+    # multiple of 8 end each level inside a block
+    rows = mms_convergence("manufactured-1", 2, base_n=33, t_end=0.04)
+    ref, steps = study_reference(33, 2, 0.04)
+    for count, last, dt in steps:
+        assert 0.0 < last < dt and count % nsdv.cli.MMS_BLOCK != 0
+    np.testing.assert_array_equal([[r[k] for k in STUDY_KEYS] for r in rows], ref)
 
 
 def test_mms_convergence_zero_error_has_nan_order():
@@ -782,12 +804,14 @@ def test_without_scipy_only_the_implicit_solve_fails(tmp_path, capsys):
 
 
 def blow_up_at(monkeypatch, n_cells):
-    """Make every step on the n_cells level of the study end in a VacuumBlowup."""
+    """Make the study's source on the n_cells level raise a VacuumBlowup at
+    the first of its times past 0.1."""
     real = nsdv.cli.manufactured_source
 
     def source(mms_id, t, grid, p):
-        if grid.n_cells == n_cells and t > 0.1:
-            raise VacuumBlowup(f"planted at t={t:.6g}", time=t, node=7)
+        late = [s for s in np.atleast_1d(t).tolist() if s > 0.1]
+        if grid.n_cells == n_cells and late:
+            raise VacuumBlowup(f"planted at t={late[0]:.6g}", time=late[0], node=7)
         return real(mms_id, t, grid, p)
 
     monkeypatch.setattr(nsdv.cli, "manufactured_source", source)
@@ -819,3 +843,23 @@ def test_write_table_matches_per_cell_repr(tmp_path):
     body = [",".join([*(io.fmt(v) for v in f), str(n), flags]) for f, n, flags in rows]
     expected = "\n".join(["h", *body, "# build b config c"]) + "\n"
     assert path.read_bytes() == expected.encode("ascii")
+
+
+@pytest.mark.parametrize("block_rows", [1, 2, 3])
+def test_write_table_blocks_match_one_block(tmp_path, monkeypatch, block_rows):
+    # blocks of 1, 2 and 3 rows end inside the 3-row table or at its end; an
+    # object column of str (as the snapshot writer passes x) prints as it is
+    cols = [np.array(["-1.0", "0.5", "2.0"], dtype=object), np.array([0.1, 1 / 3, -0.0]),
+            [129, 257, 513], ["010", "001", "100"]]
+    io.write_table(tmp_path / "one.csv", "h", cols, "# f")
+    monkeypatch.setattr(io, "TABLE_BLOCK_ROWS", block_rows)
+    io.write_table(tmp_path / "blocks.csv", "h", cols, "# f")
+    text = (tmp_path / "blocks.csv").read_text(encoding="ascii")
+    assert text == (tmp_path / "one.csv").read_text(encoding="ascii")
+    assert text.splitlines()[1:4] == ["-1.0,0.1,129,010", "0.5,0.3333333333333333,257,001",
+                                      "2.0,-0.0,513,100"]
+
+
+def test_write_table_rejects_unequal_columns(tmp_path):
+    with pytest.raises(ValueError):
+        io.write_table(tmp_path / "t.csv", "h", [np.zeros(3), np.zeros(2)], "# f")
