@@ -191,10 +191,6 @@ def load_config(path) -> ScenarioConfig:
     return parse_config(text)
 
 
-def save_config(cfg: ScenarioConfig, path) -> None:
-    Path(path).write_text(serialize_config(cfg), encoding="ascii", newline="\n")
-
-
 def config_hash(cfg: ScenarioConfig) -> str:
     return sha256(serialize_config(cfg).encode("ascii")).hexdigest()[:12]
 
@@ -248,45 +244,10 @@ def write_manifest(path, times, files, cfg_hash: str, build: str) -> None:
     Path(path).write_text(text, encoding="ascii", newline="\n")
 
 
-def read_csv_table(path):
-    """Read one of our CSV outputs back: (header fields, list of row lists).
-    Footer and comment lines are skipped; a `flags` column keeps its text
-    (the bitstring would otherwise lose its leading zeros)."""
-    header = None
-    rows = []
-    keep_str = set()
-    for line in Path(path).read_text(encoding="ascii").splitlines():
-        if not line or line.startswith("#"):
-            continue
-        if header is None:
-            header = line.split(",")
-            keep_str = {i for i, name in enumerate(header) if name == "flags"}
-            continue
-        cells = []
-        for i, cell in enumerate(line.split(",")):
-            if i in keep_str:
-                cells.append(cell)
-                continue
-            try:
-                cells.append(float(cell))
-            except ValueError:
-                cells.append(cell)
-        rows.append(cells)
-    return header, rows
-
-
-def read_manifest(path):
-    text = "\n".join(
-        line for line in Path(path).read_text(encoding="ascii").splitlines()
-        if not line.startswith("#")
-    )
-    return json.loads(text)
-
-
 # The writer's child process: ignore Ctrl-C (it reaches the whole process
 # group, and the parent stops the child), import the same nsdv as the parent
-# from the package root in argv[1], and write snapshots.  It loads no scipy:
-# only stencils.solve_tridiagonal imports it, and the child never solves.
+# from the package root in argv[1], and write snapshots.  It loads no scipy
+# and looks up no LAPACK: the child never solves.
 _CHILD = (
     "import signal, sys; signal.signal(signal.SIGINT, signal.SIG_IGN); "
     "sys.path.insert(0, sys.argv[1]); "

@@ -63,9 +63,6 @@ class TwinReport:
     gronwall_ok: np.ndarray
     crossing_time: float | None
 
-    def delta_at(self, t: float) -> float:
-        return float(np.interp(t, self.times, self.delta_l2))
-
 
 def _lockstep_pair(initial_a, initial_b, cfg: SolverConfig, grid, p, record):
     """Advance two primitive runs with a shared dt sequence, handing each pair

@@ -7,6 +7,9 @@ two nodes next to each boundary where the biased 3-point stencil does not fit.
 
 The implicit diffusion a x - r D(w D x) = rhs is symmetric positive definite:
 a is a checked positive density and w a positive viscosity in both frames.
+LAPACK dptsv solves it, taken from the OpenBLAS numpy has already mapped
+where that exports an ILP64 dptsv, so a run maps one LAPACK and loads no
+scipy; elsewhere from scipy's compiled `_flapack` module.
 """
 
 from __future__ import annotations
@@ -62,47 +65,107 @@ def ddx_upwind(field, vel, grid: Grid1D) -> np.ndarray:
     return np.where(v >= 0.0, bwd, fwd)
 
 
-_flapack = None  # scipy's LAPACK extension module, loaded by the first solve
+# LAPACK dptsv in the ILP64 OpenBLAS that numpy's wheels bundle and link
+# into numpy.linalg: numpy >= 2.0 names it scipy_dptsv_64_, numpy 1.22-1.26
+# dptsv_64_.  Only these 64-bit-integer names are looked up.
+NUMPY_PTSV_NAMES = ("scipy_dptsv_64_", "dptsv_64_")
+
+_ptsv_in_place = None  # the dptsv the first solve found, see _ptsv
+
+
+def _numpy_ptsv():
+    """dptsv from the LAPACK numpy.linalg already maps, called through
+    ctypes, or None where it exports none of NUMPY_PTSV_NAMES."""
+    import ctypes
+
+    from numpy.linalg import _umath_linalg
+
+    lib = ctypes.CDLL(_umath_linalg.__file__)  # already loaded: maps nothing new
+    i64, f64 = ctypes.POINTER(ctypes.c_int64), ctypes.POINTER(ctypes.c_double)
+    prototype = ctypes.CFUNCTYPE(None, i64, i64, f64, f64, f64, i64, i64)
+    for name in NUMPY_PTSV_NAMES:
+        try:
+            dptsv = prototype((name, lib))
+        except AttributeError:
+            continue
+        int64, first, one = ctypes.c_int64, ctypes.c_double.from_buffer, ctypes.c_int64(1)
+
+        def ptsv(d, e, b):
+            n, info = int64(len(d)), int64()
+            dptsv(n, one, first(d), first(e), first(b), n, info)
+            return info.value
+
+        return ptsv
+    return None
+
+
+def _scipy_ptsv():
+    """dptsv from scipy's compiled `_flapack` module, found in the
+    scipy/linalg directory without running `scipy/__init__` and loaded there
+    on its own: importing scipy.linalg would also load its array-API layer,
+    which the solve does not use.  scipy.linalg.lapack.dptsv is this same
+    routine."""
+    import importlib.machinery
+    import importlib.util
+    import os
+
+    scipy = importlib.util.find_spec("scipy")
+    if scipy is None:
+        raise ModuleNotFoundError(
+            "numpy's LAPACK exports no ILP64 dptsv, and scipy is not installed", name="scipy"
+        )
+    where = [os.path.join(d, "linalg") for d in scipy.submodule_search_locations]
+    spec = importlib.machinery.PathFinder.find_spec("_flapack", where)
+    if spec is None:
+        raise ImportError(f"scipy's LAPACK module _flapack not found in {where}")
+    flapack = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(flapack)
+    dptsv = flapack.dptsv
+
+    def ptsv(d, e, b):
+        return dptsv(d, e, b, overwrite_d=1, overwrite_e=1, overwrite_b=1)[-1]
+
+    return ptsv
 
 
 def _ptsv():
-    """LAPACK dptsv from scipy's compiled `_flapack` module, found in the
-    scipy.linalg package directory and loaded there once, on its own:
-    importing scipy.linalg would also load its array-API layer, which the
-    solve does not use.  scipy.linalg.lapack.dptsv is this same routine."""
-    global _flapack
-    if _flapack is None:
-        import importlib.machinery
-        import importlib.util
-        import os
+    """LAPACK dptsv as `ptsv(d, e, b) -> info`, solving in place on
+    writable C-contiguous float64 bands.  Found once, at the first solve:
+    in the OpenBLAS numpy already maps where it exports an ILP64 dptsv,
+    else in scipy's `_flapack`, so most runs map one LAPACK and load no
+    scipy."""
+    global _ptsv_in_place
+    if _ptsv_in_place is None:
+        _ptsv_in_place = _numpy_ptsv() or _scipy_ptsv()
+    return _ptsv_in_place
 
-        import scipy
 
-        where = os.path.join(os.path.dirname(scipy.__file__), "linalg")
-        spec = importlib.machinery.PathFinder.find_spec("_flapack", [where])
-        if spec is None:
-            raise ImportError(f"scipy's LAPACK module _flapack not found in {where}")
-        module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
-        _flapack = module
-    return _flapack.dptsv
+def _band(a) -> np.ndarray:
+    """`a` itself when it is a writable C-contiguous float64 array, else a
+    float64 copy, as f2py converts a LAPACK argument."""
+    a = np.asarray(a, dtype=np.float64, order="C")
+    return a if a.flags.writeable else a.copy()
 
 
 def solve_tridiagonal(diag, off, rhs) -> np.ndarray:
     """Solve the symmetric positive definite tridiagonal system with main band
     `diag` and off-diagonal band `off` (off[i] couples x[i] and x[i+1]), in
-    place: float64 bands are overwritten and x comes back in `rhs`.
+    place: writable C-contiguous float64 bands are overwritten and x comes
+    back in `rhs`; other bands are converted to such copies first.
 
     Backed by LAPACK ptsv (LDL^T, no pivoting), as scipy's solveh_banded is for
-    one off-diagonal band, taken from `_ptsv` at the first solve: runs that
-    never solve (the effective formulation) and the snapshot writer load no
-    scipy, and no run loads scipy.linalg.
+    one off-diagonal band, taken from `_ptsv` at the first solve: from the
+    OpenBLAS numpy has already loaded where it has an ILP64 dptsv, else from
+    scipy's `_flapack`.  No run loads the scipy package, and runs that never
+    solve (the effective formulation) and the snapshot writer look up no
+    dptsv at all.
     """
     if not len(diag) == len(off) + 1 == len(rhs):
         raise ShapeError("tridiagonal bands must have lengths n, n-1 and n")
     if not (np.isfinite(diag).all() and np.isfinite(off).all() and np.isfinite(rhs).all()):
         raise NumericalFailure("non-finite tridiagonal system")
-    *_, x, info = _ptsv()(diag, off, rhs, overwrite_d=1, overwrite_e=1, overwrite_b=1)
+    x = _band(rhs)
+    info = _ptsv()(_band(diag), _band(off), x)
     if info != 0:
         raise NumericalFailure(f"tridiagonal system not positive definite (ptsv info {info})")
     return x

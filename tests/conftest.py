@@ -1,3 +1,4 @@
+import json
 from dataclasses import replace
 from pathlib import Path
 
@@ -26,6 +27,54 @@ def shipped_scenario(name, n_cells=None, **solver):
     if solver:
         cfg = replace(cfg, solver=replace(cfg.solver, **solver))
     return cfg
+
+
+# Test-only helpers: the package writes configs and outputs, and reads back
+# only configs; the tests read its outputs back with these.
+
+
+def save_config(cfg, path):
+    Path(path).write_text(io.serialize_config(cfg), encoding="ascii", newline="\n")
+
+
+def read_csv_table(path):
+    """Read one of our CSV outputs back: (header fields, list of row lists).
+    Footer and comment lines are skipped; a `flags` column keeps its text
+    (the bitstring would otherwise lose its leading zeros)."""
+    header = None
+    rows = []
+    keep_str = set()
+    for line in Path(path).read_text(encoding="ascii").splitlines():
+        if not line or line.startswith("#"):
+            continue
+        if header is None:
+            header = line.split(",")
+            keep_str = {i for i, name in enumerate(header) if name == "flags"}
+            continue
+        cells = []
+        for i, cell in enumerate(line.split(",")):
+            if i in keep_str:
+                cells.append(cell)
+                continue
+            try:
+                cells.append(float(cell))
+            except ValueError:
+                cells.append(cell)
+        rows.append(cells)
+    return header, rows
+
+
+def read_manifest(path):
+    text = "\n".join(
+        line for line in Path(path).read_text(encoding="ascii").splitlines()
+        if not line.startswith("#")
+    )
+    return json.loads(text)
+
+
+def delta_at(report, t):
+    """A twin report's ||delta_u||_L2 at time t, interpolated."""
+    return float(np.interp(t, report.times, report.delta_l2))
 
 
 @pytest.fixture

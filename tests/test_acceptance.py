@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from dataclasses import replace
 
-from conftest import REGRESSION, flow_series, run_states, shipped_scenario
+from conftest import REGRESSION, delta_at, flow_series, run_states, shipped_scenario
 from nsdv import diagnostics
 from nsdv.diagnostics import build_series
 from nsdv.eulerian import (
@@ -261,7 +261,7 @@ def test_criterion_11_twin_run_stability():
     r2 = twin_run_stability(cfg, eps / 2.0)
     mask = r1.times <= 0.1 + 1e-12
     bound_ok = bool(np.max(r1.delta_l2[mask]) <= 10.0 * eps)
-    ratio = r1.delta_at(0.1) / r2.delta_at(0.1)
+    ratio = delta_at(r1, 0.1) / delta_at(r2, 0.1)
     linear_ok = abs(ratio - 2.0) <= 0.4  # within 20% of linear
     gronwall_ok = bool(np.all(r1.gronwall_ok))
     report(

@@ -416,7 +416,7 @@ class TestRun:
         # run keeps a dozen scalars per recorded state, not the state, so
         # its traced peak grows by far less than one N=1024 array per added
         # snapshot
-        stencils._ptsv()  # LAPACK's module, loaded once, outside the traced peaks
+        stencils._ptsv()  # LAPACK dptsv, found once, outside the traced peaks
         peaks = {}
         for cadence, count in ((0.05, 21), (0.01, 101)):
             cfg = shipped_scenario("smooth_bump", output_cadence=cadence)

@@ -16,7 +16,14 @@ import numpy as np
 import pytest
 
 import nsdv.cli
-from conftest import CONFIG_DIR, SHIPPED, shipped_scenario
+from conftest import (
+    CONFIG_DIR,
+    SHIPPED,
+    read_csv_table,
+    read_manifest,
+    save_config,
+    shipped_scenario,
+)
 from nsdv import io
 from nsdv.cli import main, mms_convergence
 from nsdv.diagnostics import FLAG_ORDER, build_series
@@ -132,7 +139,7 @@ def run_dir(tmp_path_factory):
     pairs that run hands to its on_snapshot hook."""
     cfg = small_cfg()
     path = tmp_path_factory.mktemp("cfg") / "small.cfg"
-    io.save_config(cfg, path)
+    save_config(cfg, path)
     out = tmp_path_factory.mktemp("out")
     assert main(["run", "--config", str(path), "--out", str(out)]) == 0
     (d,) = out.iterdir()
@@ -169,7 +176,7 @@ class TestOutputs:
         # at t=0 u is 0, the last snapshot is a moving state
         d, cfg, _, recorded = run_dir
         k = 0 if which == "first" else len(recorded) - 1
-        header, rows = io.read_csv_table(d / io.SNAP_NAME.format(k))
+        header, rows = read_csv_table(d / io.SNAP_NAME.format(k))
         assert header == io.SNAP_HEADER.split(",")
         arr = np.array(rows)
         s, eff = recorded[k]
@@ -181,7 +188,7 @@ class TestOutputs:
 
     def test_diagnostics_csv_schema(self, run_dir):
         d, _, traj, _ = run_dir
-        header, rows = io.read_csv_table(d / "diagnostics.csv")
+        header, rows = read_csv_table(d / "diagnostics.csv")
         assert header == io.DIAG_HEADER.split(",")
         assert len(rows) == len(traj.times)
         flags = rows[0][-1]
@@ -190,7 +197,7 @@ class TestOutputs:
 
     def test_manifest_readable(self, run_dir):
         d, cfg, traj, _ = run_dir
-        m = io.read_manifest(d / "manifest.json")
+        m = read_manifest(d / "manifest.json")
         assert m["config_hash"] == io.config_hash(cfg)
         assert m["times"] == traj.times.tolist()
         assert m["files"][0] == "snapshots/snap_00000.csv"
@@ -201,7 +208,7 @@ class TestOutputs:
 
     def test_git_describe_runs_at_most_three_times(self, tmp_path, monkeypatch):
         path = tmp_path / "small.cfg"
-        io.save_config(small_cfg(), path)
+        save_config(small_cfg(), path)
         calls = []
         real_run = subprocess.run
 
@@ -275,7 +282,7 @@ class TestOutputs:
         assert not list(tree.glob(".state_*"))
         assert len(recorded) == len(list((tree / "snapshots").iterdir())) == 3
         for k, (s, eff) in enumerate(recorded):
-            _, rows = io.read_csv_table(tree / io.SNAP_NAME.format(k))
+            _, rows = read_csv_table(tree / io.SNAP_NAME.format(k))
             expected = (cfg.grid().coords, s.rho, s.u, eff.v, eff.w1, eff.y, eff.udot)
             np.testing.assert_array_equal(np.array(rows).T, expected)
 
@@ -373,7 +380,7 @@ class TestCLI:
         # the smallest grid: one interior node, which the implicit diffusion
         # solve couples to both Dirichlet ends
         path = tmp_path / "three_nodes.cfg"
-        io.save_config(shipped_scenario("smooth_bump", 3), path)
+        save_config(shipped_scenario("smooth_bump", 3), path)
         assert main(["run", "--config", str(path), "--out", str(tmp_path)]) == 0
 
     def test_monitor_violation_exits_4(self, tmp_path, capsys):
@@ -386,7 +393,7 @@ class TestCLI:
             initial=InitialData(kind="smooth_bump", amplitude=-0.6, width=1.5),
         )
         path = tmp_path / "violating.cfg"
-        io.save_config(cfg, path)
+        save_config(cfg, path)
         code = main(["verify", "--config", str(path), "--out", str(tmp_path)])
         out = capsys.readouterr().out
         assert code == 4
@@ -396,7 +403,7 @@ class TestCLI:
         cfg = small_cfg(t_end=2.0, output_cadence=1.0, diffusion_treatment="explicit",
                         dt_override=float(Grid1D(129, 10.0).dx))
         path = tmp_path / "unstable.cfg"
-        io.save_config(cfg, path)
+        save_config(cfg, path)
         assert main(["run", "--config", str(path), "--out", str(tmp_path)]) == 3
 
     @pytest.mark.parametrize("failure", ["unstable-dt-exit-3", "negative-density-exit-2"])
@@ -410,7 +417,7 @@ class TestCLI:
                                                            width=1.0))
             code = 2
         path = tmp_path / "failing.cfg"
-        io.save_config(cfg, path)
+        save_config(cfg, path)
         out = tmp_path / "out"
         out.mkdir()
         assert main(["run", "--config", str(path), "--out", str(out)]) == code
@@ -499,7 +506,7 @@ class TestCLI:
     def test_twin_command(self, tmp_path, capsys):
         cfg = small_cfg()
         path = tmp_path / "twin.cfg"
-        io.save_config(cfg, path)
+        save_config(cfg, path)
         code = main(["twin", "--config", str(path), "--out", str(tmp_path),
                      "--epsilon", "1e-6"])
         out = capsys.readouterr().out
@@ -542,7 +549,7 @@ class TestCLI:
     @pytest.fixture
     def dat_tables(self, tmp_path):
         path = tmp_path / "twin.cfg"
-        io.save_config(small_cfg(), path)
+        save_config(small_cfg(), path)
         assert main(["twin", "--config", str(path), "--out", str(tmp_path)]) == 0
         assert main(["convergence", "--levels", "2", "--out", str(tmp_path)]) == 0
         tables = list(tmp_path.glob("twin-*.dat")) + list(tmp_path.glob("convergence-*.dat"))
@@ -732,10 +739,10 @@ def test_package_import_loads_no_submodule():
 
 
 def test_only_the_tridiagonal_solve_imports_scipy():
-    """The snapshot writer child (its own code, stdin at end of file) and
-    the command line load no scipy module, and no hashlib (which loads
-    OpenSSL); the first solve loads scipy, but not the scipy.linalg
-    package."""
+    """The snapshot writer child (its own code, stdin at end of file), the
+    command line and the first solve load no scipy module, and no hashlib
+    (which loads OpenSSL): the solve takes dptsv from the LAPACK numpy has
+    loaded, or else loads scipy's `_flapack` module on its own."""
     scipy_modules = "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     no_hashlib = "assert not {'hashlib', '_hashlib'} & set(sys.modules)"
     code = "\n".join([
@@ -743,44 +750,75 @@ def test_only_the_tridiagonal_solve_imports_scipy():
         "import nsdv.cli", scipy_modules, no_hashlib,
         "import numpy as np; from nsdv.stencils import solve_tridiagonal",
         "solve_tridiagonal(np.ones(3), np.zeros(2), np.ones(3))",
-        "print('scipy' in sys.modules)",
-        "assert 'scipy.linalg' not in sys.modules",
+        scipy_modules, no_hashlib,
     ])
     out = subprocess.run([sys.executable, "-c", code, str(REPO / "src")],
                          stdin=subprocess.DEVNULL, capture_output=True, text=True,
                          check=True, timeout=60).stdout
-    assert out.split("\n") == ["[]", "[]", "True", ""]
+    assert out.split("\n") == ["[]", "[]", "[]", ""]
 
 
 def test_primitive_verify_loads_no_scipy_linalg(tmp_path):
     """A semi-implicit verify in a fresh interpreter solves at every step
-    and still ends with no scipy.linalg module loaded, and no hashlib."""
+    and still ends with no scipy module loaded, and no hashlib."""
     primitive = tmp_path / "primitive.cfg"
-    io.save_config(small_cfg(), primitive)
+    save_config(small_cfg(), primitive)
     code = "\n".join([
         "import sys",
         "from nsdv.cli import main",
         "assert main(sys.argv[1:]) == 0",
-        "print(*(m in sys.modules for m in ('scipy', 'scipy.linalg', 'hashlib', '_hashlib')))",
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'),",
+        "      *(m in sys.modules for m in ('hashlib', '_hashlib')))",
     ])
     out = subprocess.run(
         [sys.executable, "-c", code,
          "verify", "--config", str(primitive), "--out", str(tmp_path / "out")],
         env=SRC_ENV, capture_output=True, text=True, check=True, timeout=60,
     ).stdout
-    assert out.splitlines()[-1] == "True False False False"
+    assert out.splitlines()[-1] == "[] False False"
+
+
+def monitor_lines(text):
+    return [line for line in text.splitlines() if line.startswith("monitor")]
+
+
+def test_without_scipy_a_semi_implicit_run_succeeds(tmp_path, capsys):
+    """With scipy blocked, a semi-implicit verify takes dptsv from numpy's
+    LAPACK and gives the same verdicts as an unblocked one."""
+    primitive = tmp_path / "primitive.cfg"
+    save_config(small_cfg(), primitive)
+    code = "\n".join([
+        "import sys; sys.modules['scipy'] = None",
+        "from nsdv import stencils",
+        "if stencils._numpy_ptsv() is None: sys.exit(77)",
+        "from nsdv.cli import main",
+        "sys.exit(main(sys.argv[1:]))",
+    ])
+    blocked = subprocess.run(
+        [sys.executable, "-c", code,
+         "verify", "--config", str(primitive), "--out", str(tmp_path / "blocked")],
+        env=SRC_ENV, capture_output=True, text=True, timeout=60,
+    )
+    if blocked.returncode == 77:
+        pytest.skip("numpy's LAPACK exports no ILP64 dptsv")
+    assert main(["verify", "--config", str(primitive), "--out", str(tmp_path / "open")]) == 0
+    verdicts = monitor_lines(capsys.readouterr().out)
+    assert blocked.returncode == 0, blocked.stderr
+    assert verdicts and monitor_lines(blocked.stdout) == verdicts
 
 
 def test_without_scipy_only_the_implicit_solve_fails(tmp_path, capsys):
-    """With scipy blocked, an effective-formulation verify (no implicit
-    solve) gives the usual verdicts; a semi-implicit run fails at its first
-    step and leaves nothing under its output root."""
+    """With scipy blocked and numpy's dptsv names hidden, an
+    effective-formulation verify (no implicit solve) gives the usual
+    verdicts; a semi-implicit run fails at its first step and leaves nothing
+    under its output root."""
     effective = tmp_path / "effective.cfg"
-    io.save_config(small_cfg(formulation="effective"), effective)
+    save_config(small_cfg(formulation="effective"), effective)
     primitive = tmp_path / "primitive.cfg"
-    io.save_config(small_cfg(), primitive)
+    save_config(small_cfg(), primitive)
     code = "\n".join([
         "import sys; sys.modules['scipy'] = None",
+        "from nsdv import stencils; stencils.NUMPY_PTSV_NAMES = ('no_such_dptsv_',)",
         "from nsdv.cli import main",
         "assert main(sys.argv[1:6]) == 0",
         "main(sys.argv[6:])",
@@ -794,12 +832,11 @@ def test_without_scipy_only_the_implicit_solve_fails(tmp_path, capsys):
     ) as blocked:
         # the unblocked run meanwhile, in this process
         assert main(["verify", "--config", str(effective), "--out", str(tmp_path / "open")]) == 0
-        verdicts = [line for line in capsys.readouterr().out.splitlines()
-                    if line.startswith("monitor")]
+        verdicts = monitor_lines(capsys.readouterr().out)
         out, err = blocked.communicate(timeout=60)
     assert blocked.returncode != 0
     assert "ModuleNotFoundError" in err and "scipy" in err
-    assert [line for line in out.splitlines() if line.startswith("monitor")] == verdicts
+    assert monitor_lines(out) == verdicts
     assert not list(failed.iterdir())  # no run directory, no staging directory
 
 

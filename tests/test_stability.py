@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from dataclasses import replace
 
-from conftest import flow_series, shipped_scenario
+from conftest import delta_at, flow_series, shipped_scenario
 from nsdv import lagrangian, model, stencils
 from nsdv.diagnostics import left_integral
 from nsdv.errors import ConfigError, InputError
@@ -58,7 +58,7 @@ def test_linear_epsilon_scaling(twin_cfg):
     eps = 1e-6
     r1 = twin_run_stability(twin_cfg, eps)
     r2 = twin_run_stability(twin_cfg, eps / 2.0)
-    ratio = r1.delta_at(0.1) / r2.delta_at(0.1)
+    ratio = delta_at(r1, 0.1) / delta_at(r2, 0.1)
     assert ratio == pytest.approx(2.0, rel=0.2)
 
 
@@ -155,7 +155,7 @@ def test_twin_memory_does_not_grow_with_snapshot_count():
     # the shipped config at cadence 0.01 (13 snapshots) and 0.002 (61); the
     # twin holds O(N) arrays whatever the count, so its traced peak grows by
     # far less than one N=512 array per added snapshot
-    stencils._ptsv()  # LAPACK's module, loaded once, outside the traced peaks
+    stencils._ptsv()  # LAPACK dptsv, found once, outside the traced peaks
     peaks = {}
     for cadence, count in ((0.01, 13), (0.002, 61)):
         cfg = shipped_scenario("twin_smooth_bump", output_cadence=cadence)

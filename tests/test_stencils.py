@@ -1,8 +1,14 @@
 """Derivative stencils and the banded solve."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from nsdv import stencils
 from nsdv.errors import NumericalFailure, ShapeError
 from nsdv.model import Grid1D
 from nsdv.stencils import ddx, ddx_upwind, solve_diffusion, solve_tridiagonal
@@ -119,3 +125,120 @@ def test_diffusion_matches_dense(n, r):
     np.testing.assert_allclose(x, np.linalg.solve(m, b), rtol=1e-12, atol=1e-14)
     assert (x[0], x[-1]) == (left, right)
     np.testing.assert_array_equal(rhs, rhs_in)
+
+
+# Both LAPACK sources of dptsv: the OpenBLAS numpy maps, and scipy's _flapack.
+def _lapack(source):
+    try:
+        ptsv = stencils._numpy_ptsv() if source == "numpy" else stencils._scipy_ptsv()
+    except ImportError:
+        ptsv = None
+    if ptsv is None:
+        pytest.skip(f"no dptsv from {source} here")
+    return ptsv
+
+
+@pytest.fixture(params=["numpy", "scipy"])
+def lapack(request, monkeypatch):
+    """solve_tridiagonal backed by one LAPACK source for this test."""
+    monkeypatch.setattr(stencils, "_ptsv_in_place", _lapack(request.param))
+    return request.param
+
+
+def spd_bands(rng, n):
+    """A random diagonally dominant, hence SPD, tridiagonal system."""
+    off = rng.uniform(-1.0, 1.0, n - 1)
+    diag = rng.uniform(0.1, 1.0, n)
+    diag[:-1] += np.abs(off)
+    diag[1:] += np.abs(off)
+    return diag, off, rng.standard_normal(n)
+
+
+SIZES = [3, 4, 5, 6, 129, 1025, 16385]
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_both_lapacks_bitwise_equal_on_random_bands(n):
+    numpy_ptsv, scipy_ptsv = _lapack("numpy"), _lapack("scipy")
+    rng = np.random.default_rng(n)
+    for _ in range(3):
+        bands = spd_bands(rng, n)
+        a, b = [band.copy() for band in bands], [band.copy() for band in bands]
+        assert numpy_ptsv(*a) == scipy_ptsv(*b) == 0
+        # x, and the LDL^T factors left in the bands
+        assert [band.tobytes() for band in a] == [band.tobytes() for band in b]
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_both_lapacks_bitwise_equal_on_diffusion_systems(n, monkeypatch):
+    rng = np.random.default_rng(n)
+    a = rng.uniform(0.5, 2.0, n)
+    w_ifc = rng.uniform(0.1, 1.0, n - 1)
+    rhs = rng.standard_normal(n)
+    solutions = []
+    for source in ("numpy", "scipy"):
+        monkeypatch.setattr(stencils, "_ptsv_in_place", _lapack(source))
+        solutions.append(solve_diffusion(a, w_ifc, 0.3 * n, rhs, 0.3, -1.2).tobytes())
+    assert solutions[0] == solutions[1]
+
+
+def test_hidden_numpy_names_select_scipy_flapack():
+    """With numpy's dptsv names hidden the first solve loads scipy's
+    _flapack module on its own, and no scipy package module; otherwise,
+    where numpy's LAPACK has dptsv, it loads neither."""
+    pytest.importorskip("scipy")
+    code = "\n".join([
+        "import sys",
+        "from nsdv import stencils",
+        "if sys.argv[1] == 'hidden': stencils.NUMPY_PTSV_NAMES = ('no_such_dptsv_',)",
+        "import numpy as np",
+        "x = stencils.solve_tridiagonal(np.full(3, 4.0), np.ones(2), np.ones(3))",
+        "assert np.allclose(x, [3 / 14, 1 / 7, 3 / 14], rtol=1e-15), x",
+        "print('_flapack' in sys.modules, [m for m in sys.modules if m.split('.')[0] == 'scipy'])",
+    ])
+    env = {**os.environ, "PYTHONPATH": str(Path(stencils.__file__).resolve().parents[1])}
+    found = {
+        names: subprocess.run([sys.executable, "-c", code, names], env=env, capture_output=True,
+                              text=True, check=True, timeout=60).stdout.strip()
+        for names in ("hidden", "shown")
+    }
+    assert found["hidden"] == "True []"
+    if stencils._numpy_ptsv() is not None:
+        assert found["shown"] == "False []"
+
+
+def test_non_spd_system_fails_on_both_lapacks(lapack):
+    # symmetric and invertible, but indefinite
+    with pytest.raises(NumericalFailure, match="not positive definite"):
+        solve_tridiagonal(np.ones(4), np.ones(3), np.ones(4))
+    with pytest.raises(NumericalFailure, match="not positive definite"):
+        solve_tridiagonal(np.full(5, -2.0), np.ones(4), np.ones(5))
+
+
+def test_other_bands_are_converted_not_overwritten(lapack):
+    """Bands that are not writable C-contiguous float64 arrays solve as
+    float64 copies, and the caller's bands are left alone."""
+    diag, off, rhs = [4.0, 5.0, 4.0], [1.0, -1.0], [1.0, 2.0, 3.0]
+    m = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+    reference = np.linalg.solve(m, rhs)
+
+    def strided(band):
+        return np.repeat(band, 2)[::2]
+
+    def read_only(band):
+        band = np.array(band)
+        band.flags.writeable = False
+        return band
+
+    for case in (
+        (diag, off, rhs),  # lists
+        (np.array([4, 5, 4]), np.array([1, -1]), np.array([1, 2, 3])),  # ints
+        (strided(diag), strided(off), strided(rhs)),  # non-contiguous
+        (np.array(diag, dtype=np.float32), read_only(off), read_only(rhs)),
+    ):
+        before = [np.array(band, copy=True) for band in case]
+        x = solve_tridiagonal(*case)
+        np.testing.assert_allclose(x, reference, rtol=1e-13)
+        assert x.dtype == np.float64 and x.flags.c_contiguous
+        for band, old in zip(case, before):
+            np.testing.assert_array_equal(band, old)
