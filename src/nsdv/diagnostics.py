@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import model
-from .model import RHO_FLOOR, CheckedDensity, FluidState, Grid1D, ModelParams
+from .model import RHO_FLOOR, FluidState, Grid1D, ModelParams
 from .stencils import ddx
 
 # Monitor tolerance = TOL_FACTOR * dx.
@@ -59,10 +59,9 @@ def energy(state: FluidState, grid: Grid1D, p: ModelParams, pi_rel=None) -> floa
     return float(np.sum(e) * grid.dx)
 
 
-def energy_dissipation_rate(u, density: CheckedDensity, grid: Grid1D, p: ModelParams) -> float:
-    """sum mu(rho) (du/dx)^2 dx, accumulated in time by the runner, which
-    shares the powers of rho in `density` with its step."""
-    return float((model.viscosity(density, p) * ddx(u, grid) ** 2).sum() * grid.dx)
+def energy_dissipation_rate(state: FluidState, grid: Grid1D, p: ModelParams) -> float:
+    """sum mu(rho) (du/dx)^2 dx, accumulated in time by the runner."""
+    return float((model.viscosity(state.density, p) * ddx(state.u, grid) ** 2).sum() * grid.dx)
 
 
 def bd_entropy(rho, v, grid: Grid1D, p: ModelParams, pi_rel=None) -> float:
@@ -73,12 +72,11 @@ def bd_entropy(rho, v, grid: Grid1D, p: ModelParams, pi_rel=None) -> float:
     return 0.5 * float(np.sum(rho * v**2) * grid.dx) + float(np.sum(pi_rel) * grid.dx)
 
 
-def bd_dissipation_rate(density: CheckedDensity, grid: Grid1D, p: ModelParams) -> float:
+def bd_dissipation_rate(state: FluidState, grid: Grid1D, p: ModelParams) -> float:
     """sum (mu(rho) P'(rho)/rho^2) (drho/dx)^2 dx, accumulated in time by the
-    runner, which shares the powers of rho in `density` with its step and
-    stable_dt.  It closes the BD balance: rho D_t v + P_x = 0, tested with
+    runner.  It closes the BD balance: rho D_t v + P_x = 0, tested with
     v = u + phi(rho)_x, phi' = mu/rho^2."""
-    rho = density.rho
+    rho, density = state.rho, state.density
     coeff = model.viscosity(density, p) * p.gamma * density.power(p.gamma - 1.0) / (rho * rho)
     return float((coeff * ddx(rho, grid) ** 2).sum() * grid.dx)
 
@@ -105,10 +103,9 @@ def snapshot_scalars(state: FluidState, eff, grid: Grid1D, p: ModelParams) -> di
     du/dx it shares), with one Pi_rel(rho) for both balances; the names of
     the series are those of the DiagnosticSeries fields.  The runner keeps
     these, not the state: at fine resolution the states of a whole
-    trajectory would dominate peak memory.  The density is not checked
-    again (its FluidState checked it)."""
+    trajectory would dominate peak memory."""
     dx = grid.dx
-    pi_rel = model.internal_energy(CheckedDensity(state.rho), p)
+    pi_rel = model.internal_energy(state.density, p)
     return {
         "energy": energy(state, grid, p, pi_rel),
         "bd_entropy": bd_entropy(state.rho, eff.v, grid, p, pi_rel),

@@ -46,14 +46,13 @@ def _velocity(state: FluidState, mu: np.ndarray, grid: Grid1D) -> np.ndarray:
 
 def effective_velocity(state: FluidState, grid: Grid1D, p: ModelParams) -> np.ndarray:
     """v = u + (mu(rho)/rho**2) * ddx(rho)."""
-    return _velocity(state, model.viscosity(state.rho, p), grid)
+    return _velocity(state, model.viscosity(state.density, p), grid)
 
 
 def compute_effective_fields(state: FluidState, grid: Grid1D, p: ModelParams) -> EffectiveFields:
     """The one definition of w1, y and udot: mu(rho), du/dx, P(rho) and the
     viscous flux mu*du/dx once for all four fields."""
-    rho = state.rho
-    density = CheckedDensity(rho)  # checked when the state was built
+    rho, density = state.rho, state.density
     mu = model.viscosity(density, p)
     ux = ddx(state.u, grid)
     v = _velocity(state, mu, grid)

@@ -23,10 +23,11 @@ because clamping would silently violate every monitored estimate.
 Each step checks the new density once (finite, positive, above the floor)
 and the new velocity once (finite), and hands the density on as a
 model.CheckedDensity, which no law and no FluidState checks again: DomainError
-is left to initial data and caller-built states.  Through it, stable_dt, the
-in-loop rates and the step of run evaluate each power of rho once per state.
-run evaluates each recorded state's effective fields once and keeps only its
-diagnostics.snapshot_scalars, no state but the initial one.
+is left to initial data and caller-built states.  The new FluidState keeps it
+as its `density`, so stable_dt, the in-loop rates and the next step evaluate
+each power of rho once per state.  run evaluates each recorded state's
+effective fields once and keeps only its diagnostics.snapshot_scalars, no
+state but the initial one.
 """
 
 from __future__ import annotations
@@ -86,26 +87,18 @@ class Trajectory:
     blowup: VacuumBlowup | None = None  # the one that ended the run early
 
 
-def stable_dt(
-    state: FluidState,
-    grid: Grid1D,
-    cfg: SolverConfig,
-    p: ModelParams,
-    density: CheckedDensity | None = None,
-) -> float:
+def stable_dt(state: FluidState, grid: Grid1D, cfg: SolverConfig, p: ModelParams) -> float:
     """CFL-limited step: advective always, dx^2 diffusive bound when the
     diffusion is treated explicitly.
 
     The effective formulation always carries the diffusive bound: recovering
     u = v - ddx(phi(rho)) turns its mass equation into explicit nonlinear
-    diffusion with coefficient rho**(alpha-1), the same bound.  `density`,
-    when given, is the CheckedDensity of state.rho, whose powers are shared.
-    A non-finite u or rho raises NumericalFailure.
+    diffusion with coefficient rho**(alpha-1), the same bound.  A non-finite
+    u or rho raises NumericalFailure.
     """
     if cfg.dt_override is not None:
         return cfg.dt_override
-    if density is None:
-        density = CheckedDensity(state.rho)  # checked when the state was built
+    density = state.density
     speed = float((np.abs(state.u) + model.sound_speed(density, p)).max())
     # A NaN or inf in u or rho makes the speed non-finite, except in rho at
     # gamma = 1, where c = 1 whatever rho is.
@@ -173,19 +166,15 @@ def step_primitive(
     p: ModelParams,
     forcing=None,
     boundary=(FARFIELD, FARFIELD),
-    density: CheckedDensity | None = None,
 ) -> FluidState:
     """One conservative update of (rho, rho*u).
 
     Upwind fluxes for rho*u and rho*u^2, central pressure gradient, central
     diffusion (tridiagonal solve in u with frozen viscosity when
     semi-implicit).  `forcing`, when given, is a (g_rho, g_mom) pair of source
-    fields; `boundary` the Dirichlet values ((rhoL, uL), (rhoR, uR));
-    `density`, when given, the CheckedDensity of state.rho, whose mu the
-    caller's rates share.
+    fields; `boundary` the Dirichlet values ((rhoL, uL), (rhoR, uR)).
     """
-    if density is None:
-        density = CheckedDensity(state.rho)  # checked when the state was built
+    density = state.density
     dx = grid.dx
     rho, u = state.rho, state.u
     mom = rho * u
@@ -280,8 +269,8 @@ def step_effective(
     their recovered velocity, which the next step takes as its u.
 
     rho is an array, checked here, or a CheckedDensity; the new rho comes back
-    in the same form, so that run's next stable_dt reuses the rho**(alpha-1)
-    that the recovered u took.
+    in the same form.  run passes its state's density, so the FluidState it
+    builds from the new one keeps the rho**(alpha-1) the recovered u took.
     """
     density = CheckedDensity.of(rho)
     dx = grid.dx
@@ -371,23 +360,18 @@ def run(
     if initial.time != 0.0:
         raise InputError("trajectories start at t=0")
 
-    # the current state's density, whose powers stable_dt, the rates and the
-    # step share; `initial` was checked when it was built
-    density = CheckedDensity(initial.rho)
     effective = cfg.formulation == "effective"
     if effective:
         v = effective_velocity(initial, grid, p)
         # not initial.u: the two differ by the stencil commutation error
-        u = recover_velocity(density, v, grid, p)
+        u = recover_velocity(initial.density, v, grid, p)
 
     def step(state, t, dt):
-        nonlocal density, v, u
+        nonlocal v, u
         if effective:
-            density, v, u = step_effective(density, v, u, t, dt, grid, cfg, p)
+            density, v, u = step_effective(state.density, v, u, t, dt, grid, cfg, p)
             return FluidState(time=t + dt, rho=density, u=u)
-        state = step_primitive(state, dt, grid, cfg, p, density=density)
-        density = CheckedDensity(state.rho)
-        return state
+        return step_primitive(state, dt, grid, cfg, p)
 
     scalars = []
 
@@ -400,11 +384,11 @@ def run(
     times, (e_diss, bd_diss), blowup = drive(
         initial,
         cfg,
-        lambda state: stable_dt(state, grid, cfg, p, density),
+        lambda state: stable_dt(state, grid, cfg, p),
         step,
         [
-            lambda state: diagnostics.energy_dissipation_rate(state.u, density, grid, p),
-            lambda state: diagnostics.bd_dissipation_rate(density, grid, p),
+            lambda state: diagnostics.energy_dissipation_rate(state, grid, p),
+            lambda state: diagnostics.bd_dissipation_rate(state, grid, p),
         ],
         record,
     )

@@ -137,8 +137,8 @@ def step_lagrangian(
     the same density and finite checks as an Eulerian step.
 
     rho_lag is an array, checked here, or a CheckedDensity; the new density
-    comes back in the same form, so that run_lagrangian's next stable dt and
-    step check it no more.
+    comes back in the same form.  run_lagrangian carries it in its state,
+    where its next stable dt and step share its powers and check it no more.
     """
     if np.any(jac <= 0.0):
         raise HomeomorphismError(f"non-positive Jacobian entering step at t={time:.6g}")
@@ -160,17 +160,20 @@ def step_lagrangian(
     return (CheckedDensity(rho_new) if rho_lag is density else rho_new), u_new, jac_new
 
 
-def lagrangian_stable_dt(rho_lag, u_lag, jac, rho0, grid, p, cfl: float) -> float:
+def lagrangian_stable_dt(state, rho0, grid: Grid1D, p: ModelParams, cfg) -> float:
     """Sound CFL in material coordinates (wave speed c*rho_lag/rho0) plus a
-    Jacobian-positivity guard.  rho_lag is an array or a CheckedDensity."""
-    density = CheckedDensity.of(rho_lag)
+    Jacobian-positivity guard, for the (density, u_lag, jac, x) state of
+    run_lagrangian; cfg.dt_override when it is set, as in stable_dt."""
+    if cfg.dt_override is not None:
+        return cfg.dt_override
+    density, u_lag, jac, _ = state
     c = model.sound_speed(density, p)
     speed = float(np.max(c * density.rho / rho0))
     dt = grid.dx / speed
     dudx_max = float(np.max(np.abs(ddx(u_lag, grid))))
     if dudx_max > 0.0:
         dt = min(dt, 0.45 * float(np.min(jac)) / dudx_max)
-    return cfl * dt
+    return cfg.cfl_number * dt
 
 
 def run_lagrangian(initial: FluidState, cfg, grid: Grid1D, p: ModelParams) -> LagrangianTrajectory:
@@ -182,26 +185,23 @@ def run_lagrangian(initial: FluidState, cfg, grid: Grid1D, p: ModelParams) -> La
     if initial.time != 0.0:
         raise InputError("trajectories start at t=0")
     rho0 = initial.rho.copy()
-    start = (initial.rho.copy(), initial.u.copy(), np.ones(grid.n_cells), grid.coords.copy())
-    # the current state's density, whose powers its stable dt and its step
-    # share, kept beside the state (as eulerian.run does) so that no recorded
-    # state holds them; `initial` was checked when it was built
-    density = CheckedDensity(start[0])
-
-    def propose_dt(state):
-        if cfg.dt_override is not None:
-            return cfg.dt_override
-        _, u_lag, jac, _ = state
-        return lagrangian_stable_dt(density, u_lag, jac, rho0, grid, p, cfg.cfl_number)
+    # the state is (density, u, jac, x): its stable dt and its step share the
+    # powers of rho in density, which the record strips
+    start = (initial.density, initial.u.copy(), np.ones(grid.n_cells), grid.coords.copy())
 
     def step(state, t, dt):
-        nonlocal density
-        _, u_lag, jac, x = state
+        density, u_lag, jac, x = state
         density, u_lag, jac = step_lagrangian(density, u_lag, jac, dt, rho0, grid, p, time=t)
-        return density.rho, u_lag, jac, x + dt * u_lag
+        return density, u_lag, jac, x + dt * u_lag
 
     states = []
-    times, _, blowup = drive(start, cfg, propose_dt, step, record=states.append)
+    times, _, blowup = drive(
+        start,
+        cfg,
+        lambda state: lagrangian_stable_dt(state, rho0, grid, p, cfg),
+        step,
+        record=lambda s: states.append((s[0].rho, *s[1:])),
+    )
     if blowup is not None:
         raise blowup
     rho, u, jacobian, x = (list(fields) for fields in zip(*states))

@@ -14,9 +14,9 @@ principle; phi couples density gradients into the effective velocity.
 Every law checks that its density is strictly positive (DomainError).  The
 five the solvers evaluate every step (P, mu, f1, phi, c) and the two the
 diagnostics evaluate per snapshot (f2, Pi_rel) also take a CheckedDensity,
-which a step makes from each new density after its own check, and the
-diagnostics from the density a FluidState checked: they do not check it
-again, and share the powers of rho it keeps.
+which they do not check again and whose powers of rho they share.  Each
+FluidState owns one as its `density`: the one a step made from the new
+density after its own check, or the one made from a caller's array.
 """
 
 from __future__ import annotations
@@ -96,8 +96,9 @@ class Grid1D:
 
 class CheckedDensity:
     """A density array its maker has checked to be strictly positive, with
-    each power rho**e computed at its first use and kept.  A FluidState built
-    from one keeps only its rho, so no snapshot holds the powers."""
+    each power rho**e computed at its first use and kept.  The FluidState
+    built from one keeps it as its `density`, so the powers live exactly as
+    long as the state."""
 
     __slots__ = ("rho", "_powers")
 
@@ -121,23 +122,29 @@ class CheckedDensity:
 class FluidState:
     """Sampled (rho, u) at one time instant.  rho must be strictly positive:
     vacuum aborts a run, it never silently propagates.  It is checked here
-    unless it comes as a CheckedDensity, as a solver step passes it."""
+    unless it comes as a CheckedDensity, as a solver step passes it; either
+    way `density` is the CheckedDensity of rho, whose powers every law
+    evaluated on this state shares.  rho is not written after building."""
 
     time: float
     rho: np.ndarray
     u: np.ndarray
+    density: CheckedDensity = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        checked = isinstance(self.rho, CheckedDensity)
-        rho = self.rho.rho if checked else np.asarray(self.rho, dtype=float)
+        density = self.rho if isinstance(self.rho, CheckedDensity) else None
+        rho = np.asarray(self.rho, dtype=float) if density is None else density.rho
         u = np.asarray(self.u, dtype=float)
         if rho.shape != u.shape or rho.ndim != 1:
             raise InputError(f"rho/u must be equal-length 1D arrays, got {rho.shape} vs {u.shape}")
-        if not checked and (rho <= 0.0).any():
-            i = int(np.argmin(rho))
-            raise DomainError(f"non-positive density {rho[i]} at node {i} (t={self.time})")
+        if density is None:
+            if (rho <= 0.0).any():
+                i = int(np.argmin(rho))
+                raise DomainError(f"non-positive density {rho[i]} at node {i} (t={self.time})")
+            density = CheckedDensity(rho)
         object.__setattr__(self, "rho", rho)
         object.__setattr__(self, "u", u)
+        object.__setattr__(self, "density", density)
 
     @property
     def n(self) -> int:

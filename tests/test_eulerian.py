@@ -392,6 +392,20 @@ class TestRun:
         np.testing.assert_array_equal([st.time for st, _, _ in seen], traj.times)
         np.testing.assert_allclose(traj.times, [0.0, 0.05, 0.1, 0.13], atol=1e-12)
 
+    @pytest.mark.parametrize("formulation", ["primitive", "effective"])
+    def test_recorded_states_share_mu_with_their_fields(self, formulation):
+        # each recorded state's mu is the one its step, stable_dt and rates
+        # read from state.density: its effective fields do not compute it again
+        cfg = shipped_scenario("smooth_bump", 129, t_end=0.13, output_cadence=0.05,
+                               formulation=formulation)
+        p = cfg.model
+        seen = []
+        run(build_initial(cfg), cfg.solver, cfg.grid(), p,
+            on_snapshot=lambda state, eff: seen.append((state, eff)))
+        assert len(seen) == 4
+        for state, eff in seen:
+            assert eff.mu is state.density.power(p.alpha)
+
     def test_drive_keeps_no_recorded_state(self, grid):
         # a record that keeps nothing leaves every recorded state, the
         # initial one included, unreferenced once drive returns

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from nsdv.errors import DomainError, InputError
 from nsdv.model import (
+    CheckedDensity,
     FluidState,
     Grid1D,
     ModelParams,
@@ -228,6 +229,21 @@ class TestContainers:
     def test_state_shape_mismatch(self):
         with pytest.raises(InputError):
             FluidState(time=0.0, rho=np.ones(4), u=np.zeros(3))
+
+    def test_state_keeps_the_checked_density_it_was_built_from(self):
+        cd = CheckedDensity(np.array([1.0, 2.0, 1.0]))
+        s = FluidState(time=0.0, rho=cd, u=np.zeros(3))
+        assert s.density is cd
+        assert s.rho is cd.rho
+
+    def test_state_checks_and_wraps_an_array_density(self):
+        rho = np.array([1.0, 2.0, 1.0])
+        s = FluidState(time=0.0, rho=rho, u=np.zeros(3))
+        assert isinstance(s.density, CheckedDensity)
+        assert s.density.rho is s.rho is rho
+        assert "density" not in repr(s)
+        with pytest.raises(DomainError, match="non-positive density -1.0 at node 1"):
+            FluidState(time=0.0, rho=np.array([1.0, -1.0, 1.0]), u=np.zeros(3))
 
 
 @settings(max_examples=60, deadline=None)
