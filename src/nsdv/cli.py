@@ -50,18 +50,26 @@ EXIT_BLOWUP = 5
 
 # steps of the convergence study whose manufactured source is evaluated at once
 MMS_BLOCK = 8
+# the convergence study's dt as a multiple of dx^2
+MMS_DT_FACTOR = 0.25
 
 
 def _out_root(args) -> Path:
     """The output root, which the command makes when it writes its outputs.
-    A path there, or above it, that is not a directory is an input error,
+    A path there, or above it, that is not a directory or cannot be inspected
+    (a name too long, a symlink loop, no permission) is an input error,
     raised before the command does any work."""
     path = Path(args.out or os.environ.get("NSDV_OUT_DIR") or "out")
     for above in (path, *path.parents):
-        if above.exists():
-            if not above.is_dir():
-                raise InputError(f"output root {path}: {above} is not a directory")
-            break
+        try:
+            above.stat()
+        except (FileNotFoundError, NotADirectoryError):
+            continue  # absent: made under the nearest path that exists
+        except OSError as exc:
+            raise InputError(f"output root {path}: {exc.strerror}") from None
+        if not above.is_dir():
+            raise InputError(f"output root {path}: {above} is not a directory")
+        break
     return path
 
 
@@ -123,9 +131,8 @@ def mms_convergence(
     alpha: float = 0.75,
     gamma: float = 2.0,
     half_length: float = np.pi,
-    dt_factor: float = 0.25,
 ):
-    """Manufactured-solution convergence study: dt proportional to dx^2 with
+    """Manufactured-solution convergence study: dt = MMS_DT_FACTOR dx^2 with
     semi-implicit diffusion, L2 errors of (rho, u) against the exact fields.
     Returns a list of row dicts (n, dx, dt, err, order); the order is NaN on
     the first level and wherever an error is zero.  A VacuumBlowup at any
@@ -138,7 +145,7 @@ def mms_convergence(
     for lvl in range(levels):
         n = (base_n - 1) * 2**lvl + 1
         grid = Grid1D(n, half_length)
-        dt = dt_factor * grid.dx**2
+        dt = MMS_DT_FACTOR * grid.dx**2
         cfg = SolverConfig(
             t_end=t_end,
             output_cadence=t_end,

@@ -209,7 +209,10 @@ class DiagnosticSeries:
 
 def build_series(traj) -> DiagnosticSeries:
     """Evaluate every functional and monitor on a finished trajectory from
-    the scalars its runner recorded; no field is evaluated here."""
+    the scalars its runner recorded.  The one field evaluated here is the
+    initial state's, by constantin_condition_holds when alpha > 1 and
+    alpha <= gamma <= alpha+1: ddx(u0) and rho0**(gamma-alpha) over the grid,
+    which is why the Trajectory keeps its whole initial state."""
     p, grid = traj.params, traj.grid
     times = traj.times
     tol = TOL_FACTOR * grid.dx

@@ -1,5 +1,7 @@
 """Exception taxonomy shared by all nsdv modules."""
 
+import numpy as np
+
 
 class InputError(ValueError):
     """Malformed caller input: bad shapes are ShapeError, bad configs ConfigError."""
@@ -23,6 +25,17 @@ class NumericalFailure(RuntimeError):
     def __init__(self, message, time=None):
         super().__init__(message)
         self.time = time
+
+    @classmethod
+    def non_finite(cls, time):
+        """A step's new fields at `time` hold NaN or inf."""
+        return cls(f"non-finite fields at t={time:.6g}", time=time)
+
+    @classmethod
+    def check_finite(cls, field, time):
+        """Raise non_finite(time) unless a step's new `field` is finite."""
+        if not np.isfinite(field).all():
+            raise cls.non_finite(time)
 
 
 class VacuumBlowup(RuntimeError):

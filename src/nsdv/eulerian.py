@@ -20,14 +20,13 @@ Boundary nodes are reset to the far-field state after every step.  Density
 reaching RHO_FLOOR raises VacuumBlowup: it is reported, never clamped,
 because clamping would silently violate every monitored estimate.
 
-Each step checks the new density once (finite, positive, above the floor)
-and the new velocity once (finite), and hands the density on as a
-model.CheckedDensity, which no law and no FluidState checks again: DomainError
-is left to initial data and caller-built states.  The new FluidState keeps it
-as its `density`, so stable_dt, the in-loop rates and the next step evaluate
-each power of rho once per state.  run evaluates each recorded state's
-effective fields once and keeps only its diagnostics.snapshot_scalars, no
-state but the initial one.
+Each step takes its density as a model.CheckedDensity, makes the new one
+with CheckedDensity.stepped before the velocity update and checks the new
+velocity finite after it.  The new FluidState keeps that density, checked no
+more, so stable_dt, the in-loop rates and the next step evaluate each power
+of rho once per state.  run evaluates each recorded state's effective fields
+once and keeps only its diagnostics.snapshot_scalars, no state but the
+initial one.
 """
 
 from __future__ import annotations
@@ -40,7 +39,7 @@ import numpy as np
 from . import diagnostics, model
 from .effective import compute_effective_fields, effective_velocity
 from .errors import InputError, NumericalFailure, VacuumBlowup
-from .model import FARFIELD, RHO_FLOOR, CheckedDensity, FluidState, Grid1D, ModelParams
+from .model import FARFIELD, CheckedDensity, FluidState, Grid1D, ModelParams
 from .stencils import ddx, ddx_upwind, solve_diffusion
 
 @dataclass(frozen=True)
@@ -129,35 +128,6 @@ def _upwind_interface(q: np.ndarray, up: np.ndarray, order: int) -> np.ndarray:
     return np.where(up, left, right)
 
 
-def _non_finite(t_new):
-    return NumericalFailure(f"non-finite fields at t={t_new:.6g}", time=t_new)
-
-
-def _check_finite(field, t_new):
-    if not np.isfinite(field).all():
-        raise _non_finite(t_new)
-
-
-def _check_density(rho_new, t_new):
-    # Non-finite fields or negative density are scheme breakdown; only a
-    # finite density in (0, RHO_FLOOR] is a physical vacuum approach.  One
-    # min and one max decide all three, since a NaN propagates into both.
-    lo, hi = rho_new.min(), rho_new.max()
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise _non_finite(t_new)
-    if lo <= 0.0:
-        raise NumericalFailure(
-            f"negative density at t={t_new:.6g} (unstable step)", time=t_new
-        )
-    if lo <= RHO_FLOOR:
-        node = int(np.argmax(rho_new <= RHO_FLOOR))
-        raise VacuumBlowup(
-            f"density hit the vacuum floor at node {node}, t={t_new:.6g}",
-            time=t_new,
-            node=node,
-        )
-
-
 def step_primitive(
     state: FluidState,
     dt: float,
@@ -216,7 +186,7 @@ def step_primitive(
     del u_ifc, up, f_rho, f_mom, dpdx
     (rho_bl, u_bl), (rho_br, u_br) = boundary
     rho_new[0], rho_new[-1] = rho_bl, rho_br
-    _check_density(rho_new, t_new)
+    new = CheckedDensity.stepped(rho_new, t_new)
 
     mu = model.viscosity(density, p)  # frozen coefficients
     mu_ifc = np.add(mu[:-1], mu[1:])
@@ -236,8 +206,8 @@ def step_primitive(
         u_new = solve_diffusion(rho_new, mu_ifc, dt / dx**2, mom_star, u_bl, u_br)
 
     u_new[0], u_new[-1] = u_bl, u_br
-    _check_finite(u_new, t_new)
-    return FluidState(time=t_new, rho=CheckedDensity(rho_new), u=u_new)
+    NumericalFailure.check_finite(u_new, t_new)
+    return FluidState(time=t_new, rho=new, u=u_new)
 
 
 def damp_effective_velocity(v, u, rho, dt: float, p: ModelParams) -> np.ndarray:
@@ -252,7 +222,7 @@ def recover_velocity(rho, v, grid: Grid1D, p: ModelParams) -> np.ndarray:
 
 
 def step_effective(
-    rho: np.ndarray | CheckedDensity,
+    density: CheckedDensity,
     v: np.ndarray,
     u: np.ndarray,
     time: float,
@@ -265,14 +235,11 @@ def step_effective(
 
     The mass flux splits as rho*u = rho*v - ddx(rho**alpha/alpha): upwind
     advection by v plus conservative central diffusion.  v is advected upwind
-    and damped with the exact exponential factor.  Returns the new rho, v and
-    their recovered velocity, which the next step takes as its u.
-
-    rho is an array, checked here, or a CheckedDensity; the new rho comes back
-    in the same form.  run passes its state's density, so the FluidState it
-    builds from the new one keeps the rho**(alpha-1) the recovered u took.
+    and damped with the exact exponential factor.  Returns the new density
+    (from CheckedDensity.stepped, before the v update), v, and the recovered
+    velocity the next step takes as its u; the new density keeps the
+    rho**(alpha-1) the recovered u took, for the FluidState run builds.
     """
-    density = CheckedDensity.of(rho)
     dx = grid.dx
     t_new = time + dt
 
@@ -284,26 +251,25 @@ def step_effective(
     rho_new = density.rho.copy()
     rho_new[1:-1] += (dt / dx) * (-(f_adv[1:] - f_adv[:-1]) + (f_diff[1:] - f_diff[:-1]))
     rho_new[0] = rho_new[-1] = FARFIELD[0]
-    _check_density(rho_new, t_new)
-    new = CheckedDensity(rho_new)
+    new = CheckedDensity.stepped(rho_new, t_new)
 
     v_star = v - dt * u * ddx_upwind(v, u, grid)
     v_new = damp_effective_velocity(v_star, u, density, dt, p)
     v_new[0] = v_new[-1] = FARFIELD[1]
-    _check_finite(v_new, t_new)
+    NumericalFailure.check_finite(v_new, t_new)
     u_new = recover_velocity(new, v_new, grid, p)
-    return (new if rho is density else rho_new), v_new, u_new
+    return new, v_new, u_new
 
 
-def drive(initial, cfg: SolverConfig, dt, step, rates=(), record=None):
+def drive(initial, cfg: SolverConfig, dt, step, record, rates=()):
     """The cadence loop shared by every solver.
 
     `dt(state)` proposes a step, clipped so that every multiple of
     cfg.output_cadence and t_end are hit exactly; `step(state, t, dt)` returns
     the next state; each `rate(state)` is integrated in time by left
     rectangles.  Records t=0, every cadence multiple and t_end: hands each
-    recorded state to `record(state)`, when given, as soon as it is recorded,
-    and keeps none of them, so a caller holds only the states it keeps.
+    recorded state to `record(state)` as soon as it is recorded, and keeps
+    none of them, so a caller holds only the states it keeps.
     Returns (times, one array of accumulated integrals per rate, and the
     VacuumBlowup that ended the loop early or None).
     """
@@ -315,8 +281,7 @@ def drive(initial, cfg: SolverConfig, dt, step, rates=(), record=None):
     def keep():
         times.append(t)
         accum.append(list(acc))
-        if record is not None:
-            record(state)
+        record(state)
 
     keep()
     while t < cfg.t_end - eps:
@@ -386,11 +351,11 @@ def run(
         cfg,
         lambda state: stable_dt(state, grid, cfg, p),
         step,
+        record,
         [
             lambda state: diagnostics.energy_dissipation_rate(state, grid, p),
             lambda state: diagnostics.bd_dissipation_rate(state, grid, p),
         ],
-        record,
     )
     return Trajectory(
         params=p,

@@ -25,8 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import model
-from .errors import DomainExitError, HomeomorphismError, InputError
-from .eulerian import _check_density, _check_finite, drive
+from .errors import DomainExitError, HomeomorphismError, InputError, NumericalFailure
+from .eulerian import drive
 from .model import CheckedDensity, FluidState, Grid1D, ModelParams
 from .stencils import ddx, solve_diffusion
 
@@ -120,29 +120,26 @@ class LagrangianTrajectory:
 
 
 def step_lagrangian(
-    rho_lag: np.ndarray | CheckedDensity,
+    density: CheckedDensity,
     u_lag: np.ndarray,
     jac: np.ndarray,
     dt: float,
     rho0: np.ndarray,
     grid: Grid1D,
     p: ModelParams,
-    time: float = 0.0,
+    time: float,
 ):
-    """One semi-implicit step of the material-coordinate system.
+    """One semi-implicit step, from `time`, of the material-coordinate system.
 
     u advances through a tridiagonal solve with diffusion coefficient
     rho_lag*mu(rho_lag)/rho0, the Jacobian through d(dX/dx)/dt = du/dx, and
-    the density is recomputed from the mass identity.  The new state passes
-    the same density and finite checks as an Eulerian step.
-
-    rho_lag is an array, checked here, or a CheckedDensity; the new density
-    comes back in the same form.  run_lagrangian carries it in its state,
-    where its next stable dt and step share its powers and check it no more.
+    the density is recomputed from the mass identity and checked as an
+    Eulerian step's, by CheckedDensity.stepped; u is checked finite.  Returns
+    the new density, u and Jacobian.  run_lagrangian carries the density in
+    its state, where its next stable dt and step share its powers.
     """
     if np.any(jac <= 0.0):
         raise HomeomorphismError(f"non-positive Jacobian entering step at t={time:.6g}")
-    density = CheckedDensity.of(rho_lag)
     w = density.rho * model.viscosity(density, p) / rho0
     w_ifc = 0.5 * (w[:-1] + w[1:])
     dpdx = ddx(model.pressure(density, p), grid)
@@ -154,10 +151,9 @@ def step_lagrangian(
     jac_new = jac + dt * ddx(u_new, grid)
     if np.any(jac_new <= 0.0):
         raise HomeomorphismError(f"Jacobian lost positivity at t={t_new:.6g}")
-    rho_new = rho0 / jac_new
-    _check_density(rho_new, t_new)
-    _check_finite(u_new, t_new)
-    return (CheckedDensity(rho_new) if rho_lag is density else rho_new), u_new, jac_new
+    new = CheckedDensity.stepped(rho0 / jac_new, t_new)
+    NumericalFailure.check_finite(u_new, t_new)
+    return new, u_new, jac_new
 
 
 def lagrangian_stable_dt(state, rho0, grid: Grid1D, p: ModelParams, cfg) -> float:
@@ -191,7 +187,7 @@ def run_lagrangian(initial: FluidState, cfg, grid: Grid1D, p: ModelParams) -> La
 
     def step(state, t, dt):
         density, u_lag, jac, x = state
-        density, u_lag, jac = step_lagrangian(density, u_lag, jac, dt, rho0, grid, p, time=t)
+        density, u_lag, jac = step_lagrangian(density, u_lag, jac, dt, rho0, grid, p, t)
         return density, u_lag, jac, x + dt * u_lag
 
     states = []

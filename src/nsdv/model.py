@@ -11,22 +11,22 @@ auxiliary functions below are elementary consequences of those two powers:
 f2 shifts the scaled velocity gradient into the quantity obeying a maximum
 principle; phi couples density gradients into the effective velocity.
 
-Every law checks that its density is strictly positive (DomainError).  The
-five the solvers evaluate every step (P, mu, f1, phi, c) and the two the
-diagnostics evaluate per snapshot (f2, Pi_rel) also take a CheckedDensity,
-which they do not check again and whose powers of rho they share.  Each
-FluidState owns one as its `density`: the one a step made from the new
-density after its own check, or the one made from a caller's array.
+CheckedDensity holds the density contract: `of` checks caller data for every
+law and FluidState (DomainError), `stepped` the density a solver step made
+(NumericalFailure, or VacuumBlowup at RHO_FLOOR).  Every law also takes a
+CheckedDensity, which it does not check again and whose powers of rho it
+shares.  Each FluidState owns one as its `density`.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, InputError
+from .errors import DomainError, InputError, NumericalFailure, VacuumBlowup
 
 # Branch selection tolerance for gamma == alpha + 1 (and gamma == 1, alpha == 1).
 BRANCH_TOL = 1e-12
@@ -95,10 +95,10 @@ class Grid1D:
 
 
 class CheckedDensity:
-    """A density array its maker has checked to be strictly positive, with
-    each power rho**e computed at its first use and kept.  The FluidState
-    built from one keeps it as its `density`, so the powers live exactly as
-    long as the state."""
+    """A density array checked to be strictly positive, by `of` or `stepped`,
+    with each power rho**e computed at its first use and kept.  The
+    FluidState built from one keeps it as its `density`, so the powers live
+    exactly as long as the state."""
 
     __slots__ = ("rho", "_powers")
 
@@ -107,9 +107,34 @@ class CheckedDensity:
         self._powers = {}
 
     @classmethod
-    def of(cls, rho) -> CheckedDensity:
-        """rho itself if it is a CheckedDensity; an array is checked first."""
-        return rho if isinstance(rho, cls) else cls(_check_positive(rho))
+    def of(cls, rho, time=None) -> CheckedDensity:
+        """rho itself if it is a CheckedDensity, else caller data as a float array,
+        checked: a value <= 0 is a DomainError naming the smallest, its node and `time`."""
+        if isinstance(rho, cls):
+            return rho
+        rho = np.asarray(rho, dtype=float)
+        if (rho <= 0.0).any():
+            i = int(np.argmin(rho))
+            at = "" if time is None else f" (t={time})"
+            raise DomainError(f"non-positive density {rho.flat[i]} at node {i}{at}")
+        return cls(rho)
+
+    @classmethod
+    def stepped(cls, rho_new: np.ndarray, t_new: float) -> CheckedDensity:
+        """The density a solver step made for t_new, checked by one min and one
+        max (a NaN propagates into both): NaN, inf or <= 0 is scheme breakdown
+        (NumericalFailure), a finite density in (0, RHO_FLOOR] a physical
+        vacuum approach (VacuumBlowup at its first node)."""
+        lo, hi = rho_new.min(), rho_new.max()
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise NumericalFailure.non_finite(t_new)
+        if lo <= 0.0:
+            raise NumericalFailure(f"negative density at t={t_new:.6g} (unstable step)", time=t_new)
+        if lo <= RHO_FLOOR:
+            node = int(np.argmax(rho_new <= RHO_FLOOR))
+            raise VacuumBlowup(f"density hit the vacuum floor at node {node}, t={t_new:.6g}",
+                               time=t_new, node=node)
+        return cls(rho_new)
 
     def power(self, e: float):
         """rho**e, evaluated at the first call with this exponent."""
@@ -121,10 +146,11 @@ class CheckedDensity:
 @dataclass(frozen=True)
 class FluidState:
     """Sampled (rho, u) at one time instant.  rho must be strictly positive:
-    vacuum aborts a run, it never silently propagates.  It is checked here
-    unless it comes as a CheckedDensity, as a solver step passes it; either
-    way `density` is the CheckedDensity of rho, whose powers every law
-    evaluated on this state shares.  rho is not written after building."""
+    vacuum aborts a run, it never silently propagates.  An array is checked
+    by CheckedDensity.of after the shape check; a CheckedDensity, as a step
+    passes it, is not.  Either way `density` is the CheckedDensity of rho,
+    whose powers every law evaluated on this state shares.  rho is not
+    written after building."""
 
     time: float
     rho: np.ndarray
@@ -132,16 +158,12 @@ class FluidState:
     density: CheckedDensity = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        density = self.rho if isinstance(self.rho, CheckedDensity) else None
-        rho = np.asarray(self.rho, dtype=float) if density is None else density.rho
+        checked = isinstance(self.rho, CheckedDensity)
+        rho = self.rho.rho if checked else np.asarray(self.rho, dtype=float)
         u = np.asarray(self.u, dtype=float)
         if rho.shape != u.shape or rho.ndim != 1:
             raise InputError(f"rho/u must be equal-length 1D arrays, got {rho.shape} vs {u.shape}")
-        if density is None:
-            if (rho <= 0.0).any():
-                i = int(np.argmin(rho))
-                raise DomainError(f"non-positive density {rho[i]} at node {i} (t={self.time})")
-            density = CheckedDensity(rho)
+        density = self.rho if checked else CheckedDensity.of(rho, self.time)
         object.__setattr__(self, "rho", rho)
         object.__setattr__(self, "u", u)
         object.__setattr__(self, "density", density)
@@ -149,13 +171,6 @@ class FluidState:
     @property
     def n(self) -> int:
         return self.rho.shape[0]
-
-
-def _check_positive(rho):
-    rho = np.asarray(rho, dtype=float)
-    if np.any(rho <= 0.0):
-        raise DomainError("density must be strictly positive")
-    return rho
 
 
 def pressure(rho, p: ModelParams):
@@ -188,7 +203,7 @@ def f2(rho, p: ModelParams):
 
 def f1f2(rho, p: ModelParams):
     """Product f1*f2 in closed form (source term of the effective-pressure equation)."""
-    rho = _check_positive(rho)
+    rho = CheckedDensity.of(rho).rho
     if p.log_branch:
         return p.gamma**2 * np.log(rho) * rho ** (p.gamma - p.alpha)
     e = p.gamma - p.alpha - 1.0
@@ -200,7 +215,7 @@ def f1prime_rho_over_mu(rho, p: ModelParams):
 
     Coefficient of the quadratic (v-u)**2 term; identically zero when gamma = alpha.
     """
-    rho = _check_positive(rho)
+    rho = CheckedDensity.of(rho).rho
     if p.gamma == p.alpha:
         return np.zeros_like(rho)
     return p.gamma * (p.gamma - p.alpha) * rho ** (p.gamma - 2.0 * p.alpha)

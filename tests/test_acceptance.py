@@ -24,7 +24,7 @@ from nsdv.eulerian import (
 )
 from nsdv.initdata import build_initial
 from nsdv.lagrangian import run_lagrangian, step_lagrangian, to_lagrangian
-from nsdv.model import FluidState, Grid1D, ModelParams, f1, f1f2, f2, phi, viscosity
+from nsdv.model import CheckedDensity, FluidState, Grid1D, ModelParams, f1, f1f2, f2, phi, viscosity
 from nsdv.stability import twin_run_stability
 
 
@@ -96,18 +96,18 @@ def test_criterion_02_equilibrium_fixed_point():
         worst = max(worst, float(np.max(np.abs(s.rho - 1.0))), float(np.max(np.abs(s.u))))
 
     cfg = SolverConfig(t_end=1.0, output_cadence=1.0, formulation="effective")
-    rho, v = np.ones(257), np.zeros(257)
+    rho, v = CheckedDensity.of(np.ones(257)), np.zeros(257)
     u = recover_velocity(rho, v, g, p)
     for k in range(n_steps):
         rho, v, u = step_effective(rho, v, u, k * 1e-4, 1e-4, g, cfg, p)
-    worst = max(worst, float(np.max(np.abs(rho - 1.0))), float(np.max(np.abs(v))))
+    worst = max(worst, float(np.max(np.abs(rho.rho - 1.0))), float(np.max(np.abs(v))))
 
-    rho_l, u_l, jac = np.ones(257), np.zeros(257), np.ones(257)
-    for _ in range(n_steps):
-        rho_l, u_l, jac = step_lagrangian(rho_l, u_l, jac, 1e-3, np.ones(257), g, p)
+    rho_l, u_l, jac = CheckedDensity.of(np.ones(257)), np.zeros(257), np.ones(257)
+    for k in range(n_steps):
+        rho_l, u_l, jac = step_lagrangian(rho_l, u_l, jac, 1e-3, np.ones(257), g, p, k * 1e-3)
     worst = max(
         worst,
-        float(np.max(np.abs(rho_l - 1.0))),
+        float(np.max(np.abs(rho_l.rho - 1.0))),
         float(np.max(np.abs(u_l))),
         float(np.max(np.abs(jac - 1.0))),
     )

@@ -24,7 +24,7 @@ from nsdv.eulerian import (
     step_primitive,
 )
 from nsdv.initdata import build_initial
-from nsdv.model import RHO_FLOOR, FluidState, Grid1D, ModelParams
+from nsdv.model import RHO_FLOOR, CheckedDensity, FluidState, Grid1D, ModelParams
 from nsdv.stencils import ddx
 
 
@@ -110,12 +110,12 @@ class TestFixedPoint:
         g = Grid1D(129, 4.0)
         p = mp(0.75, 2.0, L=4.0)
         cfg = SolverConfig(t_end=1.0, output_cadence=1.0, formulation="effective")
-        rho, v = np.ones(129), np.zeros(129)
+        rho, v = CheckedDensity.of(np.ones(129)), np.zeros(129)
         u = recover_velocity(rho, v, g, p)
         dt = 1e-4
         for k in range(200):
             rho, v, u = step_effective(rho, v, u, k * dt, dt, g, cfg, p)
-        assert np.max(np.abs(rho - 1.0)) <= 1e-12
+        assert np.max(np.abs(rho.rho - 1.0)) <= 1e-12
         assert np.max(np.abs(v)) <= 1e-12
 
 
@@ -199,7 +199,8 @@ class TestFailures:
         cfg = SolverConfig(
             t_end=1.0, output_cadence=1.0, formulation="effective", advection_order=1
         )
-        return step_effective(rho, v, recover_velocity(rho, v, g, p), 0.0, dt * g.dx, g, cfg, p)
+        return step_effective(CheckedDensity.of(rho), v, recover_velocity(rho, v, g, p), 0.0,
+                              dt * g.dx, g, cfg, p)
 
     def test_vacuum_floor_step_effective(self):
         with pytest.raises(VacuumBlowup) as err:
@@ -297,7 +298,8 @@ class TestFailures:
         )
         node = {"below_floor": 50, "at_floor": 4}.get(case)
         err = self.assert_new_density_failure(
-            case, node, lambda: step_effective(rho, v, np.zeros(101), 0.0, dt, g, cfg, p)
+            case, node,
+            lambda: step_effective(CheckedDensity.of(rho), v, np.zeros(101), 0.0, dt, g, cfg, p)
         )
         assert err.time == dt
 
@@ -466,7 +468,7 @@ class TestRun:
             coeff = mu * p.gamma * rho ** (p.gamma - 1.0) / (rho * rho)
             bd_acc += h * float(np.sum(coeff * ddx(rho, grid) ** 2) * grid.dx)
             if effective:
-                rho, v, u = step_effective(rho, v, u, t, h, grid, cfg, p)
+                rho, v, u = step_effective(state.density, v, u, t, h, grid, cfg, p)
                 state = FluidState(time=t + h, rho=rho, u=u)
             else:
                 state = step_primitive(state, h, grid, cfg, p)

@@ -1,5 +1,7 @@
 """Config round-trip, output file formats, CLI exit codes."""
 
+import ast
+import errno
 import hashlib
 import json
 import os
@@ -363,6 +365,35 @@ class TestCLI:
             assert err == f"input error: output root {out}: {afile} is not a directory\n"
         assert afile.read_text() == "kept\n"
         assert [p.name for p in tmp_path.iterdir()] == ["afile"]
+
+    @pytest.mark.parametrize("source", ["--out", "NSDV_OUT_DIR"])
+    @pytest.mark.parametrize("case", ["name_too_long", "symlink_loop"])
+    @pytest.mark.parametrize("command", ["run", "verify", "convergence", "twin"])
+    def test_out_that_cannot_be_inspected_is_input_error(self, tmp_path, capsys, monkeypatch,
+                                                          command, case, source):
+        """An output root whose name is too long, or that lies under a
+        symlink loop, exits 2 with one line naming it and the OS reason,
+        before the command computes anything, and creates nothing."""
+        def never(*args, **kwargs):
+            raise AssertionError("the command went past its output root")
+
+        for name in ("run", "mms_convergence", "twin_run_stability"):
+            monkeypatch.setattr(nsdv.cli, name, never)
+        if case == "name_too_long":
+            out, reason = tmp_path / ("a" * 300), os.strerror(errno.ENAMETOOLONG)
+        else:
+            (tmp_path / "loop").symlink_to("loop")
+            out, reason = tmp_path / "loop" / "x", os.strerror(errno.ELOOP)
+        args = (["--levels", "1"] if command == "convergence"
+                else ["--config", str(CONFIG_DIR / "twin_smooth_bump.cfg")])
+        if source == "--out":
+            args += ["--out", str(out)]
+        else:
+            monkeypatch.setenv("NSDV_OUT_DIR", str(out))
+        assert main([command, *args]) == 2
+        assert capsys.readouterr().err == f"input error: output root {out}: {reason}\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ([] if case == "name_too_long"
+                                                               else ["loop"])
 
     def test_bad_config_is_config_error(self, tmp_path):
         bad = tmp_path / "bad.cfg"
@@ -729,6 +760,20 @@ def test_convergence_without_levels_exits_2(tmp_path, capsys, levels):
     assert "levels must be at least 1" in captured.err
     assert captured.out == ""
     assert not list(tmp_path.iterdir())
+
+
+def test_no_module_imports_a_private_name_of_another():
+    """No nsdv module imports an underscored name from another: what two
+    modules share is public in one of them."""
+    private = []
+    for path in sorted((REPO / "src" / "nsdv").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and (
+                node.level > 0 or (node.module or "").split(".")[0] == "nsdv"
+            ):
+                private += [f"{path.name}: {alias.name}" for alias in node.names
+                            if alias.name.startswith("_") and not alias.name.endswith("__")]
+    assert private == []
 
 
 def test_package_import_loads_no_submodule():

@@ -8,7 +8,7 @@ from nsdv.errors import DomainExitError, HomeomorphismError, InputError, VacuumB
 from nsdv.eulerian import SolverConfig
 from nsdv.initdata import build_initial
 from nsdv.lagrangian import FlowMap, run_lagrangian, step_lagrangian, to_lagrangian
-from nsdv.model import RHO_FLOOR, FluidState, Grid1D, ModelParams
+from nsdv.model import RHO_FLOOR, CheckedDensity, FluidState, Grid1D, ModelParams
 from nsdv.stencils import ddx
 
 
@@ -102,10 +102,10 @@ class TestStepLagrangian:
         g = Grid1D(129, 4.0)
         p = mp(0.75, 2.0, L=4.0)
         rho0 = np.ones(129)
-        rho, u, jac = rho0.copy(), np.zeros(129), np.ones(129)
-        for _ in range(200):
-            rho, u, jac = step_lagrangian(rho, u, jac, 1e-3, rho0, g, p)
-        assert np.max(np.abs(rho - 1.0)) <= 1e-12
+        rho, u, jac = CheckedDensity.of(rho0.copy()), np.zeros(129), np.ones(129)
+        for k in range(200):
+            rho, u, jac = step_lagrangian(rho, u, jac, 1e-3, rho0, g, p, k * 1e-3)
+        assert np.max(np.abs(rho.rho - 1.0)) <= 1e-12
         assert np.max(np.abs(u)) <= 1e-12
         assert np.max(np.abs(jac - 1.0)) <= 1e-12
 
@@ -116,8 +116,8 @@ class TestStepLagrangian:
         rho0 = np.ones(65)
         rho0[40] = 0.5 * RHO_FLOOR
         with pytest.raises(VacuumBlowup) as err:
-            step_lagrangian(rho0.copy(), np.zeros(65), np.ones(65), 1e-3, rho0, g,
-                            mp(0.75, 2.0, L=4.0), time=0.25)
+            step_lagrangian(CheckedDensity.of(rho0.copy()), np.zeros(65), np.ones(65), 1e-3, rho0,
+                            g, mp(0.75, 2.0, L=4.0), time=0.25)
         assert err.value.node == 40
         assert err.value.time == 0.25 + 1e-3
 

@@ -245,6 +245,22 @@ class TestContainers:
         with pytest.raises(DomainError, match="non-positive density -1.0 at node 1"):
             FluidState(time=0.0, rho=np.array([1.0, -1.0, 1.0]), u=np.zeros(3))
 
+    @pytest.mark.parametrize(
+        "law",
+        [pressure, viscosity, f1, f2, f1f2, f1prime_rho_over_mu, phi, internal_energy,
+         sound_speed],
+    )
+    def test_laws_and_states_report_a_non_positive_density_alike(self, law):
+        # one check for caller data: a law names the smallest value and its
+        # node as a FluidState does, which adds its time
+        rho = np.array([1.0, 0.5, -1.0, 0.0, 2.0])
+        with pytest.raises(DomainError) as state_err:
+            FluidState(time=0.5, rho=rho, u=np.zeros(5))
+        with pytest.raises(DomainError) as law_err:
+            law(rho, mp(0.75, 2.0))
+        assert str(law_err.value) == "non-positive density -1.0 at node 2"
+        assert str(state_err.value) == f"{law_err.value} (t=0.5)"
+
 
 @settings(max_examples=60, deadline=None)
 @given(
