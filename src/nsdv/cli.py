@@ -6,9 +6,11 @@ which includes DomainExitError when a flow-map particle leaves the domain and
 a config file that is missing, unreadable or not ASCII text; DomainError
 when the data leave a constitutive law's domain); 3 numerical failure
 (NumericalFailure, which includes HomeomorphismError); 4 monitor violation;
-5 blow-up detected (VacuumBlowup).  The default output root is $NSDV_OUT_DIR
-or ./out; concurrent runs land in distinct directories keyed by the config
-hash.
+5 blow-up detected (VacuumBlowup); 141 stdout closed before the command
+finished printing (BrokenPipeError), the status a shell reports for SIGPIPE;
+every command writes its output files before it prints.  The default output
+root is $NSDV_OUT_DIR or ./out; concurrent runs land in distinct directories
+keyed by the config hash.
 """
 
 from __future__ import annotations
@@ -47,6 +49,8 @@ EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 EXIT_VIOLATION = 4
 EXIT_BLOWUP = 5
+# the status a shell reports for a command killed by SIGPIPE
+EXIT_STDOUT_CLOSED = 141
 
 # steps of the convergence study whose manufactured source is evaluated at once
 MMS_BLOCK = 8
@@ -200,14 +204,14 @@ def mms_convergence(
 def cmd_convergence(args) -> int:
     out_root = _out_root(args)
     rows = mms_convergence(args.id, args.levels)
-    print(f"{'n':>7} {'dx':>12} {'dt':>12} {'l2_error':>14} {'order':>7}")
-    for r in rows:
-        print(f"{r['n']:7d} {r['dx']:12.5e} {r['dt']:12.5e} {r['err']:14.6e} {r['order']:7.3f}")
     out_root.mkdir(parents=True, exist_ok=True)
     out = out_root / f"convergence-{args.id}.dat"
     cols = [[r[k] for r in rows] for k in ("n", "dx", "dt", "err", "order")]
     foot = io.footer(args.id, io.build_id())
     io.write_table(out, "# n dx dt l2_error order", cols, foot, sep=" ")
+    print(f"{'n':>7} {'dx':>12} {'dt':>12} {'l2_error':>14} {'order':>7}")
+    for r in rows:
+        print(f"{r['n']:7d} {r['dx']:12.5e} {r['dt']:12.5e} {r['err']:14.6e} {r['order']:7.3f}")
     print(f"table -> {out}")
     return EXIT_OK
 
@@ -216,6 +220,12 @@ def cmd_twin(args) -> int:
     cfg = _load_scenario(args)
     out_root = _out_root(args)
     report = twin_run_stability(cfg, args.epsilon)
+    h = io.config_hash(cfg)
+    out_root.mkdir(parents=True, exist_ok=True)
+    out = out_root / f"twin-{h}-eps{args.epsilon:g}.dat"
+    cols = (report.times, report.delta_l2, report.diss_accum, report.lhs, report.rhs)
+    foot = io.footer(h, io.build_id())
+    io.write_table(out, "# t delta_l2 diss_accum lhs rhs", cols, foot, sep=" ")
     print(f"twin: epsilon={report.epsilon:g} kappa={report.kappa:.6g}")
     cross = "none" if report.crossing_time is None else f"{report.crossing_time:.6g}"
     print(f"gronwall crossing time: {cross}")
@@ -226,12 +236,6 @@ def cmd_twin(args) -> int:
             f"{report.times[k]:10.4f} {report.delta_l2[k]:14.6e} "
             f"{report.diss_accum[k]:14.6e} {ok:>9}"
         )
-    h = io.config_hash(cfg)
-    out_root.mkdir(parents=True, exist_ok=True)
-    out = out_root / f"twin-{h}-eps{args.epsilon:g}.dat"
-    cols = (report.times, report.delta_l2, report.diss_accum, report.lhs, report.rhs)
-    foot = io.footer(h, io.build_id())
-    io.write_table(out, "# t delta_l2 diss_accum lhs rhs", cols, foot, sep=" ")
     print(f"series -> {out}")
     return EXIT_OK if bool(np.all(report.gronwall_ok)) else EXIT_VIOLATION
 
@@ -274,7 +278,16 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()  # a buffered stdout meets a closed pipe here
+        return status
+    except BrokenPipeError:
+        # stdout's reader is gone: nothing more can reach it, and the flush
+        # at exit must not raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_STDOUT_CLOSED
     except (ConfigError, DomainError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -20,13 +20,13 @@ Boundary nodes are reset to the far-field state after every step.  Density
 reaching RHO_FLOOR raises VacuumBlowup: it is reported, never clamped,
 because clamping would silently violate every monitored estimate.
 
-Each step takes its density as a model.CheckedDensity, makes the new one
-with CheckedDensity.stepped before the velocity update and checks the new
-velocity finite after it.  The new FluidState keeps that density, checked no
-more, so stable_dt, the in-loop rates and the next step evaluate each power
-of rho once per state.  run evaluates each recorded state's effective fields
-once and keeps only its diagnostics.snapshot_scalars, no state but the
-initial one.
+Each step takes a FluidState and returns the next one.  It makes the new
+density with CheckedDensity.stepped before the velocity update and checks
+the new velocity finite after it.  The new state keeps that density,
+checked no more, so stable_dt, the in-loop rates and the next step evaluate
+each power of rho once per state; an effective step's state also carries
+its v.  run evaluates each recorded state's effective fields once and keeps
+only its diagnostics.snapshot_scalars, no state but the initial one.
 """
 
 from __future__ import annotations
@@ -222,26 +222,26 @@ def recover_velocity(rho, v, grid: Grid1D, p: ModelParams) -> np.ndarray:
 
 
 def step_effective(
-    density: CheckedDensity,
-    v: np.ndarray,
-    u: np.ndarray,
-    time: float,
-    dt: float,
-    grid: Grid1D,
-    cfg: SolverConfig,
-    p: ModelParams,
-):
-    """Advance the (rho, v) pair one step; u is recover_velocity(rho, v).
+    state: FluidState, dt: float, grid: Grid1D, cfg: SolverConfig, p: ModelParams
+) -> FluidState:
+    """One update of the (rho, v) pair: step_primitive's contract, unforced.
 
-    The mass flux splits as rho*u = rho*v - ddx(rho**alpha/alpha): upwind
-    advection by v plus conservative central diffusion.  v is advected upwind
-    and damped with the exact exponential factor.  Returns the new density
-    (from CheckedDensity.stepped, before the v update), v, and the recovered
-    velocity the next step takes as its u; the new density keeps the
-    rho**(alpha-1) the recovered u took, for the FluidState run builds.
+    The pair is the state's v and u.  A state without v, caller data, starts
+    it with v = effective_velocity(state) and u = recover_velocity(rho, v),
+    not state.u: the two differ by the stencil commutation error.  The mass
+    flux splits as rho*u = rho*v - ddx(rho**alpha/alpha): upwind advection
+    by v plus conservative central diffusion.  v is advected upwind and
+    damped with the exact exponential factor.  The new state carries v and
+    the u recovered from it, which the next step reads.
     """
+    density = state.density
+    if state.v is None:
+        v = effective_velocity(state, grid, p)
+        u = recover_velocity(density, v, grid, p)
+    else:
+        v, u = state.v, state.u
     dx = grid.dx
-    t_new = time + dt
+    t_new = state.time + dt
 
     v_ifc = 0.5 * (v[:-1] + v[1:])
     f_adv = _upwind_interface(density.rho, v_ifc >= 0.0, cfg.advection_order) * v_ifc
@@ -257,8 +257,7 @@ def step_effective(
     v_new = damp_effective_velocity(v_star, u, density, dt, p)
     v_new[0] = v_new[-1] = FARFIELD[1]
     NumericalFailure.check_finite(v_new, t_new)
-    u_new = recover_velocity(new, v_new, grid, p)
-    return new, v_new, u_new
+    return FluidState(time=t_new, rho=new, u=recover_velocity(new, v_new, grid, p), v=v_new)
 
 
 def drive(initial, cfg: SolverConfig, dt, step, record, rates=()):
@@ -325,19 +324,7 @@ def run(
     if initial.time != 0.0:
         raise InputError("trajectories start at t=0")
 
-    effective = cfg.formulation == "effective"
-    if effective:
-        v = effective_velocity(initial, grid, p)
-        # not initial.u: the two differ by the stencil commutation error
-        u = recover_velocity(initial.density, v, grid, p)
-
-    def step(state, t, dt):
-        nonlocal v, u
-        if effective:
-            density, v, u = step_effective(state.density, v, u, t, dt, grid, cfg, p)
-            return FluidState(time=t + dt, rho=density, u=u)
-        return step_primitive(state, dt, grid, cfg, p)
-
+    step = step_effective if cfg.formulation == "effective" else step_primitive
     scalars = []
 
     def record(state):
@@ -350,7 +337,7 @@ def run(
         initial,
         cfg,
         lambda state: stable_dt(state, grid, cfg, p),
-        step,
+        lambda state, t, dt: step(state, dt, grid, cfg, p),
         record,
         [
             lambda state: diagnostics.energy_dissipation_rate(state, grid, p),

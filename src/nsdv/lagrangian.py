@@ -119,25 +119,18 @@ class LagrangianTrajectory:
         )
 
 
-def step_lagrangian(
-    density: CheckedDensity,
-    u_lag: np.ndarray,
-    jac: np.ndarray,
-    dt: float,
-    rho0: np.ndarray,
-    grid: Grid1D,
-    p: ModelParams,
-    time: float,
-):
-    """One semi-implicit step, from `time`, of the material-coordinate system.
+def step_lagrangian(state, dt: float, rho0: np.ndarray, grid: Grid1D, p: ModelParams, time: float):
+    """One semi-implicit step, from `time`, of run_lagrangian's (density, u,
+    Jacobian, X) state; returns the next one.
 
     u advances through a tridiagonal solve with diffusion coefficient
-    rho_lag*mu(rho_lag)/rho0, the Jacobian through d(dX/dx)/dt = du/dx, and
-    the density is recomputed from the mass identity and checked as an
-    Eulerian step's, by CheckedDensity.stepped; u is checked finite.  Returns
-    the new density, u and Jacobian.  run_lagrangian carries the density in
-    its state, where its next stable dt and step share its powers.
+    rho_lag*mu(rho_lag)/rho0, the Jacobian through d(dX/dx)/dt = du/dx and X
+    by dt times the new u; the density is recomputed from the mass identity
+    and checked as an Eulerian step's, by CheckedDensity.stepped, and u is
+    checked finite.  The next stable dt and step share the new density's
+    powers.
     """
+    density, u_lag, jac, x = state
     if np.any(jac <= 0.0):
         raise HomeomorphismError(f"non-positive Jacobian entering step at t={time:.6g}")
     w = density.rho * model.viscosity(density, p) / rho0
@@ -153,7 +146,7 @@ def step_lagrangian(
         raise HomeomorphismError(f"Jacobian lost positivity at t={t_new:.6g}")
     new = CheckedDensity.stepped(rho0 / jac_new, t_new)
     NumericalFailure.check_finite(u_new, t_new)
-    return new, u_new, jac_new
+    return new, u_new, jac_new, x + dt * u_new
 
 
 def lagrangian_stable_dt(state, rho0, grid: Grid1D, p: ModelParams, cfg) -> float:
@@ -184,18 +177,12 @@ def run_lagrangian(initial: FluidState, cfg, grid: Grid1D, p: ModelParams) -> La
     # the state is (density, u, jac, x): its stable dt and its step share the
     # powers of rho in density, which the record strips
     start = (initial.density, initial.u.copy(), np.ones(grid.n_cells), grid.coords.copy())
-
-    def step(state, t, dt):
-        density, u_lag, jac, x = state
-        density, u_lag, jac = step_lagrangian(density, u_lag, jac, dt, rho0, grid, p, t)
-        return density, u_lag, jac, x + dt * u_lag
-
     states = []
     times, _, blowup = drive(
         start,
         cfg,
         lambda state: lagrangian_stable_dt(state, rho0, grid, p, cfg),
-        step,
+        lambda state, t, dt: step_lagrangian(state, dt, rho0, grid, p, t),
         record=lambda s: states.append((s[0].rho, *s[1:])),
     )
     if blowup is not None:

@@ -150,11 +150,13 @@ class FluidState:
     by CheckedDensity.of after the shape check; a CheckedDensity, as a step
     passes it, is not.  Either way `density` is the CheckedDensity of rho,
     whose powers every law evaluated on this state shares.  rho is not
-    written after building."""
+    written after building.  `v`, the effective velocity, is set by an
+    effective step, whose next step reads it; None marks caller data."""
 
     time: float
     rho: np.ndarray
     u: np.ndarray
+    v: np.ndarray | None = field(default=None, repr=False, compare=False)
     density: CheckedDensity = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -163,6 +165,11 @@ class FluidState:
         u = np.asarray(self.u, dtype=float)
         if rho.shape != u.shape or rho.ndim != 1:
             raise InputError(f"rho/u must be equal-length 1D arrays, got {rho.shape} vs {u.shape}")
+        if self.v is not None:
+            v = np.asarray(self.v, dtype=float)
+            if v.shape != u.shape:
+                raise InputError(f"v must match rho/u, got {v.shape} vs {u.shape}")
+            object.__setattr__(self, "v", v)
         density = self.rho if checked else CheckedDensity.of(rho, self.time)
         object.__setattr__(self, "rho", rho)
         object.__setattr__(self, "u", u)

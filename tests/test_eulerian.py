@@ -24,7 +24,7 @@ from nsdv.eulerian import (
     step_primitive,
 )
 from nsdv.initdata import build_initial
-from nsdv.model import RHO_FLOOR, CheckedDensity, FluidState, Grid1D, ModelParams
+from nsdv.model import RHO_FLOOR, FluidState, Grid1D, ModelParams
 from nsdv.stencils import ddx
 
 
@@ -110,13 +110,12 @@ class TestFixedPoint:
         g = Grid1D(129, 4.0)
         p = mp(0.75, 2.0, L=4.0)
         cfg = SolverConfig(t_end=1.0, output_cadence=1.0, formulation="effective")
-        rho, v = CheckedDensity.of(np.ones(129)), np.zeros(129)
-        u = recover_velocity(rho, v, g, p)
-        dt = 1e-4
-        for k in range(200):
-            rho, v, u = step_effective(rho, v, u, k * dt, dt, g, cfg, p)
-        assert np.max(np.abs(rho.rho - 1.0)) <= 1e-12
-        assert np.max(np.abs(v)) <= 1e-12
+        rho, v = np.ones(129), np.zeros(129)
+        s = FluidState(time=0.0, rho=rho, u=recover_velocity(rho, v, g, p), v=v)
+        for _ in range(200):
+            s = step_effective(s, 1e-4, g, cfg, p)
+        assert np.max(np.abs(s.rho - 1.0)) <= 1e-12
+        assert np.max(np.abs(s.v)) <= 1e-12
 
 
 class TestConservationAndDamping:
@@ -154,6 +153,38 @@ class TestConservationAndDamping:
         u_back = recover_velocity(s.rho, v, grid, p)
         # recovery commutes with the definition up to stencil commutation error
         assert np.max(np.abs(u_back - s.u)) <= 10.0 * grid.dx**2
+
+
+class TestEffectiveState:
+    CFG = SolverConfig(t_end=1.0, output_cadence=1.0, formulation="effective")
+
+    def test_caller_state_starts_the_pair_as_the_explicit_start(self, grid):
+        # a state without v starts (v, u) from rho and u, and the step is
+        # bitwise the one from that explicit start
+        p = mp(0.75, 2.0)
+        s = smooth_state(grid)
+        v = effective_velocity(s, grid, p)
+        u = recover_velocity(s.density, v, grid, p)
+        want = step_effective(FluidState(time=0.0, rho=s.density, u=u, v=v), 1e-4, grid,
+                              self.CFG, p)
+        got = step_effective(s, 1e-4, grid, self.CFG, p)
+        assert got.time == want.time == 1e-4
+        for name in ("rho", "u", "v"):
+            np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+        np.testing.assert_array_equal(got.u, recover_velocity(got.density, got.v, grid, p))
+
+    def test_state_with_v_steps_its_own_u(self, grid):
+        # u = 0 on the state, far from recover_velocity(rho, v): the transport
+        # term vanishes and v is only damped, v * exp(-dt f1(rho)) inside
+        p = mp(0.75, 2.0)
+        s = smooth_state(grid)
+        v = np.sin(grid.coords) * np.exp(-grid.coords**2)
+        assert np.max(np.abs(recover_velocity(s.density, v, grid, p))) > 1e-3
+        dt = 1e-4
+        got = step_effective(FluidState(time=0.0, rho=s.density, u=np.zeros(grid.n_cells), v=v),
+                             dt, grid, self.CFG, p)
+        damped = v * np.exp(-dt * model.f1(s.rho, p))
+        np.testing.assert_array_equal(got.v[1:-1], damped[1:-1])
 
 
 class TestFailures:
@@ -199,8 +230,8 @@ class TestFailures:
         cfg = SolverConfig(
             t_end=1.0, output_cadence=1.0, formulation="effective", advection_order=1
         )
-        return step_effective(CheckedDensity.of(rho), v, recover_velocity(rho, v, g, p), 0.0,
-                              dt * g.dx, g, cfg, p)
+        s = FluidState(time=0.0, rho=rho, u=recover_velocity(rho, v, g, p), v=v)
+        return step_effective(s, dt * g.dx, g, cfg, p)
 
     def test_vacuum_floor_step_effective(self):
         with pytest.raises(VacuumBlowup) as err:
@@ -299,7 +330,8 @@ class TestFailures:
         node = {"below_floor": 50, "at_floor": 4}.get(case)
         err = self.assert_new_density_failure(
             case, node,
-            lambda: step_effective(CheckedDensity.of(rho), v, np.zeros(101), 0.0, dt, g, cfg, p)
+            lambda: step_effective(FluidState(time=0.0, rho=rho, u=np.zeros(101), v=v), dt, g,
+                                   cfg, p)
         )
         assert err.time == dt
 
@@ -468,8 +500,9 @@ class TestRun:
             coeff = mu * p.gamma * rho ** (p.gamma - 1.0) / (rho * rho)
             bd_acc += h * float(np.sum(coeff * ddx(rho, grid) ** 2) * grid.dx)
             if effective:
-                rho, v, u = step_effective(state.density, v, u, t, h, grid, cfg, p)
-                state = FluidState(time=t + h, rho=rho, u=u)
+                state = step_effective(FluidState(time=t, rho=state.density, u=u, v=v), h, grid,
+                                       cfg, p)
+                v, u = state.v, state.u
             else:
                 state = step_primitive(state, h, grid, cfg, p)
             t += h

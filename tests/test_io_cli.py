@@ -545,6 +545,31 @@ class TestCLI:
         assert "kappa=" in out
         assert list(tmp_path.glob("twin-*.dat"))
 
+    @pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])
+    @pytest.mark.parametrize("command", ["convergence", "twin"])
+    def test_closed_stdout_exits_141_after_writing(self, tmp_path, command, unbuffered):
+        # stdout is a pipe whose read end is closed before the command starts,
+        # so the command's first print meets no reader
+        if command == "twin":
+            save_config(small_cfg(), tmp_path / "twin.cfg")
+            args = ["twin", "--config", str(tmp_path / "twin.cfg")]
+        else:
+            args = ["convergence", "--levels", "1"]
+        out = tmp_path / "out"
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            done = subprocess.run(
+                [sys.executable, "-m", "nsdv.cli", *args, "--out", str(out)],
+                env={**SRC_ENV, "PYTHONUNBUFFERED": unbuffered}, stdout=write_end,
+                stderr=subprocess.PIPE, timeout=120,
+            )
+        finally:
+            os.close(write_end)
+        assert done.returncode == nsdv.cli.EXIT_STDOUT_CLOSED == 141
+        assert b"Traceback" not in done.stderr
+        assert len(list(out.glob(f"{command}-*.dat"))) == 1
+
     @pytest.mark.parametrize("epsilon, error", [
         ("nan", "epsilon must be finite and nonzero, got nan"),
         ("inf", "epsilon must be finite and nonzero, got inf"),

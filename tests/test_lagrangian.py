@@ -102,12 +102,23 @@ class TestStepLagrangian:
         g = Grid1D(129, 4.0)
         p = mp(0.75, 2.0, L=4.0)
         rho0 = np.ones(129)
-        rho, u, jac = CheckedDensity.of(rho0.copy()), np.zeros(129), np.ones(129)
+        state = (CheckedDensity.of(rho0.copy()), np.zeros(129), np.ones(129), g.coords.copy())
         for k in range(200):
-            rho, u, jac = step_lagrangian(rho, u, jac, 1e-3, rho0, g, p, k * 1e-3)
+            state = step_lagrangian(state, 1e-3, rho0, g, p, k * 1e-3)
+        rho, u, jac, _ = state
         assert np.max(np.abs(rho.rho - 1.0)) <= 1e-12
         assert np.max(np.abs(u)) <= 1e-12
         assert np.max(np.abs(jac - 1.0)) <= 1e-12
+
+    def test_particles_move_by_the_new_velocity(self):
+        g = Grid1D(65, 4.0)
+        p = mp(0.75, 2.0, L=4.0)
+        x = g.coords
+        rho0 = 1.0 + 0.2 * np.exp(-(x**2))
+        state = (CheckedDensity.of(rho0.copy()), 0.1 * x * np.exp(-(x**2)), np.ones(65), x.copy())
+        _, u_new, _, x_new = step_lagrangian(state, 1e-3, rho0, g, p, 0.0)
+        assert np.max(np.abs(u_new)) > 1e-3
+        np.testing.assert_array_equal(x_new, x + 1e-3 * u_new)
 
     def test_density_at_floor_is_vacuum_blowup(self):
         # one particle carries near-vacuum mass: the mass identity keeps its
@@ -116,8 +127,8 @@ class TestStepLagrangian:
         rho0 = np.ones(65)
         rho0[40] = 0.5 * RHO_FLOOR
         with pytest.raises(VacuumBlowup) as err:
-            step_lagrangian(CheckedDensity.of(rho0.copy()), np.zeros(65), np.ones(65), 1e-3, rho0,
-                            g, mp(0.75, 2.0, L=4.0), time=0.25)
+            state = (CheckedDensity.of(rho0.copy()), np.zeros(65), np.ones(65), g.coords.copy())
+            step_lagrangian(state, 1e-3, rho0, g, mp(0.75, 2.0, L=4.0), time=0.25)
         assert err.value.node == 40
         assert err.value.time == 0.25 + 1e-3
 

@@ -230,6 +230,17 @@ class TestContainers:
         with pytest.raises(InputError):
             FluidState(time=0.0, rho=np.ones(4), u=np.zeros(3))
 
+    def test_state_v_shape_mismatch(self):
+        with pytest.raises(InputError, match="v must match rho/u"):
+            FluidState(time=0.0, rho=np.ones(3), u=np.zeros(3), v=np.zeros(4))
+
+    def test_state_v_is_a_float_array_outside_repr(self):
+        s = FluidState(time=0.0, rho=np.ones(3), u=np.zeros(3), v=[0, 1, 0])
+        assert s.v.dtype == np.float64
+        np.testing.assert_array_equal(s.v, [0.0, 1.0, 0.0])
+        assert "v=" not in repr(s)
+        assert FluidState(time=0.0, rho=np.ones(3), u=np.zeros(3)).v is None
+
     def test_state_keeps_the_checked_density_it_was_built_from(self):
         cd = CheckedDensity(np.array([1.0, 2.0, 1.0]))
         s = FluidState(time=0.0, rho=cd, u=np.zeros(3))
