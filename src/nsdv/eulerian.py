@@ -23,10 +23,11 @@ because clamping would silently violate every monitored estimate.
 Each step takes a FluidState and returns the next one.  It makes the new
 density with CheckedDensity.stepped before the velocity update and checks
 the new velocity finite after it.  The new state keeps that density,
-checked no more, so stable_dt, the in-loop rates and the next step evaluate
-each power of rho once per state; an effective step's state also carries
-its v.  run evaluates each recorded state's effective fields once and keeps
-only its diagnostics.snapshot_scalars, no state but the initial one.
+checked no more, so stable_dt, run's dissipation rates and the next step
+evaluate each power of rho once per state; an effective step's state also
+carries its v.  run evaluates each recorded state's effective fields once
+and keeps only its diagnostics.snapshot_scalars, no state but the initial
+one.
 """
 
 from __future__ import annotations
@@ -260,46 +261,29 @@ def step_effective(
     return FluidState(time=t_new, rho=new, u=recover_velocity(new, v_new, grid, p), v=v_new)
 
 
-def drive(initial, cfg: SolverConfig, dt, step, record, rates=()):
+def drive(initial, cfg: SolverConfig, dt, step, record):
     """The cadence loop shared by every solver.
 
     `dt(state)` proposes a step, clipped so that every multiple of
     cfg.output_cadence and t_end are hit exactly; `step(state, t, dt)` returns
-    the next state; each `rate(state)` is integrated in time by left
-    rectangles.  Records t=0, every cadence multiple and t_end: hands each
-    recorded state to `record(state)` as soon as it is recorded, and keeps
-    none of them, so a caller holds only the states it keeps.
-    Returns (times, one array of accumulated integrals per rate, and the
-    VacuumBlowup that ended the loop early or None).
+    the next state.  Hands t=0, every cadence multiple and t_end with its
+    state to `record(t, state)` as soon as it is recorded, and keeps no
+    state, so a caller holds only the states it keeps.  Every failure of a
+    step, VacuumBlowup included, propagates.
     """
     eps = 1e-12 * max(1.0, cfg.t_end)
-    state, t, k_out, blowup = initial, 0.0, 1, None
-    acc = [0.0] * len(rates)
-    times, accum = [], []
-
-    def keep():
-        times.append(t)
-        accum.append(list(acc))
-        record(state)
-
-    keep()
+    state, t, k_out = initial, 0.0, 1
+    record(t, state)
     while t < cfg.t_end - eps:
         next_out = k_out * cfg.output_cadence
         h = min(dt(state), next_out - t, cfg.t_end - t)
         if h <= 0.0:
             raise NumericalFailure(f"non-positive step at t={t:.6g}", time=t)
-        for i, rate in enumerate(rates):
-            acc[i] += h * rate(state)
-        try:
-            state = step(state, t, h)
-        except VacuumBlowup as exc:
-            blowup = exc
-            break
+        state = step(state, t, h)
         t += h
         if t >= next_out - eps or t >= cfg.t_end - eps:
-            keep()
+            record(t, state)
             k_out += 1
-    return times, [np.array(a) for a in zip(*accum)], blowup
 
 
 def run(
@@ -311,8 +295,10 @@ def run(
 ) -> Trajectory:
     """Integrate to t_end, recording scalars and dissipation at the cadence.
 
-    The system is unforced, with far-field ends.  Each recorded state's
-    effective fields are evaluated once, for its snapshot_scalars and for
+    The system is unforced, with far-field ends.  Before each step the
+    energy and BD dissipation rates of the state it starts from are
+    integrated in time by left rectangles.  Each recorded state's effective
+    fields are evaluated once, for its snapshot_scalars and for
     `on_snapshot(state, eff)`, when given, which receives both as soon as the
     state is recorded (the CLI streams them to its output writer while
     stepping goes on); then the state is dropped.  A VacuumBlowup ends the
@@ -325,32 +311,35 @@ def run(
         raise InputError("trajectories start at t=0")
 
     step = step_effective if cfg.formulation == "effective" else step_primitive
-    scalars = []
+    acc = [0.0, 0.0]
+    times, e_diss, bd_diss, scalars = [], [], [], []
 
-    def record(state):
+    def advance(state, t, dt):
+        acc[0] += dt * diagnostics.energy_dissipation_rate(state, grid, p)
+        acc[1] += dt * diagnostics.bd_dissipation_rate(state, grid, p)
+        return step(state, dt, grid, cfg, p)
+
+    def record(t, state):
+        times.append(t)
+        e_diss.append(acc[0])
+        bd_diss.append(acc[1])
         eff = compute_effective_fields(state, grid, p)
         scalars.append(diagnostics.snapshot_scalars(state, eff, grid, p))
         if on_snapshot is not None:
             on_snapshot(state, eff)
 
-    times, (e_diss, bd_diss), blowup = drive(
-        initial,
-        cfg,
-        lambda state: stable_dt(state, grid, cfg, p),
-        lambda state, t, dt: step(state, dt, grid, cfg, p),
-        record,
-        [
-            lambda state: diagnostics.energy_dissipation_rate(state, grid, p),
-            lambda state: diagnostics.bd_dissipation_rate(state, grid, p),
-        ],
-    )
+    blowup = None
+    try:
+        drive(initial, cfg, lambda state: stable_dt(state, grid, cfg, p), advance, record)
+    except VacuumBlowup as exc:
+        blowup = exc
     return Trajectory(
         params=p,
         grid=grid,
         initial=initial,
         times=np.array(times),
         scalars=scalars,
-        energy_diss_accum=e_diss,
-        bd_diss_accum=bd_diss,
+        energy_diss_accum=np.array(e_diss),
+        bd_diss_accum=np.array(bd_diss),
         blowup=blowup,
     )

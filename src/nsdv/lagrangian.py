@@ -177,17 +177,15 @@ def run_lagrangian(initial: FluidState, cfg, grid: Grid1D, p: ModelParams) -> La
     # the state is (density, u, jac, x): its stable dt and its step share the
     # powers of rho in density, which the record strips
     start = (initial.density, initial.u.copy(), np.ones(grid.n_cells), grid.coords.copy())
-    states = []
-    times, _, blowup = drive(
+    rows = []  # per recorded state: t, rho, u, jac, x
+    drive(
         start,
         cfg,
         lambda state: lagrangian_stable_dt(state, rho0, grid, p, cfg),
         lambda state, t, dt: step_lagrangian(state, dt, rho0, grid, p, t),
-        record=lambda s: states.append((s[0].rho, *s[1:])),
+        lambda t, s: rows.append((t, s[0].rho, *s[1:])),
     )
-    if blowup is not None:
-        raise blowup
-    rho, u, jacobian, x = (list(fields) for fields in zip(*states))
+    times, rho, u, jacobian, x = (list(fields) for fields in zip(*rows))
     return LagrangianTrajectory(
         params=p, grid=grid, rho0=rho0, times=times, rho=rho, u=u, jacobian=jacobian, x=x
     )

@@ -64,29 +64,16 @@ class TwinReport:
     crossing_time: float | None
 
 
-def _lockstep_pair(initial_a, initial_b, cfg: SolverConfig, grid, p, record):
-    """Advance two primitive runs with a shared dt sequence, handing each pair
-    of states recorded at the cadence to `record(pair)` as it is recorded."""
-
-    def step(pair, t, dt):
-        out = []
-        for tag, state in zip(("[twin base]", "[twin perturbed]"), pair):
-            try:
-                out.append(step_primitive(state, dt, grid, cfg, p))
-            except (VacuumBlowup, NumericalFailure) as exc:
-                exc.args = (f"{tag} {exc.args[0]}",)
-                raise
-        return tuple(out)
-
-    _, _, blowup = drive(
-        (initial_a, initial_b),
-        cfg,
-        lambda pair: min(stable_dt(pair[0], grid, cfg, p), stable_dt(pair[1], grid, cfg, p)),
-        step,
-        record=record,
-    )
-    if blowup is not None:
-        raise blowup
+def _step_pair(pair, dt: float, grid, cfg: SolverConfig, p):
+    """Both runs' next states at a shared dt; a failure names its run."""
+    out = []
+    for tag, state in zip(("[twin base]", "[twin perturbed]"), pair):
+        try:
+            out.append(step_primitive(state, dt, grid, cfg, p))
+        except (VacuumBlowup, NumericalFailure) as exc:
+            exc.args = (f"{tag} {exc.args[0]}",)
+            raise
+    return tuple(out)
 
 
 def default_perturbation(grid) -> np.ndarray:
@@ -128,7 +115,7 @@ def twin_run_stability(scenario: ScenarioConfig, epsilon: float) -> TwinReport:
     # per run: its flow map at its last recorded state
     flows = [start_flow(base, grid), start_flow(pert, grid)]
 
-    def measure(pair):
+    def measure(t, pair):
         """Everything the Gronwall check reads at one recorded pair; the pair
         is dropped once the next one is recorded."""
         nonlocal flows, kappa
@@ -162,7 +149,13 @@ def twin_run_stability(scenario: ScenarioConfig, epsilon: float) -> TwinReport:
             np.sqrt(np.sum((g1 + g2) ** 2) * dx) * np.sqrt(ddu_sq),
         ))
 
-    _lockstep_pair(base, pert, cfg, grid, p, measure)
+    drive(
+        (base, pert),
+        cfg,
+        lambda pair: min(stable_dt(pair[0], grid, cfg, p), stable_dt(pair[1], grid, cfg, p)),
+        lambda pair, t, dt: _step_pair(pair, dt, grid, cfg, p),
+        measure,
+    )
     times, delta_l2, weighted_half, ddelta_sq, g_cs = map(np.array, zip(*rows))
     diss_accum = left_integral(times, ddelta_sq)
     cs_accum = left_integral(times, g_cs)

@@ -589,6 +589,20 @@ class TestCLI:
         assert captured.out == ""
         assert not list(tmp_path.iterdir())
 
+    def test_twin_blowup_exits_5_naming_its_run(self, tmp_path, capsys):
+        # the base run reaches the vacuum floor first: the twin stops there,
+        # says which run, and writes no file
+        out = tmp_path / "out"
+        code = main(["twin", "--config", str(CONFIG_DIR / "vacuum_stress.cfg"),
+                     "--out", str(out)])
+        assert code == 5
+        captured = capsys.readouterr()
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith(
+            "blow-up: [twin base] density hit the vacuum floor at node 63, t=2.03487 (t=")
+        assert captured.out == ""
+        assert not out.exists()
+
     def test_twin_effective_formulation_exits_2(self, tmp_path, capsys):
         text = (CONFIG_DIR / "twin_smooth_bump.cfg").read_text(encoding="ascii")
         path = tmp_path / "cfg" / "effective.cfg"

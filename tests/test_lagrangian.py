@@ -132,6 +132,19 @@ class TestStepLagrangian:
         assert err.value.node == 40
         assert err.value.time == 0.25 + 1e-3
 
+    def test_run_lagrangian_raises_vacuum_blowup_with_its_node(self):
+        # the same near-vacuum particle through the cadence loop: the first
+        # step's blow-up propagates out of run_lagrangian, node and time kept
+        g = Grid1D(65, 4.0)
+        rho0 = np.ones(65)
+        rho0[40] = 0.5 * RHO_FLOOR
+        s = FluidState(time=0.0, rho=rho0, u=np.zeros(65))
+        cfg = SolverConfig(t_end=0.5, output_cadence=0.1, dt_override=1e-3)
+        with pytest.raises(VacuumBlowup) as err:
+            run_lagrangian(s, cfg, g, mp(0.75, 2.0, L=4.0))
+        assert err.value.node == 40
+        assert err.value.time == 1e-3
+
     def test_mass_identity_exact_by_construction(self):
         cfg = shipped_scenario("smooth_bump", 257)
         s = build_initial(cfg)

@@ -83,7 +83,7 @@ def reference_twin(scenario, epsilon):
         cfg,
         lambda pair: min(stable_dt(pair[0], grid, cfg, p), stable_dt(pair[1], grid, cfg, p)),
         lambda pair, t, h: tuple(step_primitive(s, h, grid, cfg, p) for s in pair),
-        record=pairs.append,
+        lambda t, pair: pairs.append(pair),
     )
     flows = [flow_series(grid, states) for states in zip(*pairs)]
     rho0, dx = base.rho, grid.dx
