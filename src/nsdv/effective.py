@@ -1,5 +1,4 @@
-"""Derived fields of one (rho, u) snapshot, and the residual of the
-effective-pressure transport equation.
+"""Derived fields of one (rho, u) snapshot.
 
 effective_velocity gives v alone (the effective solver's variable);
 compute_effective_fields gives all four, evaluating mu(rho), P(rho) and du/dx
@@ -22,7 +21,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import model
-from .errors import InputError
 from .model import CheckedDensity, FluidState, Grid1D, ModelParams
 from .stencils import ddx
 
@@ -66,43 +64,3 @@ def compute_effective_fields(state: FluidState, grid: Grid1D, p: ModelParams) ->
         mu=mu,
         ux=ux,
     )
-
-
-@dataclass(frozen=True)
-class YResidual:
-    """Pointwise residual of the effective-pressure equation plus its norms."""
-
-    field: np.ndarray
-    max_norm: float
-    l2_norm: float
-
-
-def y_residual(
-    prev: FluidState, mid: FluidState, nxt: FluidState, grid: Grid1D, p: ModelParams
-) -> YResidual:
-    """Residual of  dy/dt + u dy/dx + f1*y - f1*f2 + f1'rho/mu*(v-u)^2 = 0.
-
-    Central time difference over three consecutive snapshots of one
-    trajectory, all spatial terms evaluated at the middle time.
-    """
-    if not (prev.n == mid.n == nxt.n == grid.n_cells):
-        raise InputError("snapshots must share the grid")
-    if not (prev.time < mid.time < nxt.time):
-        raise InputError(
-            f"snapshot times must increase, got {prev.time}, {mid.time}, {nxt.time}"
-        )
-    eff = compute_effective_fields(mid, grid, p)
-    y_prev = compute_effective_fields(prev, grid, p).y
-    y_next = compute_effective_fields(nxt, grid, p).y
-
-    dydt = (y_next - y_prev) / (nxt.time - prev.time)
-    rho, u = mid.rho, mid.u
-    res = (
-        dydt
-        + u * ddx(eff.y, grid)
-        + model.f1(rho, p) * eff.y
-        - model.f1f2(rho, p)
-        + model.f1prime_rho_over_mu(rho, p) * (eff.v - u) ** 2
-    )
-    l2 = float(np.sqrt(np.sum(res**2) * grid.dx))
-    return YResidual(field=res, max_norm=float(np.max(np.abs(res))), l2_norm=l2)

@@ -45,7 +45,9 @@ from .stencils import ddx, ddx_upwind, solve_diffusion
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Time-integration knobs shared by both Eulerian formulations."""
+    """Time-integration knobs shared by both Eulerian formulations, except
+    `diffusion_treatment`, which applies to the primitive one only: the
+    effective formulation always treats its mass diffusion explicitly."""
 
     t_end: float
     output_cadence: float

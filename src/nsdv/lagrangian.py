@@ -168,7 +168,12 @@ def lagrangian_stable_dt(state, rho0, grid: Grid1D, p: ModelParams, cfg) -> floa
 def run_lagrangian(initial: FluidState, cfg, grid: Grid1D, p: ModelParams) -> LagrangianTrajectory:
     """Integrate the material-coordinate system to cfg.t_end, recording at
     cfg.output_cadence.  At t=0 the particle grid coincides with the Eulerian
-    one, so `initial` seeds both rho0 and the fields."""
+    one, so `initial` seeds both rho0 and the fields.
+
+    Of its SolverConfig `cfg` it reads t_end, output_cadence, cfl_number and
+    dt_override only: formulation, diffusion_treatment and advection_order
+    are Eulerian knobs, which this solver ignores (its diffusion is always
+    semi-implicit, and it has no advection)."""
     if initial.n != grid.n_cells:
         raise InputError("initial state does not match the grid")
     if initial.time != 0.0:

@@ -208,26 +208,6 @@ def f2(rho, p: ModelParams):
     return (p.gamma / e) * density.power(e)
 
 
-def f1f2(rho, p: ModelParams):
-    """Product f1*f2 in closed form (source term of the effective-pressure equation)."""
-    rho = CheckedDensity.of(rho).rho
-    if p.log_branch:
-        return p.gamma**2 * np.log(rho) * rho ** (p.gamma - p.alpha)
-    e = p.gamma - p.alpha - 1.0
-    return (p.gamma**2 / e) * rho ** (2.0 * p.gamma - 2.0 * p.alpha - 1.0)
-
-
-def f1prime_rho_over_mu(rho, p: ModelParams):
-    """f1'(rho)*rho/mu(rho) = gamma*(gamma-alpha)*rho**(gamma-2*alpha).
-
-    Coefficient of the quadratic (v-u)**2 term; identically zero when gamma = alpha.
-    """
-    rho = CheckedDensity.of(rho).rho
-    if p.gamma == p.alpha:
-        return np.zeros_like(rho)
-    return p.gamma * (p.gamma - p.alpha) * rho ** (p.gamma - 2.0 * p.alpha)
-
-
 def phi(rho, p: ModelParams):
     """Density potential with phi'(rho) = mu(rho)/rho**2 = rho**(alpha-2).
 

@@ -1,14 +1,17 @@
 import json
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from nsdv import io
+from nsdv import io, model
+from nsdv.effective import compute_effective_fields
+from nsdv.errors import InputError
 from nsdv.eulerian import run
 from nsdv.lagrangian import integrate_flow, start_flow
-from nsdv.model import FluidState, Grid1D, ModelParams
+from nsdv.model import CheckedDensity, FluidState, Grid1D, ModelParams
+from nsdv.stencils import ddx
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 # every shipped config file
@@ -75,6 +78,71 @@ def read_manifest(path):
 def delta_at(report, t):
     """A twin report's ||delta_u||_L2 at time t, interpolated."""
     return float(np.interp(t, report.times, report.delta_l2))
+
+
+# The residual of the effective-pressure transport equation and the two
+# laws only it calls: the tests check the y equation with them, no command
+# evaluates it.
+
+
+def f1f2(rho, p: ModelParams):
+    """Product f1*f2 in closed form (source term of the effective-pressure equation)."""
+    rho = CheckedDensity.of(rho).rho
+    if p.log_branch:
+        return p.gamma**2 * np.log(rho) * rho ** (p.gamma - p.alpha)
+    e = p.gamma - p.alpha - 1.0
+    return (p.gamma**2 / e) * rho ** (2.0 * p.gamma - 2.0 * p.alpha - 1.0)
+
+
+def f1prime_rho_over_mu(rho, p: ModelParams):
+    """f1'(rho)*rho/mu(rho) = gamma*(gamma-alpha)*rho**(gamma-2*alpha).
+
+    Coefficient of the quadratic (v-u)**2 term; identically zero when gamma = alpha.
+    """
+    rho = CheckedDensity.of(rho).rho
+    if p.gamma == p.alpha:
+        return np.zeros_like(rho)
+    return p.gamma * (p.gamma - p.alpha) * rho ** (p.gamma - 2.0 * p.alpha)
+
+
+@dataclass(frozen=True)
+class YResidual:
+    """Pointwise residual of the effective-pressure equation plus its norms."""
+
+    field: np.ndarray
+    max_norm: float
+    l2_norm: float
+
+
+def y_residual(
+    prev: FluidState, mid: FluidState, nxt: FluidState, grid: Grid1D, p: ModelParams
+) -> YResidual:
+    """Residual of  dy/dt + u dy/dx + f1*y - f1*f2 + f1'rho/mu*(v-u)^2 = 0.
+
+    Central time difference over three consecutive snapshots of one
+    trajectory, all spatial terms evaluated at the middle time.
+    """
+    if not (prev.n == mid.n == nxt.n == grid.n_cells):
+        raise InputError("snapshots must share the grid")
+    if not (prev.time < mid.time < nxt.time):
+        raise InputError(
+            f"snapshot times must increase, got {prev.time}, {mid.time}, {nxt.time}"
+        )
+    eff = compute_effective_fields(mid, grid, p)
+    y_prev = compute_effective_fields(prev, grid, p).y
+    y_next = compute_effective_fields(nxt, grid, p).y
+
+    dydt = (y_next - y_prev) / (nxt.time - prev.time)
+    rho, u = mid.rho, mid.u
+    res = (
+        dydt
+        + u * ddx(eff.y, grid)
+        + model.f1(rho, p) * eff.y
+        - f1f2(rho, p)
+        + f1prime_rho_over_mu(rho, p) * (eff.v - u) ** 2
+    )
+    l2 = float(np.sqrt(np.sum(res**2) * grid.dx))
+    return YResidual(field=res, max_norm=float(np.max(np.abs(res))), l2_norm=l2)
 
 
 @pytest.fixture

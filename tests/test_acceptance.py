@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from dataclasses import replace
 
-from conftest import REGRESSION, delta_at, flow_series, run_states, shipped_scenario
+from conftest import REGRESSION, delta_at, f1f2, flow_series, run_states, shipped_scenario
 from nsdv import diagnostics
 from nsdv.diagnostics import build_series
 from nsdv.eulerian import (
@@ -24,7 +24,7 @@ from nsdv.eulerian import (
 )
 from nsdv.initdata import build_initial
 from nsdv.lagrangian import run_lagrangian, step_lagrangian, to_lagrangian
-from nsdv.model import CheckedDensity, FluidState, Grid1D, ModelParams, f1, f1f2, f2, phi, viscosity
+from nsdv.model import CheckedDensity, FluidState, Grid1D, ModelParams, f1, f2, phi, viscosity
 from nsdv.stability import twin_run_stability
 
 

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from conftest import run_states, shipped_scenario, smooth_state
-from nsdv.effective import compute_effective_fields, effective_velocity, y_residual
+from conftest import run_states, shipped_scenario, smooth_state, y_residual
+from nsdv.effective import compute_effective_fields, effective_velocity
 from nsdv.errors import InputError
 from nsdv.eulerian import SolverConfig, step_primitive
 from nsdv.initdata import build_initial, manufactured_exact

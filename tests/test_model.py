@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import f1f2, f1prime_rho_over_mu
 from nsdv.errors import DomainError, InputError
 from nsdv.model import (
     CheckedDensity,
@@ -15,8 +16,6 @@ from nsdv.model import (
     Grid1D,
     ModelParams,
     f1,
-    f1f2,
-    f1prime_rho_over_mu,
     f2,
     internal_energy,
     phi,
