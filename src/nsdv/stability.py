@@ -30,10 +30,41 @@ older maps are then dropped, so the experiment holds
 O(N) arrays whatever the number of snapshots, and a failure (the two runs
 coinciding, a particle leaving the domain, a flow map that stops increasing)
 is raised at the pair where it shows, in time order.
+
+Where os.fork exists and at least two CPUs are usable, the perturbed run
+steps in a child process forked just before the stepping starts, while the
+base run steps in the caller's; elsewhere both step in the caller's process,
+one after the other.  On one CPU the two processes only take turns, and the
+fork gained nothing there (pinned to one CPU, the twin on the benchmark's
+N=8192 config took 1.37 s forked and 1.35 s in one process; on two CPUs,
+about 0.72 s and 1.13 s), so the choice follows the CPUs the process may run
+on, with no option.  The child runs the perturbed run's stable_dt and steps,
+numpy ufuncs and LAPACK dptsv, and nothing else.  The dt choice is the runs'
+only coupling: at each step both processes send their own stable_dt proposal
+and take the smaller, so both clip the same step at the same cadence times.
+At each recorded time the child sends its state's time, rho and u (pickled:
+the float64 bytes as they are), and the caller measures the pair as above,
+so the report is the in-process one bit for bit.  Failures keep the
+in-process order (base step before perturbed step before the next base
+stable_dt before the next perturbed stable_dt): the child sends its own,
+pickled and already named.  The child ignores SIGINT and leaves only through
+os._exit, at the end of its run, at end of file or on a broken pipe, so it
+never returns into the caller; the caller closes its pipe ends and reaps it
+on every path.
+
+Python >= 3.12 warns (DeprecationWarning) when os.fork runs while the
+process has more than one thread.  numpy's OpenBLAS starts a thread pool at
+import, but its own fork handler stops the pool before Python counts (on
+Linux, 2 threads before os.fork and 1 after), so the warning shows only
+where the caller runs threads of its own; the child needs no such thread.
 """
 
 from __future__ import annotations
 
+import os
+import pickle
+import signal
+import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,16 +95,120 @@ class TwinReport:
     crossing_time: float | None
 
 
-def _step_pair(pair, dt: float, grid, cfg: SolverConfig, p):
-    """Both runs' next states at a shared dt; a failure names its run."""
-    out = []
-    for tag, state in zip(("[twin base]", "[twin perturbed]"), pair):
+def _named_step(tag: str, grid, cfg: SolverConfig, p):
+    """drive's step for one run: a failure names the run by `tag`."""
+
+    def step(state, t, dt):
         try:
-            out.append(step_primitive(state, dt, grid, cfg, p))
+            return step_primitive(state, dt, grid, cfg, p)
         except (VacuumBlowup, NumericalFailure) as exc:
             exc.args = (f"{tag} {exc.args[0]}",)
             raise
-    return tuple(out)
+
+    return step
+
+
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+class _ForkedRun:
+    """A run stepped by drive in a forked child process, in lockstep with
+    the caller's own run, both proposing steps with `dt` (see the module
+    docstring).  The child sends each message pickled, after its length:
+    (None, value), or (failure, whether its step raised it); the caller
+    sends only its float64 dt proposals."""
+
+    def __init__(self, initial: FluidState, cfg: SolverConfig, dt, step):
+        up_r, up_w = os.pipe()
+        down_r, down_w = os.pipe()
+        try:
+            self._pid = os.fork()
+        except OSError:
+            for fd in (up_r, up_w, down_r, down_w):
+                os.close(fd)
+            raise
+        if self._pid == 0:
+            try:
+                os.close(up_r)
+                os.close(down_w)
+                _child(initial, cfg, dt, step, open(down_r, "rb"), open(up_w, "wb"))
+            finally:
+                os._exit(0)
+        os.close(up_w)
+        os.close(down_r)
+        self._dt = dt
+        self._up = open(up_r, "rb")
+        self._down = open(down_w, "wb", buffering=0)
+
+    def close(self):
+        """Close the caller's pipe ends, which ends the child, and reap it."""
+        self._up.close()
+        self._down.close()
+        os.waitpid(self._pid, 0)
+
+    def shared_dt(self, state) -> float:
+        """The smaller of the caller's proposal at `state` and the child's.
+        A failure of the child's preceding step outranks a failure of the
+        caller's proposal, which outranks a failure of the child's."""
+        try:
+            mine = self._dt(state)
+        except Exception:
+            self._receive(steps_only=True)
+            raise
+        try:
+            self._down.write(struct.pack("d", mine))
+        except BrokenPipeError:
+            pass  # the child has ended: its last message says why
+        return min(mine, self._receive())
+
+    def recorded(self) -> FluidState:
+        """The child's state at the caller's recorded time."""
+        time, rho, u = self._receive()
+        return FluidState(time=time, rho=rho, u=u)
+
+    def _receive(self, steps_only=False):
+        """The child's next value, or the failure it sent instead raised
+        (with `steps_only`, only a failure of its step)."""
+        size = int.from_bytes(self._up.read(8), "little")
+        failure, value = pickle.loads(self._up.read(size))  # EOFError if it died
+        if failure is None:
+            return value
+        if value or not steps_only:
+            raise failure
+
+
+def _child(initial: FluidState, cfg: SolverConfig, dt, step, down, up):
+    """The forked child's run: drive `initial` with `step`, sending each dt
+    proposal, each recorded state and a failure up.  Its caller exits."""
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    in_step = False
+
+    def send(failure, value):
+        body = pickle.dumps((failure, value))
+        up.write(len(body).to_bytes(8, "little") + body)
+        up.flush()
+
+    def shared_dt(state):
+        mine = dt(state)
+        send(None, mine)
+        return min(mine, struct.unpack("d", down.read(8))[0])
+
+    def stepped(state, t, h):
+        nonlocal in_step
+        in_step = True
+        state = step(state, t, h)
+        in_step = False
+        return state
+
+    try:
+        drive(initial, cfg, shared_dt, stepped,
+              lambda t, state: send(None, (state.time, state.rho, state.u)))
+    except Exception as exc:
+        send(exc, in_step)
 
 
 def default_perturbation(grid) -> np.ndarray:
@@ -149,13 +284,31 @@ def twin_run_stability(scenario: ScenarioConfig, epsilon: float) -> TwinReport:
             np.sqrt(np.sum((g1 + g2) ** 2) * dx) * np.sqrt(ddu_sq),
         ))
 
-    drive(
-        (base, pert),
-        cfg,
-        lambda pair: min(stable_dt(pair[0], grid, cfg, p), stable_dt(pair[1], grid, cfg, p)),
-        lambda pair, t, dt: _step_pair(pair, dt, grid, cfg, p),
-        measure,
-    )
+    def run_dt(state):
+        return stable_dt(state, grid, cfg, p)
+
+    step_base = _named_step("[twin base]", grid, cfg, p)
+    step_pert = _named_step("[twin perturbed]", grid, cfg, p)
+    if hasattr(os, "fork") and _usable_cpus() >= 2:
+        pert_run = _ForkedRun(pert, cfg, run_dt, step_pert)
+        try:
+            drive(
+                base,
+                cfg,
+                pert_run.shared_dt,
+                step_base,
+                lambda t, a: measure(t, (a, pert_run.recorded())),
+            )
+        finally:
+            pert_run.close()
+    else:
+        drive(
+            (base, pert),
+            cfg,
+            lambda pair: min(run_dt(pair[0]), run_dt(pair[1])),
+            lambda pair, t, dt: (step_base(pair[0], t, dt), step_pert(pair[1], t, dt)),
+            measure,
+        )
     times, delta_l2, weighted_half, ddelta_sq, g_cs = map(np.array, zip(*rows))
     diss_accum = left_integral(times, ddelta_sq)
     cs_accum = left_integral(times, g_cs)

@@ -1,16 +1,20 @@
 """Twin-run stability experiment: continuous dependence and the Gronwall
 structure of the difference equation in material coordinates."""
 
+import os
+import re
+import time
 import tracemalloc
 
 import numpy as np
 import pytest
 from dataclasses import replace
 
-from conftest import delta_at, flow_series, shipped_scenario
-from nsdv import lagrangian, model, stencils
+from conftest import CONFIG_DIR, delta_at, flow_series, shipped_scenario
+from nsdv import lagrangian, model, stability, stencils
+from nsdv.cli import main
 from nsdv.diagnostics import left_integral
-from nsdv.errors import ConfigError, InputError
+from nsdv.errors import ConfigError, InputError, VacuumBlowup
 from nsdv.eulerian import drive, stable_dt, step_primitive
 from nsdv.initdata import build_initial
 from nsdv.lagrangian import to_lagrangian
@@ -22,6 +26,34 @@ from nsdv.stability import (
     twin_run_stability,
 )
 from nsdv.stencils import ddx
+
+
+@pytest.fixture(params=["forked", "in_process"])
+def lockstep(request, monkeypatch):
+    """Each lockstep path of the twin: the perturbed run in a forked child
+    process, as on two or more CPUs, or beside the base run in this one, as
+    on one CPU.  The test must take the path it names."""
+    forked = request.param == "forked"
+    if forked and not hasattr(os, "fork"):
+        pytest.skip("no os.fork here")
+    monkeypatch.setattr(stability, "_usable_cpus", lambda: 2 if forked else 1)
+    forks = []
+    if forked:
+        real_fork = os.fork
+
+        def counting_fork():
+            forks.append(1)
+            return real_fork()
+
+        monkeypatch.setattr(os, "fork", counting_fork)
+    yield request.param
+    assert bool(forks) == forked
+
+
+def assert_no_child_process():
+    # no child process of this one is left, running or unreaped
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.fixture(scope="module")
@@ -122,7 +154,7 @@ def reference_twin(scenario, epsilon):
     )
 
 
-def test_streamed_twin_equals_whole_run_reference():
+def test_streamed_twin_equals_whole_run_reference(lockstep):
     # the shipped config as it is, not resized
     cfg = shipped_scenario("twin_smooth_bump")
     got = twin_run_stability(cfg, 1e-6)
@@ -167,3 +199,116 @@ def test_twin_memory_does_not_grow_with_snapshot_count():
             tracemalloc.stop()
         assert len(report.times) == count
     assert peaks[61] - peaks[13] < 64 * 1024, peaks
+
+
+class Perturbed(FluidState):
+    """The perturbed run's states, which a patched step tells apart from the
+    base run's by their type."""
+
+
+def patch_steps(monkeypatch, fail):
+    """Step the twin through a stability.step_primitive that hands each new
+    state past t=0.05 to fail[run](state), where given, for `run` "base" or
+    "perturbed": it returns that state or a replacement, or raises.  A
+    forked child inherits the patch."""
+    monkeypatch.setattr(stability, "FluidState", Perturbed)
+
+    def step(state, dt, grid, cfg, p):
+        new = step_primitive(state, dt, grid, cfg, p)
+        run = "base"
+        if isinstance(state, Perturbed):
+            run, new = "perturbed", Perturbed(time=new.time, rho=new.density, u=new.u)
+        if new.time > 0.05 and run in fail:
+            return fail[run](new)
+        return new
+
+    monkeypatch.setattr(stability, "step_primitive", step)
+
+
+def vacuum(state):
+    raise VacuumBlowup(f"density hit the vacuum floor at node 7, t={state.time:.6g}",
+                       time=state.time, node=7)
+
+
+def slow(state):
+    # long enough for a child whose step failed to have exited
+    time.sleep(0.2)
+    return state
+
+
+def non_finite(state):
+    return type(state)(time=state.time, rho=state.density, u=np.full_like(state.u, np.nan))
+
+
+BLOWUP_LINE = r"blow-up: \[twin {run}\] density hit the vacuum floor at node 7, t=(\S+) \(t=(\S+)\)\n"
+
+
+@pytest.mark.parametrize("fail, code, err", [
+    # only the perturbed run fails: its line, with the time the child's
+    # pickled VacuumBlowup kept
+    ({"perturbed": vacuum}, 5, BLOWUP_LINE.format(run="perturbed")),
+    # the same, after the child has ended: the caller's dt finds no reader
+    ({"base": slow, "perturbed": vacuum}, 5, BLOWUP_LINE.format(run="perturbed")),
+    # both fail at the same step: the base step comes first
+    ({"base": vacuum, "perturbed": vacuum}, 5, BLOWUP_LINE.format(run="base")),
+    # a non-finite state fails the next stable_dt of either run, unnamed
+    ({"base": non_finite}, 3, r"numerical failure: non-finite state\n"),
+    ({"perturbed": non_finite}, 3, r"numerical failure: non-finite state\n"),
+    # the perturbed step fails before the base run's next stable_dt does
+    ({"base": non_finite, "perturbed": vacuum}, 5, BLOWUP_LINE.format(run="perturbed")),
+], ids=["perturbed-blowup", "perturbed-blowup-child-ended", "both-blowup", "base-non-finite", "perturbed-non-finite",
+        "perturbed-blowup-before-base-stable-dt"])
+def test_twin_failure_exits_as_in_process(tmp_path, capsys, monkeypatch, lockstep,
+                                          fail, code, err):
+    # cadence 0.05 leaves unrecorded steps, so the failing step at t > 0.05
+    # is followed by a dt choice, not by a recorded pair
+    patch_steps(monkeypatch, fail)
+    out = tmp_path / "out"
+    assert main(["twin", "--config", str(CONFIG_DIR / "twin_smooth_bump.cfg"),
+                 "--cadence", "0.05", "--out", str(out)]) == code
+    captured = capsys.readouterr()
+    match = re.fullmatch(err, captured.err)
+    assert match, captured.err
+    if match.groups():
+        said, kept = match.groups()
+        assert 0.05 < float(kept) < 0.1 and said == f"{float(kept):.6g}"
+    assert captured.out == ""
+    assert not out.exists()
+    assert_no_child_process()
+
+
+def test_perturbed_blowup_keeps_time_and_node(monkeypatch, lockstep):
+    patch_steps(monkeypatch, {"perturbed": vacuum})
+    cfg = shipped_scenario("twin_smooth_bump", output_cadence=0.05)
+    with pytest.raises(VacuumBlowup, match=r"^\[twin perturbed\] density hit") as info:
+        twin_run_stability(cfg, 1e-6)
+    assert info.value.node == 7 and 0.05 < info.value.time < 0.1
+
+
+def test_no_process_outlives_the_twin(tmp_path, monkeypatch, lockstep):
+    cfg = shipped_scenario("twin_smooth_bump", 257)
+    assert len(twin_run_stability(cfg, 1e-6).times) == 13
+    assert_no_child_process()
+
+    out = tmp_path / "out"
+    assert main(["twin", "--config", str(CONFIG_DIR / "vacuum_stress.cfg"),
+                 "--out", str(out)]) == 5
+    assert_no_child_process()
+
+    # raised by the caller's measure at the second recorded pair
+    with pytest.raises(InputError, match="lost to rounding"):
+        twin_run_stability(cfg, 1e-30)
+    assert_no_child_process()
+
+    calls = []
+
+    def interrupted(field, flow):
+        calls.append(1)
+        if len(calls) > 4:
+            raise KeyboardInterrupt
+        return lagrangian.to_lagrangian(field, flow)
+
+    monkeypatch.setattr(stability, "to_lagrangian", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        twin_run_stability(cfg, 1e-6)
+    assert_no_child_process()
