@@ -31,16 +31,12 @@ O(N) arrays whatever the number of snapshots, and a failure (the two runs
 coinciding, a particle leaving the domain, a flow map that stops increasing)
 is raised at the pair where it shows, in time order.
 
-Where os.fork exists and at least two CPUs are usable, the perturbed run
-steps in a child process forked just before the stepping starts, while the
-base run steps in the caller's; elsewhere both step in the caller's process,
-one after the other.  On one CPU the two processes only take turns, and the
-fork gained nothing there (pinned to one CPU, the twin on the benchmark's
-N=8192 config took 1.37 s forked and 1.35 s in one process; on two CPUs,
-about 0.72 s and 1.13 s), so the choice follows the CPUs the process may run
-on, with no option.  The child runs the perturbed run's stable_dt and steps,
-numpy ufuncs and LAPACK dptsv, and nothing else.  The dt choice is the runs'
-only coupling: at each step both processes send their own stable_dt proposal
+Where os.fork exists, the perturbed run steps in a child process forked
+just before the stepping starts, while the base run steps in the caller's;
+without os.fork both step in the caller's process, one after the other.
+There is no option for it.  The child runs the perturbed run's stable_dt
+and steps, numpy ufuncs and LAPACK dptsv, and nothing else.  The dt choice
+is the runs' only coupling: at each step both processes send their own stable_dt proposal
 and take the smaller, so both clip the same step at the same cadence times.
 At each recorded time the child sends its state's time, rho and u (pickled:
 the float64 bytes as they are), and the caller measures the pair as above,
@@ -106,13 +102,6 @@ def _named_step(tag: str, grid, cfg: SolverConfig, p):
             raise
 
     return step
-
-
-def _usable_cpus() -> int:
-    """The number of CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
 
 
 class _ForkedRun:
@@ -289,7 +278,7 @@ def twin_run_stability(scenario: ScenarioConfig, epsilon: float) -> TwinReport:
 
     step_base = _named_step("[twin base]", grid, cfg, p)
     step_pert = _named_step("[twin perturbed]", grid, cfg, p)
-    if hasattr(os, "fork") and _usable_cpus() >= 2:
+    if hasattr(os, "fork"):
         pert_run = _ForkedRun(pert, cfg, run_dt, step_pert)
         try:
             drive(
