@@ -99,18 +99,18 @@ def left_integral(times: np.ndarray, *factors: np.ndarray) -> np.ndarray:
 
 def snapshot_scalars(state: FluidState, eff, grid: Grid1D, p: ModelParams) -> dict:
     """Every per-snapshot scalar the series and monitors read, from one
-    recorded state and its compute_effective_fields `eff` (whose mu(rho) and
-    du/dx it shares), with one Pi_rel(rho) for both balances; the names of
-    the series are those of the DiagnosticSeries fields.  The runner keeps
-    these, not the state: at fine resolution the states of a whole
-    trajectory would dominate peak memory."""
+    recorded state and its compute_effective_fields `eff` (whose mu(rho),
+    du/dx and dv/dx it shares), with one Pi_rel(rho) for both balances;
+    the names of the series are those of the DiagnosticSeries fields.  The
+    runner keeps these, not the state: at fine resolution the states of a
+    whole trajectory would dominate peak memory."""
     dx = grid.dx
     pi_rel = model.internal_energy(state.density, p)
     return {
         "energy": energy(state, grid, p, pi_rel),
         "bd_entropy": bd_entropy(state.rho, eff.v, grid, p, pi_rel),
         "y_max": float(np.max(eff.y)),
-        "oleinik_slope": float(np.max(ddx(eff.v, grid))),
+        "oleinik_slope": float(np.max(eff.vx)),
         "rho_max": float(np.max(state.rho)),
         "inv_rho_max": float(np.max(1.0 / state.rho)),
         "bv_norm_v": bv_norm(eff.v),

@@ -2,7 +2,7 @@
 
 effective_velocity gives v alone (the effective solver's variable);
 compute_effective_fields gives all four, evaluating mu(rho), P(rho) and du/dx
-once, and keeps mu and du/dx beside them for the diagnostics:
+once, and keeps mu, du/dx and dv/dx beside them for the diagnostics:
 
     v    = u + mu(rho)/rho**2 * d rho/dx      (effective velocity)
     w1   = rho**alpha * du/dx - P(rho) + P(1) (effective flux)
@@ -28,7 +28,7 @@ from .stencils import ddx
 @dataclass(frozen=True)
 class EffectiveFields:
     """The four derived fields on the same grid as their source state, with
-    the mu(rho) and du/dx they were formed from."""
+    the mu(rho), du/dx and dv/dx they were formed from."""
 
     v: np.ndarray
     w1: np.ndarray
@@ -36,6 +36,7 @@ class EffectiveFields:
     udot: np.ndarray
     mu: np.ndarray
     ux: np.ndarray
+    vx: np.ndarray
 
 
 def _velocity(state: FluidState, mu: np.ndarray, grid: Grid1D) -> np.ndarray:
@@ -52,15 +53,21 @@ def compute_effective_fields(state: FluidState, grid: Grid1D, p: ModelParams) ->
     viscous flux mu*du/dx once for all four fields."""
     rho, density = state.rho, state.density
     mu = model.viscosity(density, p)
-    ux = ddx(state.u, grid)
+    # v, dv/dx and y before the flux terms: in this order an N=16385 run's
+    # heap is not trimmed, and faulted in again, at every step after a
+    # recorded state (glibc's top chunk; no value depends on the order)
     v = _velocity(state, mu, grid)
+    vx = ddx(v, grid)
+    y = vx / rho + model.f2(density, p)
+    ux = ddx(state.u, grid)
     flux = mu * ux
     pres = model.pressure(density, p)
     return EffectiveFields(
         v=v,
         w1=flux - pres + model.pressure(CheckedDensity(model.FARFIELD[0]), p),
-        y=ddx(v, grid) / rho + model.f2(density, p),
+        y=y,
         udot=(ddx(flux, grid) - ddx(pres, grid)) / rho,
         mu=mu,
         ux=ux,
+        vx=vx,
     )

@@ -8,8 +8,9 @@ file ends with a footer line carrying a git-describe build id and the config
 hash, so results are traceable to the exact inputs.  Floats are written with
 shortest round-trip formatting, ASCII, LF line endings; every text table goes
 through `write_table`.  A run directory is written by `RunWriter`, whose one
-child process writes the snapshot CSVs while the solver steps.  The solver
-evaluates each snapshot's fields; the child only formats them.
+child process, forked by nsdv.child, writes the snapshot CSVs while the
+solver steps.  The solver evaluates each snapshot's fields; the child only
+formats them.
 """
 
 from __future__ import annotations
@@ -17,10 +18,8 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
-import pickle
 import shutil
 import subprocess
-import sys
 import tempfile
 import traceback
 from pathlib import Path
@@ -28,6 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from .child import Child
 from .diagnostics import FLAG_ORDER, DiagnosticSeries
 from .errors import ConfigError
 from .eulerian import SolverConfig
@@ -244,52 +244,36 @@ def write_manifest(path, times, files, cfg_hash: str, build: str) -> None:
     Path(path).write_text(text, encoding="ascii", newline="\n")
 
 
-# The writer's child process: ignore Ctrl-C (it reaches the whole process
-# group, and the parent stops the child), import the same nsdv as the parent
-# from the package root in argv[1], and write snapshots.  It loads no scipy
-# and looks up no LAPACK: the child never solves.
-_CHILD = (
-    "import signal, sys; signal.signal(signal.SIGINT, signal.SIG_IGN); "
-    "sys.path.insert(0, sys.argv[1]); "
-    "from nsdv.io import _write_snapshots; _write_snapshots(sys.stdin.buffer, sys.stdout.buffer)"
-)
-
-
 def _state_file(directory, k) -> Path:
     return Path(directory) / f".state_{k}.npy"
 
 
-def _write_snapshots(requests, report) -> None:
-    """Body of the writer's child process.  Reads pickled messages from
-    `requests`: first (directory, cfg, footer line), then k for each
-    snapshot whose columns after x the parent saved as _state_file(directory,
-    k), until None.  Formats snapshot k, after the grid's x, as
-    directory/SNAP_NAME.format(k), evaluating nothing, and deletes its state
-    file.  Then pickles None to `report`, or (exception, traceback text)
-    after the first failure.  When `requests` reaches end of
-    file the parent process is gone: removes its staging directory, the
-    parent of `directory`, and returns."""
-    directory = None
+def _write_snapshots(channel, directory, cfg, footer_line) -> None:
+    """Body of the writer's child process (a child.Child).  Receives k for
+    each snapshot whose columns after x the parent saved as
+    _state_file(directory, k), until None.  Formats snapshot k, after the
+    grid's x, as directory/SNAP_NAME.format(k), evaluating nothing, and
+    deletes its state file.  Then sends None, or (exception, traceback text)
+    after the first failure.  When its input reaches end of file the parent
+    process is gone: removes its staging directory, the parent of
+    `directory`, and returns."""
     try:
-        directory, cfg, footer_line = pickle.load(requests)
         # the grid's x cells, the same in every snapshot, formatted once: as
         # an object array of str, write_table prints them as they are
         x = np.array(list(map(str, cfg.grid().coords.tolist())), dtype=object)
-        while (k := pickle.load(requests)) is not None:
+        while (k := channel.receive()) is not None:
             path = _state_file(directory, k)
             with open(path, "rb") as fh:
                 cols = [np.load(fh) for _ in range(SNAP_HEADER.count(","))]  # all but x
             write_table(directory / SNAP_NAME.format(k), SNAP_HEADER, (x, *cols), footer_line)
             path.unlink()
     except EOFError:
-        if directory is not None:
-            shutil.rmtree(directory.parent, ignore_errors=True)
+        shutil.rmtree(directory.parent, ignore_errors=True)
         return
     except Exception as exc:
-        pickle.dump((exc, traceback.format_exc()), report)
+        channel.send((exc, traceback.format_exc()))
     else:
-        pickle.dump(None, report)
-    report.flush()
+        channel.send(None)
 
 
 class RunWriter:
@@ -326,14 +310,8 @@ class RunWriter:
             (self._tree / "plots").mkdir()
             self._build = build_id()
             self._footer = footer(self._hash, self._build)
-            package_root = str(Path(__file__).resolve().parent.parent)
-            # Unbuffered pipes: every message is one write of a few hundred bytes
-            # at most, which the pipe takes whole without waiting on the child.
-            self._child = subprocess.Popen(
-                [sys.executable, "-c", _CHILD, package_root],
-                stdin=subprocess.PIPE, stdout=subprocess.PIPE, bufsize=0,
-            )
-            self._send((self._tree, self._cfg, self._footer))
+            # the child inherits the tree, config and footer
+            self._child = Child(_write_snapshots, self._tree, self._cfg, self._footer)
         except BaseException:
             # a raising __enter__ gets no __exit__ call: clean up here
             self.__exit__()
@@ -342,10 +320,7 @@ class RunWriter:
 
     def __exit__(self, *exc_info) -> None:
         if self._child is not None:
-            self._child.kill()  # a no-op once `finish` or a failure has reaped it
-            self._child.wait()
-            self._child.stdin.close()
-            self._child.stdout.close()
+            self._child.close(kill=True)  # a no-op once `finish` or a failure has reaped it
         shutil.rmtree(self._stage, ignore_errors=True)
 
     def record(self, state, eff) -> None:
@@ -391,26 +366,23 @@ class RunWriter:
         return self.run_dir
 
     def _send(self, message) -> None:
-        """Pickle `message` to the child; if the child has exited, raise its
+        """Send `message` to the child; if the child has exited, raise its
         failure instead."""
-        if self._child.poll() is None:
-            try:
-                self._child.stdin.write(pickle.dumps(message))
-                return
-            except BrokenPipeError:
-                pass
-        self._await_child()
+        try:
+            self._child.send(message)
+        except BrokenPipeError:
+            self._await_child()
 
     def _await_child(self) -> None:
-        """Read the child's report to end of file and wait for it: return if
-        it wrote every snapshot, else re-raise its exception, or raise
-        RuntimeError if it exited without a report."""
-        report = self._child.stdout.read()
-        code = self._child.wait()
-        if not report:
-            raise RuntimeError(f"snapshot writer process exited with code {code}")
-        outcome = pickle.loads(report)
+        """Take the child's report and reap it: return if it wrote every
+        snapshot, else re-raise its exception, or raise RuntimeError if it
+        exited without a report."""
+        try:
+            outcome = self._child.receive()
+        except EOFError:
+            code = self._child.close()
+            raise RuntimeError(f"snapshot writer process exited with code {code}") from None
+        self._child.close()
         if outcome is not None:
             exc, text = outcome
             raise exc from RuntimeError(f"in the snapshot writer process:\n{text}")
-

@@ -31,41 +31,26 @@ O(N) arrays whatever the number of snapshots, and a failure (the two runs
 coinciding, a particle leaving the domain, a flow map that stops increasing)
 is raised at the pair where it shows, in time order.
 
-Where os.fork exists, the perturbed run steps in a child process forked
-just before the stepping starts, while the base run steps in the caller's;
-without os.fork both step in the caller's process, one after the other.
-There is no option for it.  The child runs the perturbed run's stable_dt
-and steps, numpy ufuncs and LAPACK dptsv, and nothing else.  The dt choice
-is the runs' only coupling: at each step both processes send their own stable_dt proposal
-and take the smaller, so both clip the same step at the same cadence times.
-At each recorded time the child sends its state's time, rho and u (pickled:
-the float64 bytes as they are), and the caller measures the pair as above,
-so the report is the in-process one bit for bit.  Failures keep the
-in-process order (base step before perturbed step before the next base
-stable_dt before the next perturbed stable_dt): the child sends its own,
-pickled and already named.  The child ignores SIGINT and leaves only through
-os._exit, at the end of its run, at end of file or on a broken pipe, so it
-never returns into the caller; the caller closes its pipe ends and reaps it
-on every path.
-
-Python >= 3.12 warns (DeprecationWarning) when os.fork runs while the
-process has more than one thread.  numpy's OpenBLAS starts a thread pool at
-import, but its own fork handler stops the pool before Python counts (on
-Linux, 2 threads before os.fork and 1 after), so the warning shows only
-where the caller runs threads of its own; the child needs no such thread.
+The perturbed run steps in a child process (nsdv.child) forked just before
+the stepping starts, while the base run steps in the caller's.  The child
+runs the perturbed run's stable_dt and steps, numpy ufuncs and LAPACK dptsv,
+and nothing else.  The dt choice is the runs' only coupling: at each step
+both processes send their own stable_dt proposal and take the smaller, so
+both clip the same step at the same cadence times.  At each recorded time
+the child sends its state's time, rho and u, and the caller measures the
+pair as above.  Failures keep the order of the steps (base step before
+perturbed step before the next base stable_dt before the next perturbed
+stable_dt): the child sends its own, already named.
 """
 
 from __future__ import annotations
 
-import os
-import pickle
-import signal
-import struct
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import model
+from .child import Child
 from .diagnostics import left_integral
 from .errors import ConfigError, InputError, NumericalFailure, VacuumBlowup
 from .eulerian import SolverConfig, drive, stable_dt, step_primitive
@@ -107,37 +92,16 @@ def _named_step(tag: str, grid, cfg: SolverConfig, p):
 class _ForkedRun:
     """A run stepped by drive in a forked child process, in lockstep with
     the caller's own run, both proposing steps with `dt` (see the module
-    docstring).  The child sends each message pickled, after its length:
-    (None, value), or (failure, whether its step raised it); the caller
-    sends only its float64 dt proposals."""
+    docstring).  The child sends (None, value), or (failure, whether its
+    step raised it); the caller sends its dt proposals."""
 
     def __init__(self, initial: FluidState, cfg: SolverConfig, dt, step):
-        up_r, up_w = os.pipe()
-        down_r, down_w = os.pipe()
-        try:
-            self._pid = os.fork()
-        except OSError:
-            for fd in (up_r, up_w, down_r, down_w):
-                os.close(fd)
-            raise
-        if self._pid == 0:
-            try:
-                os.close(up_r)
-                os.close(down_w)
-                _child(initial, cfg, dt, step, open(down_r, "rb"), open(up_w, "wb"))
-            finally:
-                os._exit(0)
-        os.close(up_w)
-        os.close(down_r)
         self._dt = dt
-        self._up = open(up_r, "rb")
-        self._down = open(down_w, "wb", buffering=0)
+        self._child = Child(_run_in_child, initial, cfg, dt, step)
 
     def close(self):
         """Close the caller's pipe ends, which ends the child, and reap it."""
-        self._up.close()
-        self._down.close()
-        os.waitpid(self._pid, 0)
+        self._child.close()
 
     def shared_dt(self, state) -> float:
         """The smaller of the caller's proposal at `state` and the child's.
@@ -149,7 +113,7 @@ class _ForkedRun:
             self._receive(steps_only=True)
             raise
         try:
-            self._down.write(struct.pack("d", mine))
+            self._child.send(mine)
         except BrokenPipeError:
             pass  # the child has ended: its last message says why
         return min(mine, self._receive())
@@ -162,29 +126,22 @@ class _ForkedRun:
     def _receive(self, steps_only=False):
         """The child's next value, or the failure it sent instead raised
         (with `steps_only`, only a failure of its step)."""
-        size = int.from_bytes(self._up.read(8), "little")
-        failure, value = pickle.loads(self._up.read(size))  # EOFError if it died
+        failure, value = self._child.receive()  # EOFError if it died
         if failure is None:
             return value
         if value or not steps_only:
             raise failure
 
 
-def _child(initial: FluidState, cfg: SolverConfig, dt, step, down, up):
+def _run_in_child(channel, initial: FluidState, cfg: SolverConfig, dt, step):
     """The forked child's run: drive `initial` with `step`, sending each dt
-    proposal, each recorded state and a failure up.  Its caller exits."""
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    proposal, each recorded state and a failure through `channel`."""
     in_step = False
-
-    def send(failure, value):
-        body = pickle.dumps((failure, value))
-        up.write(len(body).to_bytes(8, "little") + body)
-        up.flush()
 
     def shared_dt(state):
         mine = dt(state)
-        send(None, mine)
-        return min(mine, struct.unpack("d", down.read(8))[0])
+        channel.send((None, mine))
+        return min(mine, channel.receive())
 
     def stepped(state, t, h):
         nonlocal in_step
@@ -195,9 +152,9 @@ def _child(initial: FluidState, cfg: SolverConfig, dt, step, down, up):
 
     try:
         drive(initial, cfg, shared_dt, stepped,
-              lambda t, state: send(None, (state.time, state.rho, state.u)))
+              lambda t, state: channel.send((None, (state.time, state.rho, state.u))))
     except Exception as exc:
-        send(exc, in_step)
+        channel.send((exc, in_step))
 
 
 def default_perturbation(grid) -> np.ndarray:
@@ -276,28 +233,12 @@ def twin_run_stability(scenario: ScenarioConfig, epsilon: float) -> TwinReport:
     def run_dt(state):
         return stable_dt(state, grid, cfg, p)
 
-    step_base = _named_step("[twin base]", grid, cfg, p)
-    step_pert = _named_step("[twin perturbed]", grid, cfg, p)
-    if hasattr(os, "fork"):
-        pert_run = _ForkedRun(pert, cfg, run_dt, step_pert)
-        try:
-            drive(
-                base,
-                cfg,
-                pert_run.shared_dt,
-                step_base,
-                lambda t, a: measure(t, (a, pert_run.recorded())),
-            )
-        finally:
-            pert_run.close()
-    else:
-        drive(
-            (base, pert),
-            cfg,
-            lambda pair: min(run_dt(pair[0]), run_dt(pair[1])),
-            lambda pair, t, dt: (step_base(pair[0], t, dt), step_pert(pair[1], t, dt)),
-            measure,
-        )
+    pert_run = _ForkedRun(pert, cfg, run_dt, _named_step("[twin perturbed]", grid, cfg, p))
+    try:
+        drive(base, cfg, pert_run.shared_dt, _named_step("[twin base]", grid, cfg, p),
+              lambda t, a: measure(t, (a, pert_run.recorded())))
+    finally:
+        pert_run.close()
     times, delta_l2, weighted_half, ddelta_sq, g_cs = map(np.array, zip(*rows))
     diss_accum = left_integral(times, ddelta_sq)
     cs_accum = left_integral(times, g_cs)

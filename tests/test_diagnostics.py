@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import REGRESSION, run_states, shipped_scenario, smooth_state
+from nsdv import diagnostics
 from nsdv.diagnostics import (
     FLAG_ORDER,
     bd_entropy,
@@ -59,6 +60,25 @@ def test_build_series_evaluates_each_snapshot_once(monkeypatch):
     assert len(calls) == len(traj.times) == 21  # once per recorded state, inside run
     build_series(traj)
     assert len(calls) == len(traj.times)  # none in build_series
+
+
+def test_snapshot_scalars_differentiate_once(monkeypatch):
+    # the Oleinik slope reads the dv/dx that compute_effective_fields formed
+    # for y; only d(udot)/dx is taken here
+    cfg = shipped_scenario("smooth_bump", 129)
+    g, p = cfg.grid(), cfg.model
+    s = build_initial(cfg)
+    eff = compute_effective_fields(s, g, p)
+    calls = []
+
+    def counting_ddx(field, grid):
+        calls.append(1)
+        return ddx(field, grid)
+
+    monkeypatch.setattr(diagnostics, "ddx", counting_ddx)
+    sc = snapshot_scalars(s, eff, g, p)
+    assert len(calls) == 1
+    assert sc["oleinik_slope"] == float(np.max(ddx(eff.v, g)))
 
 
 class TestEnergy:

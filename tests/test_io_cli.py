@@ -9,9 +9,7 @@ import pickle
 import re
 import subprocess
 import sys
-import threading
 from dataclasses import replace
-from io import BytesIO
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +24,7 @@ from conftest import (
     save_config,
     shipped_scenario,
 )
-from nsdv import io
+from nsdv import eulerian, io
 from nsdv.cli import main, mms_convergence
 from nsdv.diagnostics import FLAG_ORDER, build_series
 from nsdv.effective import compute_effective_fields
@@ -50,29 +48,45 @@ SRC_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(
 
 @pytest.fixture
 def started(monkeypatch):
-    """Every process started through subprocess.Popen during the test."""
-    processes = []
-    real_popen = subprocess.Popen
+    """The pid of every child process forked during the test."""
+    pids = []
+    real_fork = os.fork
 
-    def recording_popen(*args, **kwargs):
-        processes.append(real_popen(*args, **kwargs))
-        return processes[-1]
+    def recording_fork():
+        pid = real_fork()
+        if pid:
+            pids.append(pid)
+        return pid
 
-    monkeypatch.setattr(io.subprocess, "Popen", recording_popen)
-    return processes
-
-
-def assert_writers_reaped(processes):
-    writers = [p for p in processes if p.args[0] == sys.executable]
-    assert writers, "no snapshot writer process was started"
-    assert all(p.returncode is not None for p in writers)
+    monkeypatch.setattr(os, "fork", recording_fork)
+    return pids
 
 
-# A snapshot writer child that reads its first message, then reports a failure.
-FAILING_CHILD = (
-    "import pickle, sys; pickle.load(sys.stdin.buffer); "
-    "pickle.dump((OSError('planted'), 'planted traceback'), sys.stdout.buffer)"
-)
+def assert_writers_reaped(pids):
+    assert pids, "no snapshot writer process was started"
+    for pid in pids:
+        with pytest.raises(ChildProcessError):  # reaped: no longer a child
+            os.waitpid(pid, os.WNOHANG)
+
+
+def failing_writer(channel, *args):
+    """A snapshot writer body that reports a failure at once."""
+    channel.send((OSError("planted"), "planted traceback"))
+
+
+class FakeChannel:
+    """A writer body's channel in this process: `receive` returns the
+    `requests` in turn, and `send` keeps each report in `reports`."""
+
+    def __init__(self, requests):
+        self._requests = iter(requests)
+        self.reports = []
+
+    def receive(self):
+        return next(self._requests)
+
+    def send(self, message):
+        self.reports.append(message)
 
 
 def entries(root):
@@ -235,10 +249,10 @@ class TestOutputs:
         assert_writers_reaped(started)
 
     def test_writer_that_fails_to_start_removes_its_stage(self, tmp_path, monkeypatch):
-        def failing_popen(*args, **kwargs):
+        def failing_fork():
             raise OSError("planted: cannot start the writer")
 
-        monkeypatch.setattr(io.subprocess, "Popen", failing_popen)
+        monkeypatch.setattr(os, "fork", failing_fork)
         with pytest.raises(OSError, match="planted"):
             with io.RunWriter(tmp_path, small_cfg()):
                 pass
@@ -250,8 +264,7 @@ class TestOutputs:
         with io.RunWriter(tmp_path, cfg) as writer:
             writer.record(state, compute_effective_fields(state, cfg.grid(), cfg.model))
             # what the child sees when the command is killed outright
-            writer._child.stdin.close()
-            assert writer._child.wait(timeout=120) == 0
+            assert writer._child.close() == 0
             assert not list(tmp_path.iterdir())
 
     def test_writer_child_only_formats(self, tmp_path, monkeypatch):
@@ -273,14 +286,13 @@ class TestOutputs:
         tree = tmp_path / "run"
         (tree / "snapshots").mkdir(parents=True)
         writer = io.RunWriter(tmp_path, cfg)
-        writer._tree, sent = tree, [(tree, cfg, "# footer")]
+        writer._tree, sent = tree, []
         writer._send = sent.append
         for state, eff in recorded:
             writer.record(state, eff)
-        requests = b"".join(pickle.dumps(message) for message in [*sent, None])
-        report = BytesIO()
-        io._write_snapshots(BytesIO(requests), report)
-        assert pickle.loads(report.getvalue()) is None
+        channel = FakeChannel([*sent, None])
+        io._write_snapshots(channel, tree, cfg, "# footer")
+        assert channel.reports == [None]
         assert not list(tree.glob(".state_*"))
         assert len(recorded) == len(list((tree / "snapshots").iterdir())) == 3
         for k, (s, eff) in enumerate(recorded):
@@ -455,25 +467,84 @@ class TestCLI:
         assert not list(out.iterdir())  # no run directory, no staging directory
         assert_writers_reaped(started)
 
-    def test_snapshot_writer_failure_surfaces(self, tmp_path, started, monkeypatch):
-        monkeypatch.setattr(io, "_CHILD", FAILING_CHILD)
+    def test_interrupted_verify_reaps_the_writer(self, tmp_path, monkeypatch, started):
+        # Ctrl-C while the run steps, after two snapshots were handed to the
+        # writer: the command's KeyboardInterrupt kills and reaps the writer
+        # and removes its stage
+        path = tmp_path / "small.cfg"
+        save_config(small_cfg(output_cadence=0.02), path)
+        steps = []
+
+        def interrupted(state, *args, **kwargs):
+            steps.append(state.time)
+            if state.time > 0.02:
+                raise KeyboardInterrupt
+            return step_primitive(state, *args, **kwargs)
+
+        monkeypatch.setattr(eulerian, "step_primitive", interrupted)
+        out = tmp_path / "out"
+        with pytest.raises(KeyboardInterrupt):
+            main(["verify", "--config", str(path), "--out", str(out)])
+        assert steps and not list(out.iterdir())
+        assert_writers_reaped(started)
+
+    def test_verify_forks_one_child_and_spawns_only_git(self, tmp_path, monkeypatch, started):
+        # the snapshot writer is the command's one fork; the only program it
+        # starts is build_id's `git describe`
+        spawned = []
+        real_popen = subprocess.Popen
+
+        def recording_popen(args, *rest, **kwargs):
+            spawned.append(list(args))
+            return real_popen(args, *rest, **kwargs)
+
+        monkeypatch.setattr(subprocess, "Popen", recording_popen)
+        path = tmp_path / "small.cfg"
+        save_config(small_cfg(), path)
+        assert main(["verify", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+        assert len(started) == 1
+        assert spawned and all(args[:2] == ["git", "describe"] for args in spawned), spawned
+
+    def test_snapshot_writer_failure_surfaces(self, tmp_path):
+        # In a fresh interpreter with a timeout, not a thread of this one:
+        # the writer never forks a process that runs more than one thread.
+        # It pickles the command's outcome, forked pids and reaped flags.
+        code = "\n".join([
+            "import os, pickle, sys",
+            "from nsdv import io",
+            "from nsdv.cli import main",
+            "def failing_writer(channel, *args):",
+            "    channel.send((OSError('planted'), 'planted traceback'))",
+            "io._write_snapshots = failing_writer",
+            "pids, real_fork = [], os.fork",
+            "def recording_fork():",
+            "    pid = real_fork()",
+            "    if pid:",
+            "        pids.append(pid)",
+            "    return pid",
+            "os.fork = recording_fork",
+            "try:",
+            "    outcome = main(sys.argv[1:])",
+            "except Exception as exc:  # raising counts as surfacing, like a non-zero exit",
+            "    outcome = exc",
+            "def reaped(pid):",
+            "    try:",
+            "        os.waitpid(pid, os.WNOHANG)",
+            "    except ChildProcessError:",
+            "        return True",
+            "    return False",
+            "sys.stdout.buffer.write(pickle.dumps((outcome, pids, [reaped(p) for p in pids])))",
+        ])
         path = CONFIG_DIR / "equilibrium.cfg"
-        outcome = []
-
-        def command():
-            try:
-                outcome.append(main(["run", "--config", str(path), "--out", str(tmp_path)]))
-            except Exception as exc:  # raising counts as surfacing, like a non-zero exit
-                outcome.append(exc)
-
-        thread = threading.Thread(target=command, daemon=True)
-        thread.start()
-        thread.join(timeout=120)
-        assert not thread.is_alive(), "command hung on a failed snapshot writer"
-        (result,) = outcome
+        out = subprocess.run(
+            [sys.executable, "-c", code, "run", "--config", str(path), "--out", str(tmp_path)],
+            env=SRC_ENV, capture_output=True, timeout=120,
+        )
+        assert out.returncode == 0, out.stderr.decode()
+        result, pids, reaped = pickle.loads(out.stdout)
         assert isinstance(result, OSError) and str(result) == "planted", result
         assert not list(tmp_path.iterdir())
-        assert_writers_reaped(started)
+        assert pids and all(reaped), (pids, reaped)
 
     RUN_EQUILIBRIUM = ["run", "--config", str(CONFIG_DIR / "equilibrium.cfg"), "--cadence", "0.25"]
 
@@ -488,7 +559,7 @@ class TestCLI:
     def test_failed_rerun_leaves_the_old_tree(self, tmp_path, monkeypatch):
         assert main([*self.RUN_EQUILIBRIUM, "--out", str(tmp_path)]) == 0
         before = entries(tmp_path)
-        monkeypatch.setattr(io, "_CHILD", FAILING_CHILD)
+        monkeypatch.setattr(io, "_write_snapshots", failing_writer)
         with pytest.raises(OSError, match="planted"):
             main([*self.RUN_EQUILIBRIUM, "--out", str(tmp_path)])
         assert entries(tmp_path) == before
@@ -823,23 +894,23 @@ def test_package_import_loads_no_submodule():
 
 
 def test_only_the_tridiagonal_solve_imports_scipy():
-    """The snapshot writer child (its own code, stdin at end of file), the
-    command line and the first solve load no scipy module, and no hashlib
-    (which loads OpenSSL): the solve takes dptsv from the LAPACK numpy has
-    loaded, or else loads scipy's `_flapack` module on its own."""
+    """The command line and the first solve load no scipy module, and no
+    hashlib (which loads OpenSSL): the solve takes dptsv from the LAPACK
+    numpy has loaded, or else loads scipy's `_flapack` module on its own.
+    The snapshot writer is a fork of the command and imports nothing."""
     scipy_modules = "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     no_hashlib = "assert not {'hashlib', '_hashlib'} & set(sys.modules)"
     code = "\n".join([
-        io._CHILD, scipy_modules, no_hashlib,
+        "import sys",
         "import nsdv.cli", scipy_modules, no_hashlib,
         "import numpy as np; from nsdv.stencils import solve_tridiagonal",
         "solve_tridiagonal(np.ones(3), np.zeros(2), np.ones(3))",
         scipy_modules, no_hashlib,
     ])
-    out = subprocess.run([sys.executable, "-c", code, str(REPO / "src")],
+    out = subprocess.run([sys.executable, "-c", code], env=SRC_ENV,
                          stdin=subprocess.DEVNULL, capture_output=True, text=True,
                          check=True, timeout=60).stdout
-    assert out.split("\n") == ["[]", "[]", "[]", ""]
+    assert out.split("\n") == ["[]", "[]", ""]
 
 
 def test_primitive_verify_loads_no_scipy_linalg(tmp_path):

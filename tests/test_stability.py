@@ -28,17 +28,11 @@ from nsdv.stability import (
 from nsdv.stencils import ddx
 
 
-@pytest.fixture(params=["forked", "in_process"])
+@pytest.fixture(params=["forked"])
 def lockstep(request, monkeypatch):
-    """Each lockstep path of the twin: the perturbed run in a forked child
-    process, as wherever os.fork exists, or beside the base run in this one,
-    as without os.fork.  The forked case must fork."""
-    if request.param == "in_process":
-        monkeypatch.delattr(os, "fork", raising=False)
-        yield request.param
-        return
-    if not hasattr(os, "fork"):
-        pytest.skip("no os.fork here")
+    """The twin's lockstep path, the perturbed run in a forked child
+    process, which must fork.  Its one param keeps each case's `[forked]`
+    id."""
     forks = []
     real_fork = os.fork
 
