@@ -1,5 +1,9 @@
 """The one way nsdv starts a helper process: a fork, with two pipes.
 
+Its three users: the snapshot writer of `run` and `verify` (io.RunWriter),
+the twin's perturbed run (stability) and the convergence study's coarse
+levels (cli.mms_convergence).
+
 The child runs `body(channel, *args)`; it inherits `args` and all module
 state (a test's patch too), so nothing is sent to start it.  Each side sends
 plain pickles, which carry their own length, and gets EOFError once the
@@ -62,6 +66,17 @@ class Child:
     def receive(self):
         """The other side's next message: EOFError if it has closed its end."""
         return pickle.load(self._in)
+
+    def outcome(self, name: str):
+        """In the caller: the child's next message, after which the child is
+        reaped; RuntimeError, naming the child `name`, if it exited without
+        one."""
+        try:
+            message = self.receive()
+        except EOFError:
+            raise RuntimeError(f"{name} process exited with code {self.close()}") from None
+        self.close()
+        return message
 
     def close(self, kill: bool = False) -> int:
         """In the caller: kill the child first with `kill`, close the pipe

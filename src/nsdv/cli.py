@@ -25,6 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import io
+from .child import Child
 from .diagnostics import build_series
 from .errors import (
     ConfigError,
@@ -126,6 +127,78 @@ def cmd_verify(args) -> int:
     return status
 
 
+def _mms_level(mms_id: str, lvl: int, base_n: int, t_end: float, p: ModelParams) -> dict:
+    """Level `lvl` of the convergence study: its row (n, dx, dt, err)."""
+    n = (base_n - 1) * 2**lvl + 1
+    grid = Grid1D(n, p.half_length)
+    dt = MMS_DT_FACTOR * grid.dx**2
+    cfg = SolverConfig(
+        t_end=t_end,
+        output_cadence=t_end,
+        formulation="primitive",
+        diffusion_treatment="semi_implicit",
+        dt_override=dt,
+    )
+    rho0, u0 = manufactured_exact(mms_id, 0.0, grid, p)
+    block = {}  # start time -> its (g_rho, g_mom) rows
+
+    def step(state, t, h):
+        nonlocal block
+        if t not in block:
+            # the next MMS_BLOCK start times as drive accumulates them
+            # from t at the constant dt; a clipped last step starts at
+            # one of them too
+            times = [t]
+            for _ in range(MMS_BLOCK - 1):
+                times.append(times[-1] + dt)
+            g_rho, g_mom = manufactured_source(mms_id, np.array(times), grid, p)
+            block = {start: (g_rho[i], g_mom[i]) for i, start in enumerate(times)}
+        return step_primitive(
+            state, h, grid, cfg, p,
+            forcing=block[t],
+            boundary=manufactured_boundary(mms_id, t + h, grid, p),
+        )
+
+    # only the final state kept: the study reads nothing else
+    last = deque(maxlen=1)
+    drive(
+        FluidState(time=0.0, rho=rho0, u=u0),
+        cfg,
+        lambda state: stable_dt(state, grid, cfg, p),
+        step,
+        lambda t, state: last.append(state),
+    )
+    final = last[0]
+    rho_ex, u_ex = manufactured_exact(mms_id, final.time, grid, p)
+    err = float(
+        np.sqrt(np.sum((final.rho - rho_ex) ** 2) * grid.dx)
+        + np.sqrt(np.sum((final.u - u_ex) ** 2) * grid.dx)
+    )
+    return {"n": n, "dx": grid.dx, "dt": dt, "err": err}
+
+
+def _mms_coarse_levels(channel, mms_id, levels, *args) -> None:
+    """Body of the convergence study's child process (a child.Child): steps
+    levels 0 .. levels-1 in order and sends (None, their rows), or
+    (failure, None) at the first failure."""
+    try:
+        rows = [_mms_level(mms_id, lvl, *args) for lvl in range(levels)]
+    except Exception as exc:
+        channel.send((exc, None))
+    else:
+        channel.send((None, rows))
+
+
+def _mms_coarse_rows(child: Child) -> list:
+    """The coarse levels' rows from `child`, which is then reaped; its
+    failure is raised instead, or RuntimeError if it exited without a
+    report."""
+    failure, rows = child.outcome("convergence study's coarse-level")
+    if failure is not None:
+        raise failure
+    return rows
+
+
 def mms_convergence(
     mms_id: str,
     levels: int,
@@ -139,62 +212,40 @@ def mms_convergence(
     """Manufactured-solution convergence study: dt = MMS_DT_FACTOR dx^2 with
     semi-implicit diffusion, L2 errors of (rho, u) against the exact fields.
     Returns a list of row dicts (n, dx, dt, err, order); the order is NaN on
-    the first level and wherever an error is zero.  A VacuumBlowup at any
-    level is raised.  The source is evaluated for MMS_BLOCK step times at
-    once, each row bitwise equal to its evaluation at that one time."""
+    the first level and wherever an error is zero.  The source is evaluated
+    for MMS_BLOCK step times at once, each row bitwise equal to its
+    evaluation at that one time.
+
+    No level reads another's state.  With more than one level, a forked
+    child process (nsdv.child) steps the coarse levels 0 .. levels-2 in
+    order while the caller steps the finest one, which takes about three
+    quarters of the steps.  A failure, such as a VacuumBlowup, is raised as
+    a serial study would raise it: that of the first level, in level order,
+    that failed, so a coarse level's (the child's, pickled) outranks the
+    finest level's, which waits for the child's outcome.  A child that
+    exits without a report raises RuntimeError; any exception in the
+    caller, KeyboardInterrupt included, kills and reaps the child."""
     if levels < 1:
         raise InputError(f"levels must be at least 1, got {levels}")
-    p = ModelParams(alpha=alpha, gamma=gamma, half_length=half_length)
-    rows = []
-    for lvl in range(levels):
-        n = (base_n - 1) * 2**lvl + 1
-        grid = Grid1D(n, half_length)
-        dt = MMS_DT_FACTOR * grid.dx**2
-        cfg = SolverConfig(
-            t_end=t_end,
-            output_cadence=t_end,
-            formulation="primitive",
-            diffusion_treatment="semi_implicit",
-            dt_override=dt,
-        )
-        rho0, u0 = manufactured_exact(mms_id, 0.0, grid, p)
-        block = {}  # start time -> its (g_rho, g_mom) rows
-
-        def step(state, t, h):
-            nonlocal block
-            if t not in block:
-                # the next MMS_BLOCK start times as drive accumulates them
-                # from t at the constant dt; a clipped last step starts at
-                # one of them too
-                times = [t]
-                for _ in range(MMS_BLOCK - 1):
-                    times.append(times[-1] + dt)
-                g_rho, g_mom = manufactured_source(mms_id, np.array(times), grid, p)
-                block = {start: (g_rho[i], g_mom[i]) for i, start in enumerate(times)}
-            return step_primitive(
-                state, h, grid, cfg, p,
-                forcing=block[t],
-                boundary=manufactured_boundary(mms_id, t + h, grid, p),
-            )
-
-        # only the final state kept: the study reads nothing else
-        last = deque(maxlen=1)
-        drive(
-            FluidState(time=0.0, rho=rho0, u=u0),
-            cfg,
-            lambda state: stable_dt(state, grid, cfg, p),
-            step,
-            lambda t, state: last.append(state),
-        )
-        final = last[0]
-        rho_ex, u_ex = manufactured_exact(mms_id, final.time, grid, p)
-        err = float(
-            np.sqrt(np.sum((final.rho - rho_ex) ** 2) * grid.dx)
-            + np.sqrt(np.sum((final.u - u_ex) ** 2) * grid.dx)
-        )
-        prev = rows[-1]["err"] if rows else 0.0
-        order = np.log2(prev / err) if prev > 0.0 and err > 0.0 else float("nan")
-        rows.append({"n": n, "dx": grid.dx, "dt": dt, "err": err, "order": order})
+    args = (base_n, t_end, ModelParams(alpha=alpha, gamma=gamma, half_length=half_length))
+    if levels == 1:
+        rows = [_mms_level(mms_id, 0, *args)]
+    else:
+        child = Child(_mms_coarse_levels, mms_id, levels - 1, *args)
+        try:
+            try:
+                finest = _mms_level(mms_id, levels - 1, *args)
+            except Exception:
+                _mms_coarse_rows(child)  # a coarse level's failure comes first
+                raise
+            rows = [*_mms_coarse_rows(child), finest]
+        finally:
+            child.close(kill=True)  # a no-op once the child is reaped
+    prev = 0.0
+    for row in rows:
+        err = row["err"]
+        row["order"] = np.log2(prev / err) if prev > 0.0 and err > 0.0 else float("nan")
+        prev = err
     return rows
 
 

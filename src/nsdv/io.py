@@ -377,12 +377,7 @@ class RunWriter:
         """Take the child's report and reap it: return if it wrote every
         snapshot, else re-raise its exception, or raise RuntimeError if it
         exited without a report."""
-        try:
-            outcome = self._child.receive()
-        except EOFError:
-            code = self._child.close()
-            raise RuntimeError(f"snapshot writer process exited with code {code}") from None
-        self._child.close()
+        outcome = self._child.outcome("snapshot writer")
         if outcome is not None:
             exc, text = outcome
             raise exc from RuntimeError(f"in the snapshot writer process:\n{text}")

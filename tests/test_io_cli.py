@@ -7,6 +7,7 @@ import json
 import os
 import pickle
 import re
+import signal
 import subprocess
 import sys
 from dataclasses import replace
@@ -564,6 +565,16 @@ class TestCLI:
             main([*self.RUN_EQUILIBRIUM, "--out", str(tmp_path)])
         assert entries(tmp_path) == before
 
+    def test_writer_without_a_report_is_a_runtime_error(self, tmp_path, monkeypatch, started):
+        def silent_writer(channel, *args):
+            pass  # exits 0 at once, without a report
+
+        monkeypatch.setattr(io, "_write_snapshots", silent_writer)
+        with pytest.raises(RuntimeError, match=r"^snapshot writer process exited with code 0$"):
+            main([*self.RUN_EQUILIBRIUM, "--out", str(tmp_path)])
+        assert_writers_reaped(started)
+        assert not list(tmp_path.iterdir())
+
     def test_failed_swap_restores_the_old_tree(self, tmp_path, monkeypatch):
         assert main([*self.RUN_EQUILIBRIUM, "--out", str(tmp_path)]) == 0
         before = entries(tmp_path)
@@ -580,10 +591,13 @@ class TestCLI:
         assert entries(tmp_path) == before
 
     @pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="needs /proc")
-    def test_no_process_outlives_the_command(self, tmp_path):
+    @pytest.mark.parametrize("args", [
+        ["verify", "--config", str(CONFIG_DIR / "equilibrium.cfg"), "--cadence", "0.25"],
+        ["convergence", "--levels", "2"],
+    ], ids=["verify", "convergence"])
+    def test_no_process_outlives_the_command(self, tmp_path, args):
         command = subprocess.Popen(
-            [sys.executable, "-m", "nsdv.cli", "verify", "--config",
-             str(CONFIG_DIR / "equilibrium.cfg"), "--cadence", "0.25", "--out", str(tmp_path)],
+            [sys.executable, "-m", "nsdv.cli", *args, "--out", str(tmp_path)],
             env=SRC_ENV, stdout=subprocess.DEVNULL, start_new_session=True,
         )
         assert command.wait(timeout=120) == 0
@@ -1022,6 +1036,90 @@ def test_convergence_blowup_exits_5(monkeypatch, tmp_path, capsys):
     assert code == 5
     assert "blow-up: planted" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
+
+
+def assert_no_child_process():
+    # no child process of this one is left, running or unreaped
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def study_blowup(monkeypatch, levels, base_n, planted):
+    """The VacuumBlowup of a short study whose source blows up (blow_up_at)
+    on the grid of each node count in `planted`."""
+    with monkeypatch.context() as patch:
+        for n_cells in planted:
+            blow_up_at(patch, n_cells)
+        with pytest.raises(VacuumBlowup) as info:
+            mms_convergence("manufactured-1", levels, base_n=base_n, t_end=0.2)
+    return info.value
+
+
+def test_coarse_blowup_is_raised_before_the_finest(monkeypatch, started):
+    # levels 33 and 65 each on their own, in this process
+    coarse = study_blowup(monkeypatch, 1, 33, [33])
+    finest = study_blowup(monkeypatch, 1, 65, [65])
+    assert not started and coarse.time != finest.time
+    # both in one study: the child's level 33 blows up, and so does this
+    # process's level 65; the child's failure comes through the pipe
+    both = study_blowup(monkeypatch, 2, 33, [33, 65])
+    assert len(started) == 1
+    assert (str(both), both.time, both.node) == (str(coarse), coarse.time, 7)
+    assert_no_child_process()
+
+
+def test_finest_blowup_is_raised_after_the_coarse_rows(monkeypatch, started):
+    received = []
+    real = nsdv.cli._mms_coarse_rows
+
+    def receiving(child):
+        received.append(real(child))
+        return received[-1]
+
+    monkeypatch.setattr(nsdv.cli, "_mms_coarse_rows", receiving)
+    finest = study_blowup(monkeypatch, 1, 65, [65])
+    raised = study_blowup(monkeypatch, 2, 33, [65])
+    assert len(started) == 1
+    assert (str(raised), raised.time, raised.node) == (str(finest), finest.time, 7)
+    (coarse,) = mms_convergence("manufactured-1", 1, base_n=33, t_end=0.2)
+    assert received == [[{k: coarse[k] for k in ("n", "dx", "dt", "err")}]]
+    assert_no_child_process()
+
+
+def test_no_child_outlives_the_study(monkeypatch, started):
+    assert len(mms_convergence("manufactured-1", 2, base_n=33, t_end=0.2)) == 2
+    assert_no_child_process()
+
+    caller = os.getpid()
+    real = nsdv.cli.manufactured_source
+
+    def interrupted(mms_id, t, grid, p):
+        if grid.n_cells == 65:  # the finest level, stepped in this process
+            raise KeyboardInterrupt
+        return real(mms_id, t, grid, p)
+
+    def killed(mms_id, t, grid, p):
+        if os.getpid() != caller:  # the child, at its coarse level's first step
+            os.kill(os.getpid(), signal.SIGKILL)
+        return real(mms_id, t, grid, p)
+
+    for source, raised, match in ((interrupted, KeyboardInterrupt, None),
+                                  (killed, RuntimeError, r"exited with code -9$")):
+        with monkeypatch.context() as patch:
+            patch.setattr(nsdv.cli, "manufactured_source", source)
+            with pytest.raises(raised, match=match):
+                mms_convergence("manufactured-1", 2, base_n=33, t_end=0.2)
+        assert_no_child_process()
+    assert len(started) == 3
+
+
+@pytest.mark.parametrize("levels, forks", [(1, 0), (3, 1)])
+def test_study_forks_one_child_for_its_coarse_levels(started, levels, forks):
+    # cmd_convergence passes --levels to mms_convergence as it is
+    rows = mms_convergence("manufactured-1", levels, base_n=17, t_end=0.05)
+    assert [r["n"] for r in rows] == [17, 33, 65][:levels]
+    assert len(started) == forks
+    assert_no_child_process()
 
 
 def test_write_table_matches_per_cell_repr(tmp_path):
