@@ -13,6 +13,13 @@ os._exit: it never returns into the caller's code, runs no exit handler and
 flushes no inherited buffer.  The caller closes its pipe ends, which ends a
 child waiting on them, and reaps the child on every path.
 
+A child's failure reaches the caller the same way for every user: an
+Exception escaping `body` is sent as one record, the exception and its
+traceback text, and the caller's `receive` raises that exception, type and
+args unchanged, from a RuntimeError naming the child and holding the text.
+A child that exits without a report is EOFError to `receive` and
+RuntimeError("<name> process exited with code N") to `outcome`.
+
 nsdv therefore runs only where os.fork exists (POSIX).  Python >= 3.12 warns
 (DeprecationWarning) when os.fork runs while the process has more than one
 thread; numpy's OpenBLAS pool does not count, because OpenBLAS's own fork
@@ -24,14 +31,22 @@ from __future__ import annotations
 import os
 import pickle
 import signal
+import traceback
+from typing import NamedTuple
+
+
+class _Failure(NamedTuple):  # what the child sends when `body` raises
+    exc: Exception
+    text: str  # its traceback
 
 
 class Child:
     """`body(channel, *args)` in a forked child process, `channel` being this
-    object as the child sees it.  Its exit code is 0 when `body` returns and
-    1 when it raises."""
+    object as the child sees it; `name` names it in the caller's errors.
+    Its exit code is 0 when `body` returns and 1 when it raises."""
 
-    def __init__(self, body, *args):
+    def __init__(self, name: str, body, *args):
+        self._name = name
         up_r, up_w = os.pipe()
         down_r, down_w = os.pipe()
         try:
@@ -49,6 +64,8 @@ class Child:
                 self._in, self._out = open(down_r, "rb"), open(up_w, "wb", buffering=0)
                 body(self, *args)
                 code = 0
+            except Exception as exc:
+                self.send(_Failure(exc, traceback.format_exc()))
             finally:
                 os._exit(code)
         os.close(up_w)
@@ -64,19 +81,25 @@ class Child:
             data = data[self._out.write(data):]
 
     def receive(self):
-        """The other side's next message: EOFError if it has closed its end."""
-        return pickle.load(self._in)
-
-    def outcome(self, name: str):
-        """In the caller: the child's next message, after which the child is
-        reaped; RuntimeError, naming the child `name`, if it exited without
-        one."""
-        try:
-            message = self.receive()
-        except EOFError:
-            raise RuntimeError(f"{name} process exited with code {self.close()}") from None
-        self.close()
+        """The other side's next message: EOFError if it has closed its end,
+        and in the caller the child's failure raised instead."""
+        message = pickle.load(self._in)
+        if isinstance(message, _Failure):
+            raise message.exc from RuntimeError(f"in the {self._name} process:\n{message.text}")
         return message
+
+    def outcome(self):
+        """In the caller: the child's last message, or its failure raised,
+        after which the child is reaped; RuntimeError if it exited without
+        either."""
+        try:
+            return self.receive()
+        except EOFError:
+            raise RuntimeError(f"{self._name} process exited with code {self.close()}") from None
+        finally:
+            # a no-op once reaped; the child sends nothing after its last
+            # message, and a caller interrupted meanwhile must not wait
+            self.close(kill=True)
 
     def close(self, kill: bool = False) -> int:
         """In the caller: kill the child first with `kill`, close the pipe

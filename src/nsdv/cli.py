@@ -179,24 +179,8 @@ def _mms_level(mms_id: str, lvl: int, base_n: int, t_end: float, p: ModelParams)
 
 def _mms_coarse_levels(channel, mms_id, levels, *args) -> None:
     """Body of the convergence study's child process (a child.Child): steps
-    levels 0 .. levels-1 in order and sends (None, their rows), or
-    (failure, None) at the first failure."""
-    try:
-        rows = [_mms_level(mms_id, lvl, *args) for lvl in range(levels)]
-    except Exception as exc:
-        channel.send((exc, None))
-    else:
-        channel.send((None, rows))
-
-
-def _mms_coarse_rows(child: Child) -> list:
-    """The coarse levels' rows from `child`, which is then reaped; its
-    failure is raised instead, or RuntimeError if it exited without a
-    report."""
-    failure, rows = child.outcome("convergence study's coarse-level")
-    if failure is not None:
-        raise failure
-    return rows
+    levels 0 .. levels-1 in order and sends their rows."""
+    channel.send([_mms_level(mms_id, lvl, *args) for lvl in range(levels)])
 
 
 def mms_convergence(
@@ -221,24 +205,25 @@ def mms_convergence(
     order while the caller steps the finest one, which takes about three
     quarters of the steps.  A failure, such as a VacuumBlowup, is raised as
     a serial study would raise it: that of the first level, in level order,
-    that failed, so a coarse level's (the child's, pickled) outranks the
-    finest level's, which waits for the child's outcome.  A child that
-    exits without a report raises RuntimeError; any exception in the
-    caller, KeyboardInterrupt included, kills and reaps the child."""
+    that failed, so a coarse level's (the child's, re-raised by nsdv.child)
+    outranks the finest level's, which waits for the child's outcome.  A
+    child that exits without a report raises RuntimeError; any exception in
+    the caller, KeyboardInterrupt included, kills and reaps the child."""
     if levels < 1:
         raise InputError(f"levels must be at least 1, got {levels}")
     args = (base_n, t_end, ModelParams(alpha=alpha, gamma=gamma, half_length=half_length))
     if levels == 1:
         rows = [_mms_level(mms_id, 0, *args)]
     else:
-        child = Child(_mms_coarse_levels, mms_id, levels - 1, *args)
+        child = Child("convergence study's coarse-level", _mms_coarse_levels, mms_id,
+                      levels - 1, *args)
         try:
             try:
                 finest = _mms_level(mms_id, levels - 1, *args)
             except Exception:
-                _mms_coarse_rows(child)  # a coarse level's failure comes first
+                child.outcome()  # a coarse level's failure comes first
                 raise
-            rows = [*_mms_coarse_rows(child), finest]
+            rows = [*child.outcome(), finest]
         finally:
             child.close(kill=True)  # a no-op once the child is reaped
     prev = 0.0

@@ -21,7 +21,6 @@ import os
 import shutil
 import subprocess
 import tempfile
-import traceback
 from pathlib import Path
 
 import numpy as np
@@ -253,10 +252,10 @@ def _write_snapshots(channel, directory, cfg, footer_line) -> None:
     each snapshot whose columns after x the parent saved as
     _state_file(directory, k), until None.  Formats snapshot k, after the
     grid's x, as directory/SNAP_NAME.format(k), evaluating nothing, and
-    deletes its state file.  Then sends None, or (exception, traceback text)
-    after the first failure.  When its input reaches end of file the parent
-    process is gone: removes its staging directory, the parent of
-    `directory`, and returns."""
+    deletes its state file.  Then sends None; a failure ends it (nsdv.child
+    sends it on).  When its input reaches end of file the parent process is
+    gone: removes its staging directory, the parent of `directory`, and
+    returns."""
     try:
         # the grid's x cells, the same in every snapshot, formatted once: as
         # an object array of str, write_table prints them as they are
@@ -270,10 +269,7 @@ def _write_snapshots(channel, directory, cfg, footer_line) -> None:
     except EOFError:
         shutil.rmtree(directory.parent, ignore_errors=True)
         return
-    except Exception as exc:
-        channel.send((exc, traceback.format_exc()))
-    else:
-        channel.send(None)
+    channel.send(None)
 
 
 class RunWriter:
@@ -311,7 +307,8 @@ class RunWriter:
             self._build = build_id()
             self._footer = footer(self._hash, self._build)
             # the child inherits the tree, config and footer
-            self._child = Child(_write_snapshots, self._tree, self._cfg, self._footer)
+            self._child = Child("snapshot writer", _write_snapshots, self._tree, self._cfg,
+                                self._footer)
         except BaseException:
             # a raising __enter__ gets no __exit__ call: clean up here
             self.__exit__()
@@ -348,7 +345,7 @@ class RunWriter:
         files = [SNAP_NAME.format(k) for k in range(self._count)]
         write_manifest(tree / "manifest.json", series.times, files, self._hash, self._build)
         write_diagnostics(tree, series, foot)
-        self._await_child()
+        self._child.outcome()  # the snapshot CSVs are written, or its failure is raised
         # Whole directories only, so the run directory is never part old and
         # part new: the old one moves into the stage, which leaving the block
         # removes, and the new tree into its place.
@@ -371,13 +368,4 @@ class RunWriter:
         try:
             self._child.send(message)
         except BrokenPipeError:
-            self._await_child()
-
-    def _await_child(self) -> None:
-        """Take the child's report and reap it: return if it wrote every
-        snapshot, else re-raise its exception, or raise RuntimeError if it
-        exited without a report."""
-        outcome = self._child.outcome("snapshot writer")
-        if outcome is not None:
-            exc, text = outcome
-            raise exc from RuntimeError(f"in the snapshot writer process:\n{text}")
+            self._child.outcome()

@@ -40,7 +40,9 @@ both clip the same step at the same cadence times.  At each recorded time
 the child sends its state's time, rho and u, and the caller measures the
 pair as above.  Failures keep the order of the steps (base step before
 perturbed step before the next base stable_dt before the next perturbed
-stable_dt): the child sends its own, already named.
+stable_dt): nsdv.child re-raises the child's own, already named, in the
+caller, and the child marks a failure of its stable_dt so that the caller's
+stable_dt failure outranks it.
 """
 
 from __future__ import annotations
@@ -92,12 +94,12 @@ def _named_step(tag: str, grid, cfg: SolverConfig, p):
 class _ForkedRun:
     """A run stepped by drive in a forked child process, in lockstep with
     the caller's own run, both proposing steps with `dt` (see the module
-    docstring).  The child sends (None, value), or (failure, whether its
-    step raised it); the caller sends its dt proposals."""
+    docstring).  The child sends its dt proposals and recorded states, the
+    caller its dt proposals."""
 
     def __init__(self, initial: FluidState, cfg: SolverConfig, dt, step):
         self._dt = dt
-        self._child = Child(_run_in_child, initial, cfg, dt, step)
+        self._child = Child("twin's perturbed-run", _run_in_child, initial, cfg, dt, step)
 
     def close(self):
         """Close the caller's pipe ends, which ends the child, and reap it."""
@@ -110,51 +112,39 @@ class _ForkedRun:
         try:
             mine = self._dt(state)
         except Exception:
-            self._receive(steps_only=True)
+            try:
+                self._child.receive()
+            except Exception as failure:
+                if not getattr(failure, "in_proposal", False):
+                    raise
             raise
         try:
             self._child.send(mine)
         except BrokenPipeError:
             pass  # the child has ended: its last message says why
-        return min(mine, self._receive())
+        return min(mine, self._child.receive())
 
     def recorded(self) -> FluidState:
         """The child's state at the caller's recorded time."""
-        time, rho, u = self._receive()
+        time, rho, u = self._child.receive()
         return FluidState(time=time, rho=rho, u=u)
-
-    def _receive(self, steps_only=False):
-        """The child's next value, or the failure it sent instead raised
-        (with `steps_only`, only a failure of its step)."""
-        failure, value = self._child.receive()  # EOFError if it died
-        if failure is None:
-            return value
-        if value or not steps_only:
-            raise failure
 
 
 def _run_in_child(channel, initial: FluidState, cfg: SolverConfig, dt, step):
     """The forked child's run: drive `initial` with `step`, sending each dt
-    proposal, each recorded state and a failure through `channel`."""
-    in_step = False
+    proposal and each recorded state through `channel`."""
 
     def shared_dt(state):
-        mine = dt(state)
-        channel.send((None, mine))
+        try:
+            mine = dt(state)
+        except Exception as exc:
+            exc.in_proposal = True  # ranked after the caller's proposal's failure
+            raise
+        channel.send(mine)
         return min(mine, channel.receive())
 
-    def stepped(state, t, h):
-        nonlocal in_step
-        in_step = True
-        state = step(state, t, h)
-        in_step = False
-        return state
-
-    try:
-        drive(initial, cfg, shared_dt, stepped,
-              lambda t, state: channel.send((None, (state.time, state.rho, state.u))))
-    except Exception as exc:
-        channel.send((exc, in_step))
+    drive(initial, cfg, shared_dt, step,
+          lambda t, state: channel.send((state.time, state.rho, state.u)))
 
 
 def default_perturbation(grid) -> np.ndarray:

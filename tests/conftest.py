@@ -1,4 +1,5 @@
 import json
+import os
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -190,3 +191,18 @@ def run_states(initial, solver, grid, p):
     states = []
     traj = run(initial, solver, grid, p, on_snapshot=lambda state, eff: states.append(state))
     return traj, states
+
+
+def assert_raised_in_child(exc, name, frame):
+    """`exc` was raised in the forked child process `name` and re-raised by
+    nsdv.child: from a RuntimeError that names the process and holds the
+    child's traceback, which passes through the function `frame` and ends
+    with `exc` as the child printed it; and no child process is left."""
+    cause = exc.__cause__
+    assert type(cause) is RuntimeError, repr(cause)
+    text = str(cause)
+    assert text.startswith(f"in the {name} process:\nTraceback (most recent call last):\n"), text
+    assert f", in {frame}\n" in text, text
+    assert text.endswith(f"{type(exc).__name__}: {exc}\n"), text
+    with pytest.raises(ChildProcessError):  # none is left, running or unreaped
+        os.waitpid(-1, os.WNOHANG)

@@ -20,6 +20,7 @@ import nsdv.cli
 from conftest import (
     CONFIG_DIR,
     SHIPPED,
+    assert_raised_in_child,
     read_csv_table,
     read_manifest,
     save_config,
@@ -71,8 +72,8 @@ def assert_writers_reaped(pids):
 
 
 def failing_writer(channel, *args):
-    """A snapshot writer body that reports a failure at once."""
-    channel.send((OSError("planted"), "planted traceback"))
+    """A snapshot writer body that fails at once."""
+    raise OSError("planted")
 
 
 class FakeChannel:
@@ -248,6 +249,8 @@ class TestOutputs:
         assert "snapshot writer process" in str(info.value.__cause__)
         assert not list(tmp_path.iterdir())  # staging removed, no run directory
         assert_writers_reaped(started)
+        assert info.value.args == ("table columns of unequal length",)
+        assert_raised_in_child(info.value, "snapshot writer", "write_table")
 
     def test_writer_that_fails_to_start_removes_its_stage(self, tmp_path, monkeypatch):
         def failing_fork():
@@ -515,7 +518,7 @@ class TestCLI:
             "from nsdv import io",
             "from nsdv.cli import main",
             "def failing_writer(channel, *args):",
-            "    channel.send((OSError('planted'), 'planted traceback'))",
+            "    raise OSError('planted')",
             "io._write_snapshots = failing_writer",
             "pids, real_fork = [], os.fork",
             "def recording_fork():",
@@ -1066,17 +1069,19 @@ def test_coarse_blowup_is_raised_before_the_finest(monkeypatch, started):
     assert len(started) == 1
     assert (str(both), both.time, both.node) == (str(coarse), coarse.time, 7)
     assert_no_child_process()
+    assert type(both) is type(coarse) and both.args == coarse.args
+    assert_raised_in_child(both, "convergence study's coarse-level", "_mms_coarse_levels")
 
 
 def test_finest_blowup_is_raised_after_the_coarse_rows(monkeypatch, started):
     received = []
-    real = nsdv.cli._mms_coarse_rows
+    real = nsdv.cli.Child.outcome
 
     def receiving(child):
         received.append(real(child))
         return received[-1]
 
-    monkeypatch.setattr(nsdv.cli, "_mms_coarse_rows", receiving)
+    monkeypatch.setattr(nsdv.cli.Child, "outcome", receiving)
     finest = study_blowup(monkeypatch, 1, 65, [65])
     raised = study_blowup(monkeypatch, 2, 33, [65])
     assert len(started) == 1

@@ -10,11 +10,17 @@ import numpy as np
 import pytest
 from dataclasses import replace
 
-from conftest import CONFIG_DIR, delta_at, flow_series, shipped_scenario
+from conftest import (
+    CONFIG_DIR,
+    assert_raised_in_child,
+    delta_at,
+    flow_series,
+    shipped_scenario,
+)
 from nsdv import lagrangian, model, stability, stencils
 from nsdv.cli import main
 from nsdv.diagnostics import left_integral
-from nsdv.errors import ConfigError, InputError, VacuumBlowup
+from nsdv.errors import ConfigError, InputError, NumericalFailure, VacuumBlowup
 from nsdv.eulerian import drive, stable_dt, step_primitive
 from nsdv.initdata import build_initial
 from nsdv.lagrangian import to_lagrangian
@@ -278,6 +284,21 @@ def test_perturbed_blowup_keeps_time_and_node(monkeypatch, lockstep):
     with pytest.raises(VacuumBlowup, match=r"^\[twin perturbed\] density hit") as info:
         twin_run_stability(cfg, 1e-6)
     assert info.value.node == 7 and 0.05 < info.value.time < 0.1
+    assert type(info.value) is VacuumBlowup and info.value.args == (
+        f"[twin perturbed] density hit the vacuum floor at node 7, t={info.value.time:.6g}",)
+    assert_raised_in_child(info.value, "twin's perturbed-run", "_run_in_child")
+
+
+def test_base_stable_dt_failure_outranks_the_perturbed_one(monkeypatch, lockstep):
+    # both runs' states turn non-finite at one step, so both stable_dt
+    # proposals fail with one message: the base run's, raised in this
+    # process and not from the child's traceback, comes first
+    patch_steps(monkeypatch, {"base": non_finite, "perturbed": non_finite})
+    cfg = shipped_scenario("twin_smooth_bump", output_cadence=0.05)
+    with pytest.raises(NumericalFailure, match="^non-finite state$") as info:
+        twin_run_stability(cfg, 1e-6)
+    assert info.value.__cause__ is None
+    assert_no_child_process()
 
 
 def test_no_process_outlives_the_twin(tmp_path, monkeypatch, lockstep):

@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -92,19 +93,40 @@ def test_tridiagonal_shape_check():
         solve_tridiagonal(np.ones(4), np.ones(4), np.ones(4))
 
 
+def with_entry(band, value):
+    """An SPD system on 4 nodes whose `band` holds `value` at one entry."""
+    bands = {"diag": np.full(4, 4.0), "off": np.ones(3), "rhs": np.ones(4)}
+    bands[band][1] = value
+    return tuple(bands.values())
+
+
+NON_FINITE = [(band, value) for band in ("diag", "off", "rhs")
+              for value in (np.inf, -np.inf, np.nan)]
+
+
 @pytest.mark.parametrize(
-    "diag, off, rhs",
+    "diag, off, rhs, error",
     [
-        (np.full(4, 4.0), np.zeros(3), np.array([1.0, np.nan, 0.0, 0.0])),
-        (np.zeros(4), np.zeros(3), np.ones(4)),
+        (np.full(4, 4.0), np.zeros(3), np.array([1.0, np.nan, 0.0, 0.0]), "^non-finite"),
+        (np.zeros(4), np.zeros(3), np.ones(4), "not positive definite"),
         # symmetric and invertible, but indefinite: eigenvalues 1 +- 2 cos(k pi/5)
-        (np.ones(4), np.ones(3), np.ones(4)),
+        (np.ones(4), np.ones(3), np.ones(4), "not positive definite"),
+        *[(*with_entry(band, value), "^non-finite tridiagonal system$")
+          for band, value in NON_FINITE],
+        # finite, near the largest double: the bands' sum overflows, and it solves
+        (np.full(4, 1.5e308), np.full(3, 0.5e308), np.full(4, 1e308), None),
     ],
-    ids=["nan-rhs", "singular", "indefinite"],
+    ids=["nan-rhs", "singular", "indefinite",
+         *[f"{band}={value}" for band, value in NON_FINITE], "finite-near-max"],
 )
-def test_tridiagonal_failures_are_numerical(diag, off, rhs):
-    with pytest.raises(NumericalFailure):
-        solve_tridiagonal(diag, off, rhs)
+def test_tridiagonal_failures_are_numerical(diag, off, rhs, error):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the checks warn of nothing
+        if error is None:
+            assert np.isfinite(solve_tridiagonal(diag, off, rhs)).all()
+        else:
+            with pytest.raises(NumericalFailure, match=error):
+                solve_tridiagonal(diag, off, rhs)
 
 
 @pytest.mark.parametrize("r", [0.7, 240.0])
